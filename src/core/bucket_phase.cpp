@@ -294,21 +294,7 @@ KernelSpec bucket_phase_spec(std::span<T> data, std::size_t num_arrays,
     return {cfg, std::move(kernel)};
 }
 
-template <typename T>
-simt::KernelStats bucket_phase(simt::Device& device, std::span<T> data,
-                               std::size_t num_arrays, const SortPlan& plan,
-                               const Options& opts, std::span<const T> splitters,
-                               std::span<std::uint32_t> bucket_sizes, std::span<T> scratch,
-                               std::size_t scratch_rows) {
-    KernelSpec spec = bucket_phase_spec(data, num_arrays, plan, opts, splitters, bucket_sizes,
-                                        scratch, scratch_rows);
-    return device.launch(spec.cfg, spec.body);
-}
-
 #define GAS_INSTANTIATE(T)                                                                 \
-    template simt::KernelStats bucket_phase<T>(                                            \
-        simt::Device&, std::span<T>, std::size_t, const SortPlan&, const Options&,         \
-        std::span<const T>, std::span<std::uint32_t>, std::span<T>, std::size_t);          \
     template KernelSpec bucket_phase_spec<T>(                                              \
         std::span<T>, std::size_t, const SortPlan&, const Options&, std::span<const T>,    \
         std::span<std::uint32_t>, std::span<T>, std::size_t);

@@ -5,35 +5,11 @@
 #include <string>
 #include <vector>
 
-#include "core/device_ops.hpp"
-#include "core/insertion_sort.hpp"
-#include "core/phases.hpp"
 #include "core/resilient.hpp"
+#include "core/sort_graph.hpp"
 #include "core/validate.hpp"
-#include "simt/graph.hpp"
 
 namespace gas {
-
-namespace {
-
-PhaseStats to_phase_stats(const simt::KernelStats& k) { return {k.modeled_ms, k.wall_ms}; }
-
-void fill_bucket_diagnostics(SortStats& stats, std::span<const std::uint32_t> z) {
-    if (z.empty()) return;
-    std::uint32_t mn = z[0];
-    std::uint32_t mx = z[0];
-    std::uint64_t sum = 0;
-    for (std::uint32_t v : z) {
-        mn = std::min(mn, v);
-        mx = std::max(mx, v);
-        sum += v;
-    }
-    stats.min_bucket = mn;
-    stats.max_bucket = mx;
-    stats.avg_bucket = static_cast<double>(sum) / static_cast<double>(z.size());
-}
-
-}  // namespace
 
 template <typename T>
 SortStats sort_arrays_on_device(simt::Device& device, simt::DeviceBuffer<T>& data,
@@ -42,29 +18,18 @@ SortStats sort_arrays_on_device(simt::Device& device, simt::DeviceBuffer<T>& dat
     if (data.size() < num_arrays * array_size) {
         throw std::invalid_argument("sort_arrays_on_device: buffer smaller than N x n");
     }
-
-    SortStats stats;
-    stats.num_arrays = num_arrays;
-    stats.array_size = array_size;
-    stats.data_bytes = num_arrays * array_size * sizeof(T);
-    if (num_arrays == 0 || array_size == 0) return stats;
-
-    const bool descending = opts.order == SortOrder::Descending;
-    if (descending && !std::is_floating_point_v<T>) {
-        throw std::invalid_argument(
-            "sort_arrays_on_device: descending order requires a floating-point "
-            "element type (implemented via IEEE negation)");
+    if (num_arrays == 0 || array_size == 0) {
+        SortStats stats;
+        stats.num_arrays = num_arrays;
+        stats.array_size = array_size;
+        return stats;
     }
 
-    const SortPlan plan = make_plan(array_size, opts, device.props(), sizeof(T));
-    stats.buckets_per_array = plan.buckets;
-    stats.sample_size = plan.sample_size;
+    UniformSortGraph<T> pipeline(device, data.span(), num_arrays, array_size, opts);
+    const std::span<const T> span(data.span().data(), num_arrays * array_size);
 
     std::vector<T> before;
-    if (opts.validate) {
-        const auto s = data.span();
-        before.assign(s.begin(), s.begin() + static_cast<std::ptrdiff_t>(num_arrays * array_size));
-    }
+    if (opts.validate) before.assign(span.begin(), span.end());
 
     // End-to-end verification (gas::resilient): per-row multiset checksums
     // taken host-side from the freshly-staged span before the first launch
@@ -72,240 +37,43 @@ SortStats sort_arrays_on_device(simt::Device& device, simt::DeviceBuffer<T>& dat
     // checked by one verify kernel with modeled cost right before returning.
     std::vector<std::uint64_t> expected;
     if (opts.verify_output) {
-        const auto cspan =
-            std::span<const T>(data.span().data(), num_arrays * array_size);
-        expected = resilient::host_row_checksums<T>(cspan, num_arrays, array_size);
+        expected = resilient::host_row_checksums<T>(span, num_arrays, array_size);
     }
-    const auto run_verify = [&](std::span<const T> cspan) {
-        if (!opts.verify_output) return;
-        const auto vc = resilient::verify_rows_on_device<T>(
-            device, cspan, num_arrays, array_size, opts.order, expected);
+
+    SortStats stats = pipeline.run();
+
+    if (opts.collect_bucket_sizes) {
+        const auto z = pipeline.bucket_sizes();
+        if (z.empty()) {  // small-array path: one bucket per array
+            stats.bucket_sizes.assign(num_arrays, static_cast<std::uint32_t>(array_size));
+        } else {
+            stats.bucket_sizes.assign(z.begin(), z.end());
+        }
+    }
+
+    if (opts.validate) {
+        const bool ok = opts.order == SortOrder::Descending
+                            ? all_arrays_sorted_descending(span, num_arrays, array_size)
+                            : all_arrays_sorted(span, num_arrays, array_size);
+        if (!ok) {
+            throw std::logic_error("gpu_array_sort: validation failed, output not in " +
+                                   to_string(opts.order) + " order");
+        }
+        if (!all_arrays_permuted(std::span<const T>(before), span, num_arrays, array_size)) {
+            throw std::logic_error("gpu_array_sort: validation failed, output is not a "
+                                   "per-array permutation of the input");
+        }
+    }
+
+    if (opts.verify_output) {
+        const auto vc = resilient::verify_rows_on_device<T>(device, span, num_arrays,
+                                                            array_size, opts.order, expected);
         stats.verify.modeled_ms += vc.modeled_ms;
         stats.verify.wall_ms += vc.wall_ms;
         if (!vc.ok()) {
             throw resilient::VerifyError("gpu_array_sort", vc.unsorted, vc.mismatched);
         }
-    };
-
-    // Small-array fast path: with a single bucket the three-phase machinery
-    // degenerates to "one thread insertion-sorts the whole array".  Packing
-    // 256 arrays into each block (instead of N one-thread blocks) fills the
-    // SMs, and no splitter/Z temporaries are needed at all.
-    if (plan.buckets == 1) {
-        auto span0 = data.span().subspan(0, num_arrays * array_size);
-        constexpr unsigned kPack = 256;
-        simt::LaunchConfig cfg{"gas.small_array_sort",
-                               static_cast<unsigned>((num_arrays + kPack - 1) / kPack),
-                               kPack};
-        auto body = [=](simt::BlockCtx& blk) {
-            const auto sort_lane = [&](simt::ThreadCtx& tc) {
-                const std::size_t a =
-                    static_cast<std::size_t>(blk.block_idx()) * kPack + tc.tid();
-                if (a >= num_arrays) return;
-                const std::span<T> row{span0.data() + a * array_size, array_size};
-                const InsertionCost cost = insertion_sort(row);
-                tc.ops(cost.compares + cost.moves);
-                tc.global_random(2ull * array_size);
-            };
-            blk.for_each_warp([&](simt::WarpCtx& wc) { wc.for_lanes(sort_lane); });
-        };
-        if (opts.graph_launch) {
-            // Graph form of the same (negate) -> sort -> (negate) chain: one
-            // submit, one worker-pool round-trip, bit-identical stats.
-            simt::Graph g;
-            std::vector<simt::Graph::NodeId> negates;
-            if constexpr (std::is_floating_point_v<T>) {
-                if (descending) {
-                    auto ns = negate_spec(span0);
-                    negates.push_back(g.add_kernel(ns.cfg, std::move(ns.body)));
-                }
-            }
-            const auto sort_node = g.add_kernel(cfg, std::move(body), negates);
-            if constexpr (std::is_floating_point_v<T>) {
-                if (descending) {
-                    auto post = negate_spec(span0);
-                    negates.push_back(
-                        g.add_kernel(post.cfg, std::move(post.body), {sort_node}));
-                }
-            }
-            device.submit(g);
-            const simt::KernelStats& k = g.kernel_stats(sort_node);
-            stats.phase3 = to_phase_stats(k);
-            stats.phase3_imbalance = k.imbalance;
-            for (const auto id : negates) {
-                const simt::KernelStats& kn = g.kernel_stats(id);
-                stats.extra.modeled_ms += kn.modeled_ms;
-                stats.extra.wall_ms += kn.wall_ms;
-            }
-        } else {
-            if constexpr (std::is_floating_point_v<T>) {
-                if (descending) {
-                    const auto k = negate_on_device(device, span0);
-                    stats.extra.modeled_ms += k.modeled_ms;
-                    stats.extra.wall_ms += k.wall_ms;
-                }
-            }
-            const auto k = device.launch(cfg, body);
-            stats.phase3 = to_phase_stats(k);
-            stats.phase3_imbalance = k.imbalance;
-            if constexpr (std::is_floating_point_v<T>) {
-                if (descending) {
-                    const auto k2 = negate_on_device(device, span0);
-                    stats.extra.modeled_ms += k2.modeled_ms;
-                    stats.extra.wall_ms += k2.wall_ms;
-                }
-            }
-        }
-        stats.peak_device_bytes = device.memory().peak_bytes_in_use();
-        stats.min_bucket = static_cast<std::uint32_t>(array_size);
-        stats.max_bucket = static_cast<std::uint32_t>(array_size);
-        stats.avg_bucket = static_cast<double>(array_size);
-        if (opts.collect_bucket_sizes) {
-            stats.bucket_sizes.assign(num_arrays,
-                                      static_cast<std::uint32_t>(array_size));
-        }
-        if (opts.validate) {
-            const auto cspan = std::span<const T>(span0);
-            const bool ok =
-                descending ? all_arrays_sorted_descending(cspan, num_arrays, array_size)
-                           : all_arrays_sorted(cspan, num_arrays, array_size);
-            if (!ok || !all_arrays_permuted(std::span<const T>(before), cspan, num_arrays,
-                                            array_size)) {
-                throw std::logic_error("gpu_array_sort: small-array path validation failed");
-            }
-        }
-        run_verify(std::span<const T>(span0));
-        return stats;
     }
-
-    // Run-time temporaries: S (splitters) and Z (bucket sizes) only — the
-    // algorithm's in-place property.  A global scratch row per *resident*
-    // block is added only for arrays too large to stage in shared memory.
-    simt::DeviceBuffer<T> splitters(device, num_arrays * plan.splitters_per_array);
-    simt::DeviceBuffer<std::uint32_t> bucket_sizes(device, num_arrays * plan.buckets);
-    simt::DeviceBuffer<T> scratch;
-    std::size_t scratch_rows = 0;
-    if (!plan.array_fits_shared) {
-        const unsigned conc =
-            device.cost_model().blocks_per_sm(plan.block_threads, /*shared_bytes=*/0);
-        scratch_rows = std::min<std::size_t>(
-            num_arrays,
-            std::max<std::size_t>(static_cast<std::size_t>(device.props().sm_count) * conc,
-                                  device.host_workers()));
-        scratch = simt::DeviceBuffer<T>(device, scratch_rows * array_size);
-    }
-
-    auto span = data.span().subspan(0, num_arrays * array_size);
-
-    if (opts.graph_launch) {
-        // One work graph for the whole pipeline: (negate) -> phase1 ->
-        // phase2 -> dispatch -> phase3 (-> negate), submitted in a single
-        // scheduling round-trip.  Phase 3's launch is emitted by a host
-        // decision node only after phase 2's Z row has settled — the
-        // device-driven analog of the host-loop "launch when the previous
-        // kernel returns" — so the chain never re-wakes the worker pool.
-        simt::Graph g;
-        std::vector<simt::Graph::NodeId> pre_deps;
-        simt::Graph::NodeId pre = 0;
-        bool has_negate = false;
-        if constexpr (std::is_floating_point_v<T>) {
-            if (descending) {
-                auto ns = negate_spec(span);
-                pre = g.add_kernel(ns.cfg, std::move(ns.body));
-                pre_deps.push_back(pre);
-                has_negate = true;
-            }
-        }
-        auto s1 = detail::splitter_phase_spec<T>(span, num_arrays, plan, splitters.span());
-        const auto n1 = g.add_kernel(s1.cfg, std::move(s1.body), pre_deps);
-        auto s2 = detail::bucket_phase_spec<T>(span, num_arrays, plan, opts,
-                                               splitters.span(), bucket_sizes.span(),
-                                               scratch.span(), scratch_rows);
-        const auto n2 = g.add_kernel(s2.cfg, std::move(s2.body), {n1});
-
-        auto s3 = detail::sort_phase_spec<T>(device.props(), span, num_arrays, plan,
-                                             bucket_sizes.span(), opts);
-        auto n3 = std::make_shared<simt::Graph::NodeId>(0);
-        auto post = std::make_shared<simt::Graph::NodeId>(0);
-        g.add_host(
-            "gas.phase3_dispatch",
-            [s3 = std::move(s3), span, n3, post, descending](simt::GraphCtx& ctx) {
-                (void)descending;
-                *n3 = ctx.enqueue_kernel(s3.cfg, s3.body);
-                if constexpr (std::is_floating_point_v<T>) {
-                    if (descending) {
-                        auto ns = negate_spec(span);
-                        *post = ctx.enqueue_kernel(ns.cfg, std::move(ns.body), {*n3});
-                    }
-                }
-            },
-            {n2});
-        device.submit(g);
-
-        stats.phase1 = to_phase_stats(g.kernel_stats(n1));
-        stats.phase2 = to_phase_stats(g.kernel_stats(n2));
-        const simt::KernelStats& k3 = g.kernel_stats(*n3);
-        stats.phase3 = to_phase_stats(k3);
-        stats.phase3_imbalance = k3.imbalance;
-        if (has_negate) {
-            const simt::KernelStats& kp = g.kernel_stats(pre);
-            const simt::KernelStats& kq = g.kernel_stats(*post);
-            stats.extra.modeled_ms += kp.modeled_ms + kq.modeled_ms;
-            stats.extra.wall_ms += kp.wall_ms + kq.wall_ms;
-        }
-    } else {
-        // Descending order: negate, sort ascending, negate back (IEEE
-        // negation reverses float total order exactly).
-        if constexpr (std::is_floating_point_v<T>) {
-            if (descending) {
-                const auto k = negate_on_device(device, span);
-                stats.extra.modeled_ms += k.modeled_ms;
-                stats.extra.wall_ms += k.wall_ms;
-            }
-        }
-
-        stats.phase1 = to_phase_stats(detail::splitter_phase<T>(
-            device, span, num_arrays, plan, splitters.span()));
-        stats.phase2 = to_phase_stats(detail::bucket_phase<T>(
-            device, span, num_arrays, plan, opts, splitters.span(), bucket_sizes.span(),
-            scratch.span(), scratch_rows));
-        const simt::KernelStats k3 = detail::sort_phase<T>(device, span, num_arrays, plan,
-                                                           bucket_sizes.span(), opts);
-        stats.phase3 = to_phase_stats(k3);
-        stats.phase3_imbalance = k3.imbalance;
-
-        if constexpr (std::is_floating_point_v<T>) {
-            if (descending) {
-                const auto k = negate_on_device(device, span);
-                stats.extra.modeled_ms += k.modeled_ms;
-                stats.extra.wall_ms += k.wall_ms;
-            }
-        }
-    }
-
-    stats.peak_device_bytes = device.memory().peak_bytes_in_use();
-    fill_bucket_diagnostics(stats, bucket_sizes.span());
-    if (opts.collect_bucket_sizes) {
-        const auto z = bucket_sizes.span();
-        stats.bucket_sizes.assign(z.begin(), z.end());
-    }
-
-    if (opts.validate) {
-        const auto cspan = std::span<const T>(span);
-        const bool ok = descending
-                            ? all_arrays_sorted_descending(cspan, num_arrays, array_size)
-                            : all_arrays_sorted(cspan, num_arrays, array_size);
-        if (!ok) {
-            throw std::logic_error("gpu_array_sort: validation failed, output not in " +
-                                   to_string(opts.order) + " order");
-        }
-        if (!all_arrays_permuted(std::span<const T>(before), cspan, num_arrays,
-                                 array_size)) {
-            throw std::logic_error("gpu_array_sort: validation failed, output is not a "
-                                   "per-array permutation of the input");
-        }
-    }
-    run_verify(std::span<const T>(span));
     return stats;
 }
 

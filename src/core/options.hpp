@@ -72,16 +72,6 @@ struct Options {
     /// single serialized lane for every block width.
     std::size_t phase3_bitonic_cutoff = 240;
 
-    /// Submit the phase1 -> phase2 -> phase3 pipeline as one simt::Graph
-    /// (Device::submit) instead of three host round-trips through
-    /// Device::launch.  Contractually bit-identical — output bytes, kernel
-    /// log, and every deterministic KernelStats field match the loop path
-    /// (asserted by tests/core/test_exec_equivalence.cpp) — it only
-    /// amortizes scheduling: the worker pool is woken once per sort rather
-    /// than once per kernel.  Paper-figure benches pin it off alongside
-    /// radix pass pruning to reproduce the PR 1 launch behavior.
-    bool graph_launch = true;
-
     /// Opt the request into adaptive autotuning (gas::tune).  The core
     /// sorters never read this knob — gpu_array_sort with any Options is
     /// bit-identical whether it is true or false.  Layers that can see the

@@ -14,11 +14,11 @@
 namespace gas::detail {
 
 /// A kernel launch described but not yet executed: exactly what
-/// Device::launch takes, packaged so a caller can either launch it
-/// directly (the loop path) or add it as a simt::Graph node (the
-/// graph-launch path).  Spec bodies capture all state by value — spans,
-/// plan scalars, a copy of the options — so a spec safely outlives the
-/// builder's stack frame, which graph execution requires.
+/// Device::launch takes, packaged so UniformSortGraph can add it as a
+/// simt::Graph node (tests launch one directly with
+/// device.launch(spec.cfg, spec.body)).  Spec bodies capture all state by
+/// value — spans, plan scalars, a copy of the options — so a spec safely
+/// outlives the builder's stack frame, which graph execution requires.
 using KernelSpec = simt::KernelSpec;
 
 /// Sentinel splitters of Definition 5's overlap fix: a value at-or-below
@@ -63,12 +63,6 @@ template <typename T>
 /// sentinels into `splitters` (N rows of plan.splitters_per_array).
 /// One thread per block, as the paper found optimal for the tiny sample.
 template <typename T>
-simt::KernelStats splitter_phase(simt::Device& device, std::span<const T> data,
-                                 std::size_t num_arrays, const SortPlan& plan,
-                                 std::span<T> splitters);
-
-/// Spec builder behind splitter_phase: the same kernel as a graph node.
-template <typename T>
 KernelSpec splitter_phase_spec(std::span<const T> data, std::size_t num_arrays,
                                const SortPlan& plan, std::span<T> splitters);
 
@@ -77,14 +71,6 @@ KernelSpec splitter_phase_spec(std::span<const T> data, std::size_t num_arrays,
 /// `bucket_sizes` (N rows of plan.buckets).  `scratch` is a global staging
 /// area of `scratch_rows` rows of n elements used only when the array does
 /// not fit in shared memory (empty otherwise).
-template <typename T>
-simt::KernelStats bucket_phase(simt::Device& device, std::span<T> data,
-                               std::size_t num_arrays, const SortPlan& plan,
-                               const Options& opts, std::span<const T> splitters,
-                               std::span<std::uint32_t> bucket_sizes, std::span<T> scratch,
-                               std::size_t scratch_rows);
-
-/// Spec builder behind bucket_phase: the same kernel as a graph node.
 template <typename T>
 KernelSpec bucket_phase_spec(std::span<T> data, std::size_t num_arrays,
                              const SortPlan& plan, const Options& opts,
@@ -99,15 +85,9 @@ KernelSpec bucket_phase_spec(std::span<T> data, std::size_t num_arrays,
 /// hybrid sorter (size-binned scheduling, binary insertion, cooperative
 /// bitonic — see hybrid_phase3.hpp); with it off the kernel is the paper's
 /// one-lane-per-bucket insertion sort, bit-for-bit.
-template <typename T>
-simt::KernelStats sort_phase(simt::Device& device, std::span<T> data,
-                             std::size_t num_arrays, const SortPlan& plan,
-                             std::span<const std::uint32_t> bucket_sizes,
-                             const Options& opts = {});
-
-/// Spec builder behind sort_phase: the same kernel as a graph node.  Takes
-/// the device properties by value (the hybrid dispatch consults SM limits)
-/// since the body may run long after the builder's frame is gone.
+///
+/// Takes the device properties by value (the hybrid dispatch consults SM
+/// limits) since the body may run long after the builder's frame is gone.
 template <typename T>
 KernelSpec sort_phase_spec(simt::DeviceProperties props, std::span<T> data,
                            std::size_t num_arrays, const SortPlan& plan,
@@ -116,14 +96,6 @@ KernelSpec sort_phase_spec(simt::DeviceProperties props, std::span<T> data,
 
 // Explicit instantiations live in the phase .cpp files.
 #define GAS_DECLARE_PHASES(T)                                                              \
-    extern template simt::KernelStats splitter_phase<T>(                                   \
-        simt::Device&, std::span<const T>, std::size_t, const SortPlan&, std::span<T>);    \
-    extern template simt::KernelStats bucket_phase<T>(                                     \
-        simt::Device&, std::span<T>, std::size_t, const SortPlan&, const Options&,         \
-        std::span<const T>, std::span<std::uint32_t>, std::span<T>, std::size_t);          \
-    extern template simt::KernelStats sort_phase<T>(                                       \
-        simt::Device&, std::span<T>, std::size_t, const SortPlan&,                         \
-        std::span<const std::uint32_t>, const Options&);                                   \
     extern template KernelSpec splitter_phase_spec<T>(                                     \
         std::span<const T>, std::size_t, const SortPlan&, std::span<T>);                   \
     extern template KernelSpec bucket_phase_spec<T>(                                       \

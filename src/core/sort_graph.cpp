@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
+#include <vector>
 
 #include "core/device_ops.hpp"
 #include "core/insertion_sort.hpp"
@@ -13,194 +15,190 @@ namespace {
 
 PhaseStats to_phase_stats(const simt::KernelStats& k) { return {k.modeled_ms, k.wall_ms}; }
 
-/// The sort-shaping subset compatible batches share (serve pins the
-/// server-owned knobs before constructing the holder, so comparing them too
-/// is safe and keeps the predicate honest).
+/// The sort-shaping options the built graph depends on.
 bool same_opts(const Options& a, const Options& b) {
     return a.bucket_target == b.bucket_target && a.sampling_rate == b.sampling_rate &&
            a.strategy == b.strategy && a.order == b.order &&
            a.threads_per_bucket == b.threads_per_bucket &&
            a.hybrid_phase3 == b.hybrid_phase3 &&
            a.phase3_small_cutoff == b.phase3_small_cutoff &&
-           a.phase3_bitonic_cutoff == b.phase3_bitonic_cutoff &&
-           a.graph_launch == b.graph_launch && a.validate == b.validate &&
-           a.verify_output == b.verify_output &&
-           a.collect_bucket_sizes == b.collect_bucket_sizes;
+           a.phase3_bitonic_cutoff == b.phase3_bitonic_cutoff;
 }
 
-}  // namespace
-
-UniformSortGraph::UniformSortGraph(simt::Device& device, std::span<float> data,
-                                   std::size_t num_arrays, std::size_t array_size,
-                                   const Options& opts)
-    : device_(&device),
-      span_(data.subspan(0, num_arrays * array_size)),
-      num_arrays_(num_arrays),
-      array_size_(array_size),
-      opts_(opts),
-      plan_(make_plan(array_size, opts, device.props(), sizeof(float))),
-      descending_(opts.order == SortOrder::Descending) {
+/// Argument checks, then the N x n prefix of `data` the pipeline sorts.
+template <typename T>
+std::span<T> batch_span(std::span<T> data, std::size_t num_arrays, std::size_t array_size,
+                        const Options& opts) {
     if (num_arrays == 0 || array_size == 0) {
         throw std::invalid_argument("UniformSortGraph: empty batch");
     }
     if (data.size() < num_arrays * array_size) {
         throw std::invalid_argument("UniformSortGraph: span smaller than N x n");
     }
-    if (!opts.graph_launch || opts.validate || opts.verify_output ||
-        opts.collect_bucket_sizes) {
+    if (opts.order == SortOrder::Descending && !std::is_floating_point_v<T>) {
         throw std::invalid_argument(
-            "UniformSortGraph: needs graph_launch on and "
-            "validate/verify_output/collect_bucket_sizes off");
+            "UniformSortGraph: descending order requires a floating-point element type "
+            "(implemented via IEEE negation)");
+    }
+    return data.first(num_arrays * array_size);
+}
+
+/// The descending-order negate kernel.  batch_span rejects descending
+/// integral sorts, so the integral branch is never reached.
+template <typename T>
+detail::KernelSpec negate_kernel(std::span<T> data) {
+    if constexpr (std::is_floating_point_v<T>) {
+        return negate_spec(data);
+    } else {
+        throw std::logic_error("UniformSortGraph: negate of an integral type");
+    }
+}
+
+/// Small-array fast path: with a single bucket the three phases degenerate
+/// to "one thread insertion-sorts the whole array".  Packing 256 arrays into
+/// each block (instead of N one-thread blocks) fills the SMs.
+template <typename T>
+detail::KernelSpec small_array_spec(std::span<T> data, std::size_t num_arrays,
+                                    std::size_t array_size) {
+    constexpr unsigned kPack = 256;
+    simt::LaunchConfig cfg{"gas.small_array_sort",
+                           static_cast<unsigned>((num_arrays + kPack - 1) / kPack), kPack};
+    auto body = [=](simt::BlockCtx& blk) {
+        const auto sort_lane = [&](simt::ThreadCtx& tc) {
+            const std::size_t a = static_cast<std::size_t>(blk.block_idx()) * kPack + tc.tid();
+            if (a >= num_arrays) return;
+            const std::span<T> row{data.data() + a * array_size, array_size};
+            const InsertionCost cost = insertion_sort(row);
+            tc.ops(cost.compares + cost.moves);
+            tc.global_random(2ull * array_size);
+        };
+        blk.for_each_warp([&](simt::WarpCtx& wc) { wc.for_lanes(sort_lane); });
+    };
+    return {cfg, std::move(body)};
+}
+
+}  // namespace
+
+template <typename T>
+UniformSortGraph<T>::UniformSortGraph(simt::Device& device, std::span<T> data,
+                                      std::size_t num_arrays, std::size_t array_size,
+                                      const Options& opts)
+    : device_(&device),
+      span_(batch_span(data, num_arrays, array_size, opts)),
+      num_arrays_(num_arrays),
+      array_size_(array_size),
+      opts_(opts),
+      plan_(make_plan(array_size, opts, device.props(), sizeof(T))),
+      descending_(opts.order == SortOrder::Descending) {
+    std::vector<simt::Graph::NodeId> first_deps;
+    if (descending_) {
+        pre_negate_ = graph_.add_kernel(negate_kernel(span_));
+        first_deps.push_back(pre_negate_);
     }
 
     if (plan_.buckets == 1) {
-        // Small-array path: the packed one-lane-per-array insertion sort of
-        // gpu_array_sort, as a (negate) -> sort -> (negate) chain.
-        small_path_ = true;
-        const std::size_t n = array_size_;
-        const std::size_t num = num_arrays_;
-        const auto span0 = span_;
-        constexpr unsigned kPack = 256;
-        simt::LaunchConfig cfg{"gas.small_array_sort",
-                               static_cast<unsigned>((num + kPack - 1) / kPack), kPack};
-        auto body = [=](simt::BlockCtx& blk) {
-            const auto sort_lane = [&](simt::ThreadCtx& tc) {
-                const std::size_t a =
-                    static_cast<std::size_t>(blk.block_idx()) * kPack + tc.tid();
-                if (a >= num) return;
-                const std::span<float> row{span0.data() + a * n, n};
-                const InsertionCost cost = insertion_sort(row);
-                tc.ops(cost.compares + cost.moves);
-                tc.global_random(2ull * n);
-            };
-            blk.for_each_warp([&](simt::WarpCtx& wc) { wc.for_lanes(sort_lane); });
-        };
-        std::vector<simt::Graph::NodeId> deps;
-        if (descending_) {
-            auto ns = negate_spec(span_);
-            negate_nodes_.push_back(graph_.add_kernel(ns.cfg, std::move(ns.body)));
-            deps = negate_nodes_;
-        }
-        small_node_ = graph_.add_kernel(cfg, std::move(body), deps);
-        if (descending_) {
-            auto post = negate_spec(span_);
-            negate_nodes_.push_back(
-                graph_.add_kernel(post.cfg, std::move(post.body), {small_node_}));
-        }
+        phase3_ = graph_.add_kernel(small_array_spec(span_, num_arrays_, array_size_),
+                                    first_deps);
+        if (descending_) post_negate_ = graph_.add_kernel(negate_kernel(span_), {phase3_});
         return;
     }
 
-    splitters_ = simt::DeviceBuffer<float>(device, num_arrays_ * plan_.splitters_per_array);
-    bucket_sizes_ =
-        simt::DeviceBuffer<std::uint32_t>(device, num_arrays_ * plan_.buckets);
+    // Run-time temporaries: S (splitters) and Z (bucket sizes) only — the
+    // algorithm's in-place property.  A global scratch row per *resident*
+    // block is added only for arrays too large to stage in shared memory.
+    // Phase 2 picks its row by execution slot (< host_workers), so there are
+    // never fewer rows than host workers, even for fewer arrays.
+    splitters_ = simt::DeviceBuffer<T>(device, num_arrays_ * plan_.splitters_per_array);
+    bucket_sizes_ = simt::DeviceBuffer<std::uint32_t>(device, num_arrays_ * plan_.buckets);
     std::size_t scratch_rows = 0;
     if (!plan_.array_fits_shared) {
         const unsigned conc =
             device.cost_model().blocks_per_sm(plan_.block_threads, /*shared_bytes=*/0);
-        scratch_rows = std::min<std::size_t>(
-            num_arrays_,
-            std::max<std::size_t>(static_cast<std::size_t>(device.props().sm_count) * conc,
-                                  device.host_workers()));
-        scratch_ = simt::DeviceBuffer<float>(device, scratch_rows * array_size_);
+        scratch_rows = std::max<std::size_t>(
+            std::min<std::size_t>(num_arrays_,
+                                  static_cast<std::size_t>(device.props().sm_count) * conc),
+            device.host_workers());
+        scratch_ = simt::DeviceBuffer<T>(device, scratch_rows * array_size_);
     }
 
-    std::vector<simt::Graph::NodeId> pre_deps;
-    if (descending_) {
-        auto ns = negate_spec(span_);
-        pre_ = graph_.add_kernel(ns.cfg, std::move(ns.body));
-        pre_deps.push_back(pre_);
-        has_negate_ = true;
-    }
-    auto s1 = detail::splitter_phase_spec<float>(span_, num_arrays_, plan_,
-                                                 splitters_.span());
-    n1_ = graph_.add_kernel(s1.cfg, std::move(s1.body), pre_deps);
-    auto s2 = detail::bucket_phase_spec<float>(span_, num_arrays_, plan_, opts_,
-                                               splitters_.span(), bucket_sizes_.span(),
-                                               scratch_.span(), scratch_rows);
-    n2_ = graph_.add_kernel(s2.cfg, std::move(s2.body), {n1_});
-
-    auto s3 = detail::sort_phase_spec<float>(device.props(), span_, num_arrays_, plan_,
-                                             bucket_sizes_.span(), opts_);
-    n3_ = std::make_shared<simt::Graph::NodeId>(0);
-    post_ = std::make_shared<simt::Graph::NodeId>(0);
+    phase1_ = graph_.add_kernel(
+        detail::splitter_phase_spec<T>(span_, num_arrays_, plan_, splitters_.span()),
+        first_deps);
+    phase2_ = graph_.add_kernel(
+        detail::bucket_phase_spec<T>(span_, num_arrays_, plan_, opts_, splitters_.span(),
+                                     bucket_sizes_.span(), scratch_.span(), scratch_rows),
+        {phase1_});
     // The dispatch node re-enqueues phase 3 on every submit, so the spec is
-    // captured by value and only copied out (never moved from).
+    // captured by value and only copied out (never moved from).  The holder
+    // is neither copyable nor movable, so `this` outlives every submit.
     graph_.add_host(
         "gas.phase3_dispatch",
-        [s3 = std::move(s3), span = span_, n3 = n3_, post = post_,
-         descending = descending_](simt::GraphCtx& ctx) {
-            *n3 = ctx.enqueue_kernel(s3.cfg, s3.body);
-            if (descending) {
-                auto ns = negate_spec(span);
-                *post = ctx.enqueue_kernel(ns.cfg, std::move(ns.body), {*n3});
+        [this, s3 = detail::sort_phase_spec<T>(device.props(), span_, num_arrays_, plan_,
+                                               bucket_sizes_.span(), opts_)](
+            simt::GraphCtx& ctx) {
+            phase3_ = ctx.enqueue_kernel(s3.cfg, s3.body);
+            if (descending_) {
+                post_negate_ = ctx.enqueue_kernel(negate_kernel(span_), {phase3_});
             }
         },
-        {n2_});
+        {phase2_});
 }
 
-SortStats UniformSortGraph::run() {
+template <typename T>
+SortStats UniformSortGraph<T>::run() {
     SortStats stats;
     stats.num_arrays = num_arrays_;
     stats.array_size = array_size_;
-    stats.data_bytes = num_arrays_ * array_size_ * sizeof(float);
+    stats.data_bytes = num_arrays_ * array_size_ * sizeof(T);
     stats.buckets_per_array = plan_.buckets;
     stats.sample_size = plan_.sample_size;
 
     device_->submit(graph_);
     ++runs_;
 
-    if (small_path_) {
-        const simt::KernelStats& k = graph_.kernel_stats(small_node_);
-        stats.phase3 = to_phase_stats(k);
-        stats.phase3_imbalance = k.imbalance;
-        for (const auto id : negate_nodes_) {
-            const simt::KernelStats& kn = graph_.kernel_stats(id);
-            stats.extra.modeled_ms += kn.modeled_ms;
-            stats.extra.wall_ms += kn.wall_ms;
-        }
-        stats.peak_device_bytes = device_->memory().peak_bytes_in_use();
+    if (plan_.buckets > 1) {
+        stats.phase1 = to_phase_stats(graph_.kernel_stats(phase1_));
+        stats.phase2 = to_phase_stats(graph_.kernel_stats(phase2_));
+    }
+    const simt::KernelStats& k3 = graph_.kernel_stats(phase3_);
+    stats.phase3 = to_phase_stats(k3);
+    stats.phase3_imbalance = k3.imbalance;
+    if (descending_) {
+        const simt::KernelStats& kp = graph_.kernel_stats(pre_negate_);
+        const simt::KernelStats& kq = graph_.kernel_stats(post_negate_);
+        stats.extra.modeled_ms = kp.modeled_ms + kq.modeled_ms;
+        stats.extra.wall_ms = kp.wall_ms + kq.wall_ms;
+    }
+    stats.peak_device_bytes = device_->memory().peak_bytes_in_use();
+
+    const auto z = bucket_sizes();
+    if (z.empty()) {  // small-array path: one bucket holding the whole array
         stats.min_bucket = static_cast<std::uint32_t>(array_size_);
         stats.max_bucket = static_cast<std::uint32_t>(array_size_);
         stats.avg_bucket = static_cast<double>(array_size_);
         return stats;
     }
-
-    stats.phase1 = to_phase_stats(graph_.kernel_stats(n1_));
-    stats.phase2 = to_phase_stats(graph_.kernel_stats(n2_));
-    const simt::KernelStats& k3 = graph_.kernel_stats(*n3_);
-    stats.phase3 = to_phase_stats(k3);
-    stats.phase3_imbalance = k3.imbalance;
-    if (has_negate_) {
-        const simt::KernelStats& kp = graph_.kernel_stats(pre_);
-        const simt::KernelStats& kq = graph_.kernel_stats(*post_);
-        stats.extra.modeled_ms += kp.modeled_ms + kq.modeled_ms;
-        stats.extra.wall_ms += kp.wall_ms + kq.wall_ms;
-    }
-
-    stats.peak_device_bytes = device_->memory().peak_bytes_in_use();
-    const auto z = bucket_sizes_.span();
-    if (!z.empty()) {
-        std::uint32_t mn = z[0];
-        std::uint32_t mx = z[0];
-        std::uint64_t sum = 0;
-        for (const std::uint32_t v : z) {
-            mn = std::min(mn, v);
-            mx = std::max(mx, v);
-            sum += v;
-        }
-        stats.min_bucket = mn;
-        stats.max_bucket = mx;
-        stats.avg_bucket = static_cast<double>(sum) / static_cast<double>(z.size());
-    }
+    const auto [mn, mx] = std::minmax_element(z.begin(), z.end());
+    std::uint64_t sum = 0;
+    for (const std::uint32_t v : z) sum += v;
+    stats.min_bucket = *mn;
+    stats.max_bucket = *mx;
+    stats.avg_bucket = static_cast<double>(sum) / static_cast<double>(z.size());
     return stats;
 }
 
-bool UniformSortGraph::matches(const simt::Device& device, std::span<const float> data,
-                               std::size_t num_arrays, std::size_t array_size,
-                               const Options& opts) const {
+template <typename T>
+bool UniformSortGraph<T>::matches(const simt::Device& device, std::span<const T> data,
+                                  std::size_t num_arrays, std::size_t array_size,
+                                  const Options& opts) const {
     return device_ == &device && span_.data() == data.data() &&
            num_arrays_ == num_arrays && array_size_ == array_size &&
            data.size() >= num_arrays * array_size && same_opts(opts_, opts);
 }
+
+template class UniformSortGraph<float>;
+template class UniformSortGraph<double>;
+template class UniformSortGraph<std::uint32_t>;
+template class UniformSortGraph<std::int32_t>;
 
 }  // namespace gas

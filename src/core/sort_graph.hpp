@@ -1,9 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <vector>
 
 #include "core/options.hpp"
 #include "core/plan.hpp"
@@ -14,83 +12,89 @@
 
 namespace gas {
 
-/// A built-once, submit-many uniform sort pipeline (DESIGN.md section 14).
+/// The uniform GPU-ArraySort pipeline as one built-once, submit-many
+/// simt::Graph (DESIGN.md section 13).  This is the only description of
+/// the pipeline: sort_arrays_on_device builds one and runs it once, and the
+/// serve graph cache keeps one per shard and resubmits it per batch.
 ///
-/// gpu_array_sort's graph path rebuilds the same (negate) -> phase1 ->
-/// phase2 -> dispatch -> phase3 (-> negate) simt::Graph — and reallocates
-/// the S/Z/scratch temporaries — for every call, even though consecutive
-/// serve batches with the same shape produce an identical static graph over
-/// identical device spans.  This holder builds that graph once for a fixed
-/// (data span, num_arrays, array_size, options) tuple and resubmits it per
-/// batch: Device::submit resets the graph's runtime state, the dispatch
-/// host node re-enqueues phase 3 from settled bucket sizes each run, and
-/// the temporaries stay allocated between runs.
+/// The graph is (negate) -> phase1 -> phase2 -> dispatch -> phase3
+/// (-> negate); the dispatch host node enqueues phase 3 only after phase 2's
+/// Z row has settled, so the whole chain runs in one scheduling round-trip.
+/// With a single bucket per array (plan.buckets == 1) it degenerates to
+/// (negate) -> packed small-array insertion sort (-> negate), with no S/Z
+/// temporaries.  Descending order negates before and after (IEEE negation
+/// reverses float order exactly), so it needs a floating-point T.
 ///
-/// Bit-identity: each run() executes the exact node sequence a fresh
-/// gpu_array_sort graph launch would, over the same spans, so the sorted
-/// bytes and every deterministic KernelStats field match call-for-call
-/// (tests/serve/test_graph_cache.cpp pins this).
+/// The S/Z/scratch temporaries are allocated once, in that order, and stay
+/// alive between runs.  Device::submit resets the graph's runtime state, so
+/// every run() executes the same node sequence over the same spans: the
+/// sorted bytes and every deterministic KernelStats field match a fresh
+/// gpu_array_sort call (the UniformSortGraph tests in
+/// tests/core/test_exec_equivalence.cpp pin this).
 ///
-/// The holder handles the fused serve path only: float data, no
-/// validate/verify_output/collect_bucket_sizes (those need per-call host
-/// state; callers keep the one-shot path for them).  Throws
-/// std::invalid_argument when asked for an unsupported combination.
+/// validate, verify_output and collect_bucket_sizes are host-side steps the
+/// caller runs around run(); the graph does not read them.
+template <typename T>
 class UniformSortGraph {
   public:
-    /// Builds the pipeline over `data` (device span, holding at least
-    /// num_arrays x array_size elements starting where the caller will stage
-    /// every subsequent batch).  `opts.graph_launch` must be on.
-    UniformSortGraph(simt::Device& device, std::span<float> data,
-                     std::size_t num_arrays, std::size_t array_size,
-                     const Options& opts);
+    /// Builds the pipeline over `data` (a device span holding at least
+    /// num_arrays x array_size elements, where the caller stages every batch).
+    /// Throws std::invalid_argument for an empty batch, a short span, or
+    /// descending order over an integral T.
+    UniformSortGraph(simt::Device& device, std::span<T> data, std::size_t num_arrays,
+                     std::size_t array_size, const Options& opts);
 
     UniformSortGraph(const UniformSortGraph&) = delete;
     UniformSortGraph& operator=(const UniformSortGraph&) = delete;
 
-    /// Resubmits the graph over the current contents of the data span.
-    /// Returns the same SortStats a fresh gpu_array_sort graph launch over
-    /// those bytes would.
+    /// Submits the graph over the current contents of the data span.  Fills
+    /// every SortStats field except bucket_sizes and verify.
     SortStats run();
 
     /// True when this holder was built for exactly this shape: same device
     /// span (data pointer AND size), geometry and sort-shaping options — the
     /// serve cache-hit predicate.
-    [[nodiscard]] bool matches(const simt::Device& device, std::span<const float> data,
+    [[nodiscard]] bool matches(const simt::Device& device, std::span<const T> data,
                                std::size_t num_arrays, std::size_t array_size,
                                const Options& opts) const;
 
     [[nodiscard]] const SortPlan& plan() const { return plan_; }
     [[nodiscard]] std::size_t runs() const { return runs_; }
 
+    /// The bucket-size table Z (num_arrays rows of plan().buckets), as the
+    /// last run() left it.  Empty on the small-array path.
+    [[nodiscard]] std::span<const std::uint32_t> bucket_sizes() const {
+        return bucket_sizes_.span();
+    }
+
   private:
     simt::Device* device_;
-    std::span<float> span_;
+    std::span<T> span_;
     std::size_t num_arrays_;
     std::size_t array_size_;
     Options opts_;
     SortPlan plan_;
-    bool descending_ = false;
+    bool descending_;
 
-    // Temporaries alive for the holder's lifetime (the reuse win: no
-    // realloc per batch).  Empty on the small-array path.
-    simt::DeviceBuffer<float> splitters_;
+    simt::DeviceBuffer<T> splitters_;
     simt::DeviceBuffer<std::uint32_t> bucket_sizes_;
-    simt::DeviceBuffer<float> scratch_;
+    simt::DeviceBuffer<T> scratch_;
 
     simt::Graph graph_;
-    // Small-array path (plan.buckets == 1): one packed insertion-sort node.
-    bool small_path_ = false;
-    simt::Graph::NodeId small_node_ = 0;
-    std::vector<simt::Graph::NodeId> negate_nodes_;
-    // Three-phase path.
-    simt::Graph::NodeId n1_ = 0;
-    simt::Graph::NodeId n2_ = 0;
-    simt::Graph::NodeId pre_ = 0;
-    bool has_negate_ = false;
-    std::shared_ptr<simt::Graph::NodeId> n3_;
-    std::shared_ptr<simt::Graph::NodeId> post_;
+    // Node ids run() reads back.  On the three-phase path the dispatch node
+    // re-sets phase3_ and post_negate_ on every submit.
+    simt::Graph::NodeId phase1_ = 0;
+    simt::Graph::NodeId phase2_ = 0;
+    simt::Graph::NodeId phase3_ = 0;
+    simt::Graph::NodeId pre_negate_ = 0;
+    simt::Graph::NodeId post_negate_ = 0;
 
     std::size_t runs_ = 0;
 };
+
+extern template class UniformSortGraph<float>;
+extern template class UniformSortGraph<double>;
+extern template class UniformSortGraph<std::uint32_t>;
+extern template class UniformSortGraph<std::int32_t>;
 
 }  // namespace gas

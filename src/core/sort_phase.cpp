@@ -84,21 +84,7 @@ KernelSpec sort_phase_spec(simt::DeviceProperties props, std::span<T> data,
     return {cfg, std::move(kernel)};
 }
 
-template <typename T>
-simt::KernelStats sort_phase(simt::Device& device, std::span<T> data,
-                             std::size_t num_arrays, const SortPlan& plan,
-                             std::span<const std::uint32_t> bucket_sizes,
-                             const Options& opts) {
-    KernelSpec spec =
-        sort_phase_spec(device.props(), data, num_arrays, plan, bucket_sizes, opts);
-    return device.launch(spec.cfg, spec.body);
-}
-
 #define GAS_INSTANTIATE(T)                                                                 \
-    template simt::KernelStats sort_phase<T>(simt::Device&, std::span<T>, std::size_t,     \
-                                             const SortPlan&,                              \
-                                             std::span<const std::uint32_t>,               \
-                                             const Options&);                              \
     template KernelSpec sort_phase_spec<T>(simt::DeviceProperties, std::span<T>,           \
                                            std::size_t, const SortPlan&,                   \
                                            std::span<const std::uint32_t>,                 \

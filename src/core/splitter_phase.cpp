@@ -49,18 +49,7 @@ KernelSpec splitter_phase_spec(std::span<const T> data, std::size_t num_arrays,
     return {cfg, std::move(body)};
 }
 
-template <typename T>
-simt::KernelStats splitter_phase(simt::Device& device, std::span<const T> data,
-                                 std::size_t num_arrays, const SortPlan& plan,
-                                 std::span<T> splitters) {
-    KernelSpec spec = splitter_phase_spec(data, num_arrays, plan, splitters);
-    return device.launch(spec.cfg, spec.body);
-}
-
 #define GAS_INSTANTIATE(T)                                                                 \
-    template simt::KernelStats splitter_phase<T>(simt::Device&, std::span<const T>,        \
-                                                 std::size_t, const SortPlan&,             \
-                                                 std::span<T>);                            \
     template KernelSpec splitter_phase_spec<T>(std::span<const T>, std::size_t,            \
                                                const SortPlan&, std::span<T>);
 GAS_INSTANTIATE(float)

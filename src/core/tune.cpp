@@ -13,16 +13,17 @@ double d(std::size_t v) { return static_cast<double>(v); }
 
 }  // namespace
 
-double modeled_insertion_cycles(std::size_t k, const simt::DeviceProperties& props) {
+double modeled_insertion_cycles(double k, const simt::DeviceProperties& props, double quad) {
     // Shuffled input: ~k^2/4 compares + ~k^2/4 moves, plus the O(k) floor.
-    return props.cpi * (d(k) * d(k) / 2.0 + 2.0 * d(k));
+    return props.cpi * (quad * k * k / 2.0 + 2.0 * k);
 }
 
-double modeled_binary_insertion_cycles(std::size_t k, const simt::DeviceProperties& props) {
-    const double log2k = k > 1 ? std::log2(d(k)) : 0.0;
+double modeled_binary_insertion_cycles(double k, const simt::DeviceProperties& props,
+                                       double quad) {
+    const double log2k = k > 1.0 ? std::log2(k) : 0.0;
     // Probe compares k*log2(k), shuffled-input moves ~k^2/4, plus the
     // search-bookkeeping constant per element.
-    return props.cpi * (d(k) * log2k + d(k) * d(k) / 4.0 + 2.0 * d(k));
+    return props.cpi * (k * log2k + quad * k * k / 4.0 + 2.0 * k);
 }
 
 double modeled_bitonic_cycles(std::size_t k, unsigned block_threads,
@@ -54,8 +55,8 @@ Phase3Tuning tune_sort_phase(const simt::DeviceProperties& props, unsigned block
     const double sched_per_bucket = 6.0 * props.cpi;
     std::size_t crossover_binary = 256;
     for (std::size_t k = 2; k <= 4096; ++k) {
-        if (modeled_insertion_cycles(k, props) >
-            modeled_binary_insertion_cycles(k, props) + sched_per_bucket) {
+        if (modeled_insertion_cycles(d(k), props) >
+            modeled_binary_insertion_cycles(d(k), props) + sched_per_bucket) {
             crossover_binary = k;
             break;
         }
@@ -66,7 +67,7 @@ Phase3Tuning tune_sort_phase(const simt::DeviceProperties& props, unsigned block
     // single lane serializing the bucket with binary insertion.
     std::size_t crossover_bitonic = 4096;
     for (std::size_t k = t.small_cutoff; k <= 65536; ++k) {
-        if (modeled_binary_insertion_cycles(k, props) >
+        if (modeled_binary_insertion_cycles(d(k), props) >
             modeled_bitonic_cycles(k, block_threads, props)) {
             crossover_bitonic = k;
             break;

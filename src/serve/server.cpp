@@ -1054,7 +1054,7 @@ void Server::execute_uniform(Shard& shard, std::vector<PendingPtr>& batch) {
         // Graph reuse cache: a consecutive batch with the same fingerprint
         // (device span, geometry, effective options) resubmits the shard's
         // held graph instead of rebuilding the pipeline.
-        if (opts.graph_launch && !opts.validate) {
+        if (!opts.validate) {
             if (shard.graph_cache &&
                 shard.graph_cache->matches(device, dev, total_arrays, n, opts)) {
                 s = shard.graph_cache->run();
@@ -1063,7 +1063,7 @@ void Server::execute_uniform(Shard& shard, std::vector<PendingPtr>& batch) {
             } else {
                 const bool evicted = shard.graph_cache != nullptr;
                 shard.graph_cache.reset();  // free held temporaries first
-                shard.graph_cache = std::make_unique<UniformSortGraph>(
+                shard.graph_cache = std::make_unique<UniformSortGraph<float>>(
                     device, dev, total_arrays, n, opts);
                 s = shard.graph_cache->run();
                 std::lock_guard lk(mutex_);

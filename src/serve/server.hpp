@@ -293,7 +293,7 @@ class Server {
         /// shard, keyed by the last uniform batch's fingerprint (device
         /// span, geometry, effective options).  Touched only by the owning
         /// scheduler; the hit/miss/evict counters live in stats_ (mutex_).
-        std::unique_ptr<UniformSortGraph> graph_cache;
+        std::unique_ptr<UniformSortGraph<float>> graph_cache;
 
         // gas::health wiring (all inert with health.enabled off).
         gas::health::Machine health;  ///< per-device state machine (mutex_)

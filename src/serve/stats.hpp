@@ -156,12 +156,11 @@ struct ServerStats {
     /// from the fleet-level aggregate sketch.
     std::vector<double> key_bands;
 
-    // Graph launches (Device::submit telemetry summed over the fleet).  With
-    // Options::graph_launch on (the default) every fused batch executes as
-    // one submitted work graph — phase chain plus dispatch nodes — so
-    // `graphs` tracks batches + quarantined solo re-sorts, and
-    // `device_enqueued` counts the nodes emitted by decision nodes (e.g.
-    // phase-3 dispatch) rather than recorded statically.
+    // Graph launches (Device::submit telemetry summed over the fleet).  Every
+    // fused uniform batch executes as one submitted work graph — phase chain
+    // plus dispatch nodes — so `graphs` tracks batches + quarantined solo
+    // re-sorts, and `device_enqueued` counts the nodes emitted by decision
+    // nodes (e.g. phase-3 dispatch) rather than recorded statically.
     std::uint64_t graphs = 0;                 ///< Device::submit calls
     std::uint64_t graph_nodes = 0;            ///< nodes executed (kernel + host)
     std::uint64_t graph_kernel_nodes = 0;

@@ -68,12 +68,6 @@ struct PassBuffers {
     std::span<std::uint32_t> vals_out;
 };
 
-/// Runs a spec through Device::launch — the loop path's view of the spec
-/// builders below (the graph path adds them as nodes instead).
-void launch_spec(simt::Device& device, const simt::KernelSpec& spec) {
-    device.launch(spec.cfg, spec.body);
-}
-
 /// Kernel 1: per-block digit histogram.  Each thread counts its contiguous
 /// chunk into a per-thread shared histogram column; thread 0 reduces the
 /// block's histogram and writes it to hist[d * num_blocks + block].
@@ -291,11 +285,12 @@ RadixStats sort_impl(simt::Device& device, std::span<K> keys,
                                            static_cast<std::size_t>(kDigits) * num_blocks);
     stats.scratch_bytes = keys_alt.size_bytes() + vals_alt.size_bytes() + hist.size_bytes();
 
-    std::span<K> key_bufs[2] = {keys, keys_alt.span()};
-    std::span<std::uint32_t> val_bufs[2] = {
+    const std::array<std::span<K>, 2> kb = {keys, keys_alt.span()};
+    const std::array<std::span<std::uint32_t>, 2> vb = {
         with_values ? values : std::span<std::uint32_t>{},
         with_values ? vals_alt.span() : std::span<std::uint32_t>{}};
-
+    const auto hspan = hist.span();
+    const bool prune = opts.prune_passes;
     const unsigned total_passes = passes_for<K>();
 
     // Without pruning the executed pass count is even for every key width,
@@ -303,130 +298,77 @@ RadixStats sort_impl(simt::Device& device, std::span<K> keys,
     // the alternate buffer: one copy-back restores parity.
     static_assert(passes_for<K>() % 2 == 0);
 
-    if (opts.graph_launch) {
-        // One work graph for the whole sort: the max-key reduction node is
-        // the root; a planning host node bounds the pass count from its
-        // partials; each pass's histogram node feeds a decision node that
-        // either enqueues that pass's offsets + scatter records or prunes
-        // the degenerate pass — the PassRecord-style dynamic chain, never
-        // returning to a per-launch host round-trip.  Identical kernel
-        // sequence (and bytes, and stats) to the loop below by construction.
-        //
-        // State lives on this frame and the host lambdas capture it by
-        // reference: Device::submit is synchronous, so everything outlives
-        // the run; only *kernel* bodies need by-value captures.
-        struct PassState {
-            unsigned src = 0;
-            unsigned needed = 0;
-        } st;
-        st.needed = total_passes;
-        const std::array<std::span<K>, 2> kb = {key_bufs[0], key_bufs[1]};
-        const std::array<std::span<std::uint32_t>, 2> vb = {val_bufs[0], val_bufs[1]};
-        const auto hspan = hist.span();
-        const bool prune = opts.prune_passes;
+    // One work graph for the whole sort: the max-key reduction node is the
+    // root; a planning host node bounds the pass count from its partials;
+    // each pass's histogram node feeds a decision node that either enqueues
+    // that pass's offsets + scatter records or prunes the degenerate pass —
+    // the PassRecord-style dynamic chain, never returning to a per-launch
+    // host round-trip.
+    //
+    // State lives on this frame and the host lambdas capture it by
+    // reference: Device::submit is synchronous, so everything outlives the
+    // run; only *kernel* bodies need by-value captures.
+    unsigned src = 0;  // which buffer currently holds the data
+    unsigned needed = total_passes;
 
-        std::function<void(simt::GraphCtx&, unsigned)> enqueue_pass =
-            [&](simt::GraphCtx& ctx, unsigned pass) {
-                if (pass == st.needed) {
-                    if (st.src == 1) {
-                        ctx.enqueue_kernel(copy_back_spec<K>(
-                            PassBuffers<K>{kb[1], kb[0], vb[1], vb[0]}, num_blocks));
-                        stats.copy_back = true;
-                    }
-                    return;
+    std::function<void(simt::GraphCtx&, unsigned)> enqueue_pass =
+        [&](simt::GraphCtx& ctx, unsigned pass) {
+            if (pass == needed) {
+                if (src == 1) {
+                    ctx.enqueue_kernel(copy_back_spec<K>(
+                        PassBuffers<K>{kb[1], kb[0], vb[1], vb[0]}, num_blocks));
+                    stats.copy_back = true;
                 }
-                const unsigned shift = pass * kRadixBits;
-                const PassBuffers<K> buf{kb[st.src], kb[1 - st.src], vb[st.src],
-                                         vb[1 - st.src]};
-                const auto h = ctx.enqueue_kernel(
-                    histogram_spec<K>(buf.keys_in, shift, hspan, num_blocks));
-                ctx.enqueue_host(
-                    "radix.pass_decision",
-                    [&, buf, shift, pass](simt::GraphCtx& c) {
-                        if (prune && histogram_is_single_digit(hspan, num_blocks, count)) {
-                            // Degenerate pass: every key shares this digit, a
-                            // scatter would be a stable identity permutation.
-                            // No parity flip; chain straight to the next pass.
-                            ++stats.passes_skipped;
-                            c.prune();
-                            enqueue_pass(c, pass + 1);
-                            return;
-                        }
-                        const auto o = c.enqueue_kernel(offsets_spec(hspan, num_blocks));
-                        const auto s = c.enqueue_kernel(
-                            scatter_spec<K>(buf, shift, hspan, num_blocks), {o});
-                        ++stats.passes;
-                        st.src = 1 - st.src;
-                        c.enqueue_host(
-                            "radix.pass_chain",
-                            [&, pass](simt::GraphCtx& c2) { enqueue_pass(c2, pass + 1); },
-                            {s});
-                    },
-                    {h});
-            };
-
-        simt::Graph g;
-        if (prune) {
-            auto partials = std::make_shared<std::vector<K>>();
-            const auto r =
-                g.add_kernel(reduce_max_key_spec(std::span<const K>(keys), partials));
-            g.add_host(
-                "radix.plan",
-                [&, partials](simt::GraphCtx& ctx) {
-                    const K max_key =
-                        *std::max_element(partials->begin(), partials->end());
-                    st.needed = std::min(total_passes, passes_needed(max_key));
-                    // Every pass above the highest significant digit is
-                    // skipped without running any kernel.
-                    if (st.needed < total_passes) ctx.prune(total_passes - st.needed);
-                    enqueue_pass(ctx, 0);
-                },
-                {r});
-        } else {
-            g.add_host("radix.plan",
-                       [&](simt::GraphCtx& ctx) { enqueue_pass(ctx, 0); });
-        }
-        device.submit(g);
-        stats.passes_skipped += total_passes - st.needed;
-    } else {
-        unsigned needed = total_passes;
-        if (opts.prune_passes) {
-            // Bound the highest significant digit once: every pass above it
-            // has digit 0 for every key and is skipped without running any
-            // kernel.
-            const K max_key = reduce_max_key(device, std::span<const K>(keys));
-            needed = std::min(total_passes, passes_needed(max_key));
-        }
-
-        unsigned src = 0;  // which buffer currently holds the data
-        for (unsigned pass = 0; pass < needed; ++pass) {
-            const unsigned shift = pass * kRadixBits;
-            PassBuffers<K> buf{key_bufs[src], key_bufs[1 - src], val_bufs[src],
-                               val_bufs[1 - src]};
-
-            launch_spec(device, histogram_spec<K>(buf.keys_in, shift, hist.span(),
-                                                  num_blocks));
-            if (opts.prune_passes &&
-                histogram_is_single_digit(hist.span(), num_blocks, count)) {
-                // Every key shares this digit: scattering would copy the data
-                // unchanged.  Skip the offsets + scatter kernels; the data
-                // stays in the current buffer (no parity flip).
-                ++stats.passes_skipped;
-                continue;
+                return;
             }
-            launch_spec(device, offsets_spec(hist.span(), num_blocks));
-            launch_spec(device, scatter_spec<K>(buf, shift, hist.span(), num_blocks));
-            ++stats.passes;
-            src = 1 - src;
-        }
-        stats.passes_skipped += total_passes - needed;
+            const unsigned shift = pass * kRadixBits;
+            const PassBuffers<K> buf{kb[src], kb[1 - src], vb[src], vb[1 - src]};
+            const auto h =
+                ctx.enqueue_kernel(histogram_spec<K>(buf.keys_in, shift, hspan, num_blocks));
+            ctx.enqueue_host(
+                "radix.pass_decision",
+                [&, buf, shift, pass](simt::GraphCtx& c) {
+                    if (prune && histogram_is_single_digit(hspan, num_blocks, count)) {
+                        // Degenerate pass: every key shares this digit, a
+                        // scatter would be a stable identity permutation.
+                        // No parity flip; chain straight to the next pass.
+                        ++stats.passes_skipped;
+                        c.prune();
+                        enqueue_pass(c, pass + 1);
+                        return;
+                    }
+                    const auto o = c.enqueue_kernel(offsets_spec(hspan, num_blocks));
+                    const auto s =
+                        c.enqueue_kernel(scatter_spec<K>(buf, shift, hspan, num_blocks), {o});
+                    ++stats.passes;
+                    src = 1 - src;
+                    c.enqueue_host(
+                        "radix.pass_chain",
+                        [&, pass](simt::GraphCtx& c2) { enqueue_pass(c2, pass + 1); }, {s});
+                },
+                {h});
+        };
 
-        if (src == 1) {
-            const PassBuffers<K> buf{key_bufs[1], key_bufs[0], val_bufs[1], val_bufs[0]};
-            launch_spec(device, copy_back_spec<K>(buf, num_blocks));
-            stats.copy_back = true;
-        }
+    simt::Graph g;
+    if (prune) {
+        auto partials = std::make_shared<std::vector<K>>();
+        const auto r = g.add_kernel(reduce_max_key_spec(std::span<const K>(keys), partials));
+        g.add_host(
+            "radix.plan",
+            [&, partials](simt::GraphCtx& ctx) {
+                const K max_key = *std::max_element(partials->begin(), partials->end());
+                needed = std::min(total_passes, passes_needed(max_key));
+                // Every pass above the highest significant digit is skipped
+                // without running any kernel.
+                if (needed < total_passes) ctx.prune(total_passes - needed);
+                enqueue_pass(ctx, 0);
+            },
+            {r});
+    } else {
+        g.add_host("radix.plan", [&](simt::GraphCtx& ctx) { enqueue_pass(ctx, 0); });
     }
+    device.submit(g);
+    stats.passes_skipped += total_passes - needed;
 
     const auto t1 = std::chrono::steady_clock::now();
     stats.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();

@@ -20,16 +20,6 @@ struct RadixOptions {
     /// benches (fig4-fig7, table1) turn this off: their STA baseline must
     /// stay faithful to Thrust's fixed sizeof(K)*8/4-pass sort.
     bool prune_passes = true;
-
-    /// Execute the sort as one simt::Graph submit instead of a host loop of
-    /// launches: the max-key reduction is the root node, a planning host
-    /// node bounds the pass count, and each pass's histogram feeds a
-    /// decision node that device-enqueues the offsets + scatter records (or
-    /// prunes the degenerate pass).  Kernel sequence, output bytes and every
-    /// deterministic KernelStats field are identical to the loop — only the
-    /// per-kernel scheduling round-trips disappear.  The paper-figure
-    /// benches pin this off alongside prune_passes.
-    bool graph_launch = true;
 };
 
 /// Cost summary of one radix sort call.
@@ -46,7 +36,10 @@ struct RadixStats {
 /// 4-bit digits (8 passes), the classic GPU formulation:
 /// per-pass histogram kernel -> offset scan kernel -> rank-and-scatter
 /// kernel, double-buffered (this is the O(N) scratch the paper charges
-/// against the STA technique).
+/// against the STA technique).  The sort runs as one simt::Graph submit:
+/// the max-key reduction is the root node, a planning host node bounds the
+/// pass count, and each pass's histogram feeds a decision node that
+/// enqueues that pass's offsets + scatter kernels (or prunes the pass).
 ///
 /// This is the repo's stand-in for thrust::stable_sort_by_key, which the
 /// paper's STA baseline is built from.  The spans must view device-resident

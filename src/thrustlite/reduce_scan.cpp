@@ -57,9 +57,9 @@ std::vector<T> block_reduce(simt::Device& device, const char* name, std::span<co
     return partials;
 }
 
-/// Spec twin of block_reduce for the max-key probe: identical kernel shape
-/// and charges, but partials land in a caller-owned vector so the kernel can
-/// run as a graph node (the builder's frame is long gone by then).
+/// block_reduce's kernel shape and charges for the max-key probe, but the
+/// partials land in a caller-owned vector so the kernel can run as a graph
+/// node (the builder's frame is long gone by then).
 template <typename K>
 simt::KernelSpec reduce_max_key_spec_impl(std::span<const K> keys,
                                           std::shared_ptr<std::vector<K>> partials) {
@@ -101,14 +101,6 @@ simt::KernelSpec reduce_max_key_spec_impl(std::span<const K> keys,
     return {cfg, std::move(body)};
 }
 
-template <typename K>
-K reduce_max_key_impl(simt::Device& device, std::span<const K> keys) {
-    auto partials = std::make_shared<std::vector<K>>();
-    simt::KernelSpec spec = reduce_max_key_spec_impl<K>(keys, partials);
-    device.launch(spec.cfg, spec.body);
-    return *std::max_element(partials->begin(), partials->end());
-}
-
 }  // namespace
 
 double reduce_sum(simt::Device& device, std::span<const float> data) {
@@ -136,14 +128,6 @@ float reduce_max(simt::Device& device, std::span<const float> data) {
     const auto partials =
         block_reduce(device, "thrustlite.reduce_max", data, data[0], mx, mx);
     return *std::max_element(partials.begin(), partials.end());
-}
-
-std::uint32_t reduce_max_key(simt::Device& device, std::span<const std::uint32_t> keys) {
-    return reduce_max_key_impl(device, keys);
-}
-
-std::uint64_t reduce_max_key(simt::Device& device, std::span<const std::uint64_t> keys) {
-    return reduce_max_key_impl(device, keys);
 }
 
 simt::KernelSpec reduce_max_key_spec(std::span<const std::uint32_t> keys,

@@ -22,17 +22,11 @@ namespace thrustlite {
 [[nodiscard]] float reduce_min(simt::Device& device, std::span<const float> data);
 [[nodiscard]] float reduce_max(simt::Device& device, std::span<const float> data);
 
-/// Maximum radix key (the radix sort's pass-pruning probe: its bit width
-/// bounds the highest significant digit).  Precondition: keys non-empty.
-[[nodiscard]] std::uint32_t reduce_max_key(simt::Device& device,
-                                           std::span<const std::uint32_t> keys);
-[[nodiscard]] std::uint64_t reduce_max_key(simt::Device& device,
-                                           std::span<const std::uint64_t> keys);
-
-/// Graph-node form of reduce_max_key: the identical kernel as a spec, with
-/// per-block partial maxima landing in `partials` (sized by the builder).
-/// A downstream host node max-reduces the partials — this is how the radix
-/// sub-graph plans its pass chain without a host round-trip per kernel.
+/// Maximum radix key as a graph node (the radix sort's pass-pruning probe:
+/// its bit width bounds the highest significant digit).  Per-block partial
+/// maxima land in `partials` (sized by the builder); a downstream host node
+/// max-reduces them, so the radix graph plans its pass chain without a host
+/// round-trip per kernel.  Precondition: keys non-empty.
 [[nodiscard]] simt::KernelSpec reduce_max_key_spec(
     std::span<const std::uint32_t> keys,
     std::shared_ptr<std::vector<std::uint32_t>> partials);

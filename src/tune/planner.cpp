@@ -65,12 +65,11 @@ Discounts discounts_of(const Sketch& sketch) {
 double bucket_cycles(double k, const Options& opts, double quad,
                      const simt::DeviceProperties& props) {
     if (k <= 1.0) return props.cpi * 2.0;
-    const double ins = props.cpi * (quad * k * k / 2.0 + 2.0 * k);
+    const double ins = modeled_insertion_cycles(k, props, quad);
     if (!opts.hybrid_phase3 || k <= static_cast<double>(opts.phase3_small_cutoff)) {
         return ins;
     }
-    const double binins = props.cpi * (k * std::log2(k) + quad * k * k / 4.0 + 2.0 * k);
-    double best = std::min(ins, binins);
+    double best = std::min(ins, modeled_binary_insertion_cycles(k, props, quad));
     if (k > static_cast<double>(opts.phase3_bitonic_cutoff)) {
         best = std::min(best,
                         modeled_bitonic_cycles(static_cast<std::size_t>(k), 32, props));

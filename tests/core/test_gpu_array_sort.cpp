@@ -141,6 +141,23 @@ TEST(GpuArraySort, LargeArraysUseGlobalScratchFallback) {
     EXPECT_EQ(stats.buckets_per_array, 1000u);
 }
 
+TEST(GpuArraySort, GlobalScratchRowsStayPrivateWithMoreWorkersThanArrays) {
+    // Two arrays on four workers: the two phase-2 blocks can run on slots
+    // whose indices collide modulo the two scratch rows.  A shared row is a
+    // cross-block race, which the strict sanitizer turns into a throw.
+    auto dev = make_device();
+    dev.set_host_workers(4);
+    auto sopts = simt::sanitize::SanitizeOptions::all();
+    sopts.strict = true;
+    dev.set_sanitize_options(sopts);
+    for (const auto order : {simt::ThreadOrder::Forward, simt::ThreadOrder::Reverse}) {
+        dev.set_thread_order(order);
+        auto ds = workload::make_dataset(2, 20000, workload::Distribution::Uniform, 9);
+        EXPECT_NO_THROW(gpu_array_sort(dev, ds.values, ds.num_arrays, ds.array_size));
+        EXPECT_TRUE(gas::all_arrays_sorted(ds.values, ds.num_arrays, ds.array_size));
+    }
+}
+
 TEST(GpuArraySort, OutOfMemoryRaisesDeviceBadAlloc) {
     simt::Device dev(simt::tiny_device(1 << 20));  // 1 MB device
     auto ds = workload::make_dataset(300, 1000, workload::Distribution::Uniform, 10);

@@ -300,8 +300,9 @@ TEST(HybridPhase3, CorruptBucketTableThrowsInDebugBuilds) {
     std::vector<std::uint32_t> z(plan.buckets, 1);  // sums to p, not n
     simt::DeviceBuffer<std::uint32_t> zbuf(dev, z.size());
     simt::copy_to_device(std::span<const std::uint32_t>(z), zbuf);
-    EXPECT_THROW(gas::detail::sort_phase<float>(dev, data.span(), 1, plan, zbuf.span(), opts),
-                 std::logic_error);
+    const auto spec =
+        gas::detail::sort_phase_spec<float>(dev.props(), data.span(), 1, plan, zbuf.span(), opts);
+    EXPECT_THROW(dev.launch(spec.cfg, spec.body), std::logic_error);
 }
 #endif
 

@@ -15,6 +15,7 @@ using gas::SortPlan;
 
 simt::Device make_device() { return simt::Device(simt::tiny_device(256 << 20)); }
 
+
 struct Staged {
     simt::DeviceBuffer<float> data;
     simt::DeviceBuffer<float> splitters;
@@ -31,13 +32,34 @@ Staged stage(simt::Device& dev, const workload::Dataset& ds, const Options& opts
     return s;
 }
 
+// Each phase's spec builder, launched on its own.
+void phase1(simt::Device& dev, Staged& s, std::size_t num_arrays) {
+    const auto spec = gas::detail::splitter_phase_spec<float>(s.data.span(), num_arrays,
+                                                              s.plan, s.splitters.span());
+    dev.launch(spec.cfg, spec.body);
+}
+
+void phase2(simt::Device& dev, Staged& s, std::size_t num_arrays, const Options& opts,
+            std::span<float> scratch = {}, std::size_t scratch_rows = 0) {
+    const auto spec = gas::detail::bucket_phase_spec<float>(
+        s.data.span(), num_arrays, s.plan, opts, s.splitters.span(), s.sizes.span(), scratch,
+        scratch_rows);
+    dev.launch(spec.cfg, spec.body);
+}
+
+void phase3(simt::Device& dev, Staged& s, std::size_t num_arrays) {
+    const auto spec = gas::detail::sort_phase_spec<float>(dev.props(), s.data.span(),
+                                                          num_arrays, s.plan, s.sizes.span());
+    dev.launch(spec.cfg, spec.body);
+}
+
 TEST(SplitterPhase, EmitsSentinelsAndSortedInteriorSplitters) {
     auto dev = make_device();
     const auto ds = workload::make_dataset(20, 500, workload::Distribution::Uniform, 1);
     const Options opts;
     auto s = stage(dev, ds, opts);
 
-    gas::detail::splitter_phase<float>(dev, s.data.span(), ds.num_arrays, s.plan, s.splitters.span());
+    phase1(dev, s, ds.num_arrays);
 
     const auto sp = s.splitters.span();
     for (std::size_t a = 0; a < ds.num_arrays; ++a) {
@@ -79,9 +101,8 @@ TEST(BucketPhase, BucketSizesSumToArraySizeAndPartitionIsOrdered) {
     const Options opts;
     auto s = stage(dev, ds, opts);
 
-    gas::detail::splitter_phase<float>(dev, s.data.span(), ds.num_arrays, s.plan, s.splitters.span());
-    gas::detail::bucket_phase<float>(dev, s.data.span(), ds.num_arrays, s.plan, opts,
-                              s.splitters.span(), s.sizes.span(), {}, 0);
+    phase1(dev, s, ds.num_arrays);
+    phase2(dev, s, ds.num_arrays, opts);
 
     const auto z = s.sizes.span();
     const auto sp = s.splitters.span();
@@ -122,16 +143,14 @@ TEST(BucketPhase, GlobalScratchFallbackMatchesSharedPath) {
         auto dev = make_device();
         auto s = stage(dev, ds, opts);
         if (force_global) s.plan.array_fits_shared = false;
-        gas::detail::splitter_phase<float>(dev, s.data.span(), ds.num_arrays, s.plan,
-                                    s.splitters.span());
+        phase1(dev, s, ds.num_arrays);
         simt::DeviceBuffer<float> scratch;
         std::size_t rows = 0;
         if (force_global) {
             rows = 4;
             scratch = simt::DeviceBuffer<float>(dev, rows * ds.array_size);
         }
-        gas::detail::bucket_phase<float>(dev, s.data.span(), ds.num_arrays, s.plan, opts,
-                                  s.splitters.span(), s.sizes.span(), scratch.span(), rows);
+        phase2(dev, s, ds.num_arrays, opts, scratch.span(), rows);
         return std::vector<float>(s.data.span().begin(), s.data.span().end());
     };
 
@@ -144,10 +163,9 @@ TEST(SortPhase, ProducesFullySortedArrays) {
     const Options opts;
     auto s = stage(dev, ds, opts);
 
-    gas::detail::splitter_phase<float>(dev, s.data.span(), ds.num_arrays, s.plan, s.splitters.span());
-    gas::detail::bucket_phase<float>(dev, s.data.span(), ds.num_arrays, s.plan, opts,
-                              s.splitters.span(), s.sizes.span(), {}, 0);
-    gas::detail::sort_phase<float>(dev, s.data.span(), ds.num_arrays, s.plan, s.sizes.span());
+    phase1(dev, s, ds.num_arrays);
+    phase2(dev, s, ds.num_arrays, opts);
+    phase3(dev, s, ds.num_arrays);
 
     const auto data = s.data.span();
     for (std::size_t a = 0; a < ds.num_arrays; ++a) {
@@ -163,10 +181,9 @@ TEST(Phases, KernelNamesAreLogged) {
     auto s = stage(dev, ds, opts);
     dev.clear_kernel_log();
 
-    gas::detail::splitter_phase<float>(dev, s.data.span(), ds.num_arrays, s.plan, s.splitters.span());
-    gas::detail::bucket_phase<float>(dev, s.data.span(), ds.num_arrays, s.plan, opts,
-                              s.splitters.span(), s.sizes.span(), {}, 0);
-    gas::detail::sort_phase<float>(dev, s.data.span(), ds.num_arrays, s.plan, s.sizes.span());
+    phase1(dev, s, ds.num_arrays);
+    phase2(dev, s, ds.num_arrays, opts);
+    phase3(dev, s, ds.num_arrays);
 
     ASSERT_EQ(dev.kernel_log().size(), 3u);
     EXPECT_EQ(dev.kernel_log()[0].name, "gas.phase1_splitters");

@@ -157,18 +157,14 @@ void run_bitonic(simt::Device& device, std::size_t arrays, std::size_t size) {
 void run_graph(simt::Device& device, std::size_t arrays, std::size_t size) {
     // The full sort pipeline through Device::submit — phase1 -> phase2 ->
     // phase3 as one work graph — with every launch under the checker.
-    gas::Options opts;
-    opts.graph_launch = true;
     auto ds = workload::make_dataset(arrays, size, workload::Distribution::ZipfHot, 17);
-    gas::gpu_array_sort(device, ds.values, ds.num_arrays, ds.array_size, opts);
+    gas::gpu_array_sort(device, ds.values, ds.num_arrays, ds.array_size);
     if (!gas::all_arrays_sorted(ds.values, ds.num_arrays, ds.array_size)) {
         throw std::runtime_error("graph workload produced unsorted output");
     }
 
     // The radix chain as a dynamic sub-graph: a host node enqueues only the
     // non-degenerate scatter passes.
-    thrustlite::RadixOptions ropts;
-    ropts.graph_launch = true;
     std::vector<std::uint32_t> host(arrays * size);
     std::uint64_t state = 0x2545f4914f6cdd1dull;
     for (auto& x : host) {
@@ -176,7 +172,7 @@ void run_graph(simt::Device& device, std::size_t arrays, std::size_t size) {
         x = static_cast<std::uint32_t>(state >> 40);  // narrow range: passes prune
     }
     thrustlite::device_vector<std::uint32_t> keys(device, host);
-    thrustlite::stable_sort(keys, ropts);
+    thrustlite::stable_sort(keys);
 
     // A hand-assembled graph exercising the remaining node kinds under the
     // checker: a conditional node whose gate prunes, and a host node that
@@ -196,7 +192,7 @@ void run_graph(simt::Device& device, std::size_t arrays, std::size_t size) {
         },
         [] { return false; }, {fill});
     g.add_host(
-        "graph_launcher",
+        "graph_enqueuer",
         [s](simt::GraphCtx& ctx) {
             ctx.enqueue_kernel({"graph_reverse", 1, 64}, [s](simt::BlockCtx& blk) {
                 blk.for_each_thread([&](simt::ThreadCtx& tc) {
