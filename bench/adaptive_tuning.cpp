@@ -386,13 +386,13 @@ int main(int argc, char** argv) {
                              "\"sketch_ms\": %.4f, \"mismatches\": %zu},\n",
                              rep.adaptive.modeled_ms, rep.adaptive.sketch_ms,
                              rep.adaptive.mismatches);
-                for (std::size_t i = 0; i < rep.statics.size(); ++i) {
-                    const auto& arm = rep.statics[i];
+                // "advantage" always follows the last arm, so every arm
+                // takes a comma.
+                for (const auto& arm : rep.statics) {
                     std::fprintf(f,
                                  "    \"%s\": {\"modeled_ms\": %.4f, "
-                                 "\"mismatches\": %zu}%s\n",
-                                 arm.name.c_str(), arm.modeled_ms, arm.mismatches,
-                                 i + 1 < rep.statics.size() ? "," : "");
+                                 "\"mismatches\": %zu},\n",
+                                 arm.name.c_str(), arm.modeled_ms, arm.mismatches);
                 }
             };
             std::fprintf(f, "{\n  \"bench\": \"adaptive_tuning\",\n");

@@ -280,6 +280,21 @@ SortStats sort_ragged_on_device(simt::Device& device, simt::DeviceBuffer<float>&
     return stats;
 }
 
+bool ragged_row_fits_shared(std::size_t n, const simt::DeviceProperties& props,
+                            std::size_t buffers) {
+    if (n == 0) return true;
+    // Mirrors the shared-budget checks in sort_ragged_on_device and
+    // fused_pair_sort: staged row(s) + splitters + counts + cursors.  The
+    // block width is the worst case the whole batch could reach (p grows
+    // with the largest fused row), so a row admitted here can never make the
+    // fused launch throw regardless of what it is batched with.
+    const std::size_t worst_threads = props.max_threads_per_block;
+    const std::size_t need = buffers * n * sizeof(float) +
+                             (worst_threads + 1) * sizeof(float) +
+                             2ull * worst_threads * sizeof(std::uint32_t);
+    return need <= props.shared_memory_per_block;
+}
+
 SortStats gpu_ragged_sort(simt::Device& device, std::span<float> host_values,
                           std::span<const std::uint64_t> offsets, const Options& opts) {
     SortStats stats;

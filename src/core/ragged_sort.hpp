@@ -24,6 +24,13 @@ SortStats sort_ragged_on_device(simt::Device& device, simt::DeviceBuffer<float>&
                                 std::span<const std::uint64_t> offsets,
                                 const Options& opts = {});
 
+/// True when a ragged row of `n` elements fits the fused kernel's
+/// shared-memory staging area with `buffers` staged planes (2 for key/value
+/// pairs).  Callers route rows that do not fit to a fallback path instead of
+/// letting a fused launch throw.
+[[nodiscard]] bool ragged_row_fits_shared(std::size_t n, const simt::DeviceProperties& props,
+                                          std::size_t buffers = 1);
+
 /// Host convenience wrapper (upload, sort, download).
 SortStats gpu_ragged_sort(simt::Device& device, std::span<float> host_values,
                           std::span<const std::uint64_t> offsets, const Options& opts = {});

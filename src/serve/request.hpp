@@ -12,12 +12,15 @@ namespace gas::serve {
 
 using Clock = std::chrono::steady_clock;
 
-/// What kind of sort a job asks for.  All three map onto the fused batched
-/// entry points in core/batch.hpp; float is the paper's element type and the
-/// only one the serving layer speaks.
+/// What kind of sort a job asks for.  All three run through the server's one
+/// fused execute path; float is the paper's element type and the only one the
+/// serving layer speaks.
 enum class JobKind : std::uint8_t {
     Uniform,  ///< num_arrays x array_size rows in `values`
-    Ragged,   ///< CSR: `offsets` (N+1 entries) into `values`
+    /// CSR: `offsets` (N+1 entries) into `values`.  Ascending only: the fused
+    /// ragged kernel has no descending form, so submit() rejects a ragged job
+    /// with SortOrder::Descending.
+    Ragged,
     Pairs,    ///< num_arrays x array_size keys in `values`, payload alongside
 };
 

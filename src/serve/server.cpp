@@ -7,7 +7,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/batch.hpp"
+#include "core/gpu_array_sort.hpp"
+#include "core/pair_sort.hpp"
+#include "core/ragged_sort.hpp"
 #include "health/probe.hpp"
 #include "tune/ewma.hpp"
 
@@ -86,6 +88,28 @@ std::size_t job_elements(const Job& job) {
     return job.num_arrays * job.array_size;
 }
 
+/// Device planes a job stages: pairs carry their payload beside the keys.
+std::size_t job_planes(const Job& job) { return job.kind == JobKind::Pairs ? 2 : 1; }
+
+/// Where a job's rows start in its host buffers (a CSR table may begin past
+/// element 0).
+std::size_t host_base(const Job& job) {
+    return job.kind == JobKind::Ragged ? static_cast<std::size_t>(job.offsets.front()) : 0;
+}
+
+/// Device bytes a fused batch of `head`'s kind occupies with `arrays` rows
+/// and `elements` values in all: the uniform pipeline adds its temporaries
+/// (S, Z, oversized-array scratch) from the capacity model; ragged and pair
+/// kernels keep everything in shared memory and need only their data planes.
+std::size_t batch_bytes(const Job& head, std::size_t arrays, std::size_t elements,
+                        const simt::DeviceProperties& props) {
+    if (head.kind == JobKind::Uniform) {
+        return device_footprint_bytes(arrays, head.array_size, head.opts, props,
+                                      sizeof(float));
+    }
+    return job_planes(head) * BufferPool::class_bytes(elements * sizeof(float));
+}
+
 void validate_job(const Job& job) {
     switch (job.kind) {
         case JobKind::Uniform:
@@ -100,6 +124,9 @@ void validate_job(const Job& job) {
             }
             break;
         case JobKind::Ragged: {
+            if (job.opts.order == SortOrder::Descending) {
+                throw std::invalid_argument("serve: ragged jobs sort ascending only");
+            }
             for (std::size_t i = 1; i < job.offsets.size(); ++i) {
                 if (job.offsets[i] < job.offsets[i - 1]) {
                     throw std::invalid_argument("serve: ragged offsets not ascending");
@@ -617,15 +644,21 @@ std::size_t Server::pump() {
 
 void Server::scheduler_main(Shard& shard) {
     std::unique_lock lk(mutex_);
+    // A stopping scheduler exits only once no batch is in flight anywhere: a
+    // peer whose device is lost re-homes its in-flight batch into the
+    // survivors' queues, and a survivor that had already exited would leave
+    // those requests (and stop()) waiting forever.
+    const auto finished = [&] {
+        return stopping_ && (cancel_pending_ || (queued_ == 0 && in_flight_ == 0));
+    };
     for (;;) {
-        if (cfg_.health.enabled && shard.quarantined &&
-            !(stopping_ && (cancel_pending_ || queued_ == 0))) {
+        if (cfg_.health.enabled && shard.quarantined && !finished()) {
             // Quarantined: nothing is routed here, so instead of parking on
             // the work predicate, wake on the probe timer and run seeded
             // probe sorts until the state machine re-admits the device.
             queue_cv_.wait_for(lk, std::chrono::duration<double, std::milli>(
                                        cfg_.health.probe_interval_ms));
-            if (stopping_ && (cancel_pending_ || queued_ == 0)) break;
+            if (finished()) break;
             if (shard.quarantined) {
                 lk.unlock();
                 run_probe_cycle(shard);
@@ -634,11 +667,11 @@ void Server::scheduler_main(Shard& shard) {
             continue;
         }
         queue_cv_.wait(lk, [&] {
-            if (stopping_ && (cancel_pending_ || queued_ == 0)) return true;
+            if (finished()) return true;
             if (cfg_.health.enabled && shard.quarantined) return true;  // go probe
             return shard.queued > 0 || steal_candidate_locked(shard);
         });
-        if (stopping_ && (cancel_pending_ || queued_ == 0)) break;
+        if (finished()) break;
         if (cfg_.health.enabled && shard.quarantined) continue;
         if (shard.queued == 0 && steal_into_locked(shard) == 0) continue;
         if (cfg_.linger_us > 0.0 && !stopping_ &&
@@ -679,9 +712,9 @@ void Server::scheduler_main(Shard& shard) {
         in_flight_ -= shard.in_flight;
         shard.in_flight = 0;
         if (queued_ == 0 && in_flight_ == 0) idle_cv_.notify_all();
-        // Wake peers blocked on the stop predicate once the last queued
-        // request retires (their own queues are empty; no notify would come).
-        if (stopping_ && queued_ == 0) queue_cv_.notify_all();
+        // Wake peers blocked on the stop predicate once the last queued or
+        // in-flight request retires (no other notify would come).
+        if (finished()) queue_cv_.notify_all();
     }
 }
 
@@ -740,19 +773,8 @@ std::vector<Server::PendingPtr> Server::take_batch(Shard& shard,
     std::size_t total_elements = batch.front()->elements;
 
     auto fits_memory = [&](std::size_t arrays, std::size_t elements) {
-        switch (head.kind) {
-            case JobKind::Uniform:
-                return batch_footprint_bytes(arrays, head.array_size, head.opts,
-                                             shard.device->props(), 1) <=
-                       shard.memory_budget;
-            case JobKind::Ragged:
-                return BufferPool::class_bytes(elements * sizeof(float)) <=
-                       shard.memory_budget;
-            case JobKind::Pairs:
-                return 2 * BufferPool::class_bytes(elements * sizeof(float)) <=
-                       shard.memory_budget;
-        }
-        return false;
+        return batch_bytes(head, arrays, elements, shard.device->props()) <=
+               shard.memory_budget;
     };
 
     for (auto& q : shard.queue) {
@@ -800,26 +822,18 @@ std::vector<Server::PendingPtr> Server::take_batch(Shard& shard,
 
 bool Server::needs_cpu_fallback(const Shard& shard, const Job& job) const {
     const auto& props = shard.device->props();
+    if (batch_bytes(job, job_arrays(job), job_elements(job), props) > shard.memory_budget) {
+        return true;
+    }
     switch (job.kind) {
-        case JobKind::Uniform:
-            return batch_footprint_bytes(job.num_arrays, job.array_size, job.opts, props,
-                                         1) > shard.memory_budget;
-        case JobKind::Ragged: {
-            if (BufferPool::class_bytes(job_elements(job) * sizeof(float)) >
-                shard.memory_budget) {
-                return true;
-            }
+        case JobKind::Uniform: return false;
+        case JobKind::Ragged:
             for (std::size_t i = 1; i < job.offsets.size(); ++i) {
-                const std::size_t n =
-                    static_cast<std::size_t>(job.offsets[i] - job.offsets[i - 1]);
-                if (!ragged_row_fits_shared(n, job.opts, props, 1)) return true;
+                const auto n = static_cast<std::size_t>(job.offsets[i] - job.offsets[i - 1]);
+                if (!ragged_row_fits_shared(n, props)) return true;
             }
             return false;
-        }
-        case JobKind::Pairs:
-            return 2 * BufferPool::class_bytes(job_elements(job) * sizeof(float)) >
-                       shard.memory_budget ||
-                   !ragged_row_fits_shared(job.array_size, job.opts, props, 2);
+        case JobKind::Pairs: return !ragged_row_fits_shared(job.array_size, props, 2);
     }
     return false;
 }
@@ -876,7 +890,7 @@ void Server::serve_batch(Shard& shard, std::vector<PendingPtr> batch) {
 
     // Transient device errors (gas::resilient::transient — allocation
     // failures, refused launches, detected corruption, failed verification)
-    // retry the whole batch: execute_* completes no promise and touches no
+    // retry the whole batch: execute_batch completes no promise and touches no
     // host buffer before it can throw, so each attempt re-stages clean data.
     // Exhausted retries mean the device is gone: quarantine the shard and
     // re-home its work on the survivors (the last live device host-serves
@@ -885,11 +899,7 @@ void Server::serve_batch(Shard& shard, std::vector<PendingPtr> batch) {
     const unsigned max_attempts = std::max(cfg_.retry.max_attempts, 1u);
     for (unsigned attempt = 1;; ++attempt) {
         try {
-            switch (batch.front()->job.kind) {
-                case JobKind::Uniform: execute_uniform(shard, batch); break;
-                case JobKind::Ragged: execute_ragged(shard, batch); break;
-                case JobKind::Pairs: execute_pairs(shard, batch); break;
-            }
+            execute_batch(shard, batch);
             return;
         } catch (const std::exception& e) {
             if (!gas::resilient::transient(e)) {
@@ -969,7 +979,7 @@ void Server::quarantine_and_reroute(Shard& shard, std::vector<PendingPtr>& batch
     queue_cv_.notify_all();
 }
 
-void Server::execute_uniform(Shard& shard, std::vector<PendingPtr>& batch) {
+void Server::execute_batch(Shard& shard, std::vector<PendingPtr>& batch) {
     const auto service_start = Clock::now();
     // Brownout L1+: response verification is the first service quality shed
     // under overload (the sort still runs; per-row checks are skipped and
@@ -983,40 +993,73 @@ void Server::execute_uniform(Shard& shard, std::vector<PendingPtr>& batch) {
         ++hstats_.verify_skipped_batches;
     }
     simt::Device& device = *shard.device;
-    const std::size_t n = batch.front()->job.array_size;
-    std::size_t total_arrays = 0;
-    std::vector<BatchSlice> slices;
-    slices.reserve(batch.size());
+    const Job& head = batch.front()->job;
+    const std::size_t n = head.array_size;  // Uniform / Pairs row length
+    const std::size_t planes = job_planes(head);
+
+    // The fused row table: row r occupies device elements
+    // [offsets[r], offsets[r + 1]) and request i owns rows
+    // [first_row[i], first_row[i + 1]).  Uniform and pair rows are n apart;
+    // ragged rows follow each request's CSR table, rebased to its slot.
+    std::vector<std::uint64_t> offsets{0};
+    std::vector<std::size_t> first_row{0};
     for (const auto& p : batch) {
-        slices.push_back({total_arrays, p->arrays});
-        total_arrays += p->arrays;
+        const std::uint64_t base = offsets.back();
+        if (head.kind == JobKind::Ragged) {
+            const auto& off = p->job.offsets;
+            for (std::size_t i = 1; i < off.size(); ++i) {
+                offsets.push_back(base + (off[i] - off.front()));
+            }
+        } else {
+            for (std::size_t a = 1; a <= p->arrays; ++a) offsets.push_back(base + a * n);
+        }
+        first_row.push_back(offsets.size() - 1);
     }
-    const std::size_t count = total_arrays * n;
+    const std::size_t total_arrays = offsets.size() - 1;
+    const std::size_t count = offsets.back();
     const std::size_t bytes = count * sizeof(float);
 
-    const BufferPool::Lease lease = acquire_or_trim(shard, bytes);
+    // One lease per plane, keys first, released in the same order.
+    std::vector<BufferPool::Lease> leases;
+    leases.reserve(planes);
+    const auto release = [&] {
+        for (const auto& l : leases) shard.pool.release(l);
+        leases.clear();
+    };
     try {
-        auto view = simt::DeviceBuffer<float>::borrow(device, lease.offset, count);
-        auto dev = view.span();
+        while (leases.size() < planes) leases.push_back(acquire_or_trim(shard, bytes));
+        auto keys = simt::DeviceBuffer<float>::borrow(device, leases[0].offset, count);
+        auto vals = planes == 2
+                        ? simt::DeviceBuffer<float>::borrow(device, leases[1].offset, count)
+                        : simt::DeviceBuffer<float>{};
+        float* const kdev = keys.span().data();
+        float* const vdev = vals.span().data();
         // Expected per-row checksums come from the host copies while staging
         // — ground truth no device fault can touch.
         std::vector<std::uint64_t> expected;
         if (verify) expected.reserve(total_arrays);
-        std::size_t pos = 0;
-        for (const auto& p : batch) {
-            std::memcpy(dev.data() + pos, p->job.values.data(),
-                        p->elements * sizeof(float));
-            if (verify) {
-                for (std::size_t a = 0; a < p->arrays; ++a) {
-                    expected.push_back(resilient::row_checksum(std::span<const float>(
-                        p->job.values.data() + a * n, n)));
-                }
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            const Job& job = batch[i]->job;
+            const std::size_t src = host_base(job);
+            const std::size_t dst = offsets[first_row[i]];
+            const std::size_t len = batch[i]->elements * sizeof(float);
+            std::memcpy(kdev + dst, job.values.data() + src, len);
+            if (planes == 2) std::memcpy(vdev + dst, job.payload.data() + src, len);
+            if (!verify) continue;
+            for (std::size_t r = first_row[i]; r < first_row[i + 1]; ++r) {
+                const std::size_t at = src + (offsets[r] - dst);
+                const std::span<const float> row(job.values.data() + at,
+                                                 offsets[r + 1] - offsets[r]);
+                expected.push_back(planes == 2
+                                       ? resilient::pair_row_checksum(
+                                             row, std::span<const float>(
+                                                      job.payload.data() + at, row.size()))
+                                       : resilient::row_checksum(row));
             }
-            pos += p->elements;
         }
-        const double h2d = device.transfer_ms(bytes);
+        const double h2d = device.transfer_ms(planes * bytes);
 
-        Options opts = batch.front()->job.opts;
+        Options opts = head.opts;
         opts.validate = cfg_.validate;
         opts.collect_bucket_sizes = false;
         opts.verify_output = false;  // the server verifies per request below
@@ -1024,7 +1067,9 @@ void Server::execute_uniform(Shard& shard, std::vector<PendingPtr>& batch) {
         // Adaptive tuning: merge the batch members' submit-time sketches and
         // let the controller reshape the sort-shaping knobs.  The server-
         // owned knobs above stay pinned; with no sketch (auto_tune off at
-        // either level) the submitted options run untouched.
+        // either level, or a pair batch) the submitted options run untouched.
+        // The mean row length stands in for array_size (it is n for uniform
+        // batches).
         tune::Plan plan;
         bool tuned = false;
         {
@@ -1032,7 +1077,7 @@ void Server::execute_uniform(Shard& shard, std::vector<PendingPtr>& batch) {
             for (const auto& p : batch) merged.merge(p->sketch);
             if (!merged.empty()) {
                 std::lock_guard lk(mutex_);
-                plan = controller_.choose(merged, n, opts, device.props());
+                plan = controller_.choose(merged, count / total_arrays, opts, device.props());
                 tuned = true;
                 opts = plan.opts;
                 if (plan.candidate != "paper-default") ++stats_.tuned_batches;
@@ -1051,28 +1096,34 @@ void Server::execute_uniform(Shard& shard, std::vector<PendingPtr>& batch) {
         }
 
         SortStats s;
-        // Graph reuse cache: a consecutive batch with the same fingerprint
-        // (device span, geometry, effective options) resubmits the shard's
-        // held graph instead of rebuilding the pipeline.
-        if (!opts.validate) {
-            if (shard.graph_cache &&
-                shard.graph_cache->matches(device, dev, total_arrays, n, opts)) {
-                s = shard.graph_cache->run();
-                std::lock_guard lk(mutex_);
-                ++stats_.graph_cache_hits;
-            } else {
-                const bool evicted = shard.graph_cache != nullptr;
-                shard.graph_cache.reset();  // free held temporaries first
-                shard.graph_cache = std::make_unique<UniformSortGraph<float>>(
-                    device, dev, total_arrays, n, opts);
-                s = shard.graph_cache->run();
-                std::lock_guard lk(mutex_);
-                ++stats_.graph_cache_misses;
-                if (evicted) ++stats_.graph_cache_evictions;
-            }
-        } else {
-            s = sort_uniform_batch_on_device(device, view, slices, total_arrays, n,
-                                             opts);
+        switch (head.kind) {
+            case JobKind::Uniform:
+                if (opts.validate) {
+                    s = sort_arrays_on_device(device, keys, total_arrays, n, opts);
+                } else if (shard.graph_cache &&
+                           shard.graph_cache->matches(device, keys.span(), total_arrays, n,
+                                                      opts)) {
+                    // Graph reuse cache: a consecutive batch with the same
+                    // fingerprint (device span, geometry, effective options)
+                    // resubmits the shard's held graph.
+                    s = shard.graph_cache->run();
+                    std::lock_guard lk(mutex_);
+                    ++stats_.graph_cache_hits;
+                } else {
+                    const bool evicted = shard.graph_cache != nullptr;
+                    shard.graph_cache.reset();  // free held temporaries first
+                    shard.graph_cache = std::make_unique<UniformSortGraph<float>>(
+                        device, keys.span(), total_arrays, n, opts);
+                    s = shard.graph_cache->run();
+                    std::lock_guard lk(mutex_);
+                    ++stats_.graph_cache_misses;
+                    if (evicted) ++stats_.graph_cache_evictions;
+                }
+                break;
+            case JobKind::Ragged: s = sort_ragged_on_device(device, keys, offsets, opts); break;
+            case JobKind::Pairs:
+                s = sort_pairs_on_device(device, keys, vals, total_arrays, n, opts);
+                break;
         }
         double kernel_ms = s.modeled_kernel_ms();
         if (tuned) {
@@ -1084,9 +1135,25 @@ void Server::execute_uniform(Shard& shard, std::vector<PendingPtr>& batch) {
         std::vector<std::uint8_t> row_fail;
         if (verify) {
             row_fail.assign(total_arrays, 0);
-            const auto vc = resilient::verify_rows_on_device<float>(
-                device, std::span<const float>(dev.data(), count), total_arrays, n,
-                opts.order, expected, row_fail);
+            const std::span<const float> kspan(kdev, count);
+            resilient::VerifyCounts vc;
+            switch (head.kind) {
+                case JobKind::Uniform:
+                    vc = resilient::verify_rows_on_device<float>(
+                        device, kspan, total_arrays, n, opts.order, expected, row_fail);
+                    break;
+                case JobKind::Ragged:
+                    // The ragged kernel sorts ascending only (validate_job
+                    // rejects Descending ragged jobs).
+                    vc = resilient::verify_csr_on_device<float>(
+                        device, kspan, offsets, SortOrder::Ascending, expected, row_fail);
+                    break;
+                case JobKind::Pairs:
+                    vc = resilient::verify_pair_rows_on_device<float>(
+                        device, kspan, std::span<const float>(vdev, count), total_arrays, n,
+                        opts.order, expected, row_fail);
+                    break;
+            }
             kernel_ms += vc.modeled_ms;
         }
 
@@ -1094,268 +1161,32 @@ void Server::execute_uniform(Shard& shard, std::vector<PendingPtr>& batch) {
         // quarantined (its host buffer still holds the original input).
         std::vector<PendingPtr> served;
         std::vector<PendingPtr> quarantined;
-        pos = 0;
         std::size_t served_bytes = 0;
         for (std::size_t i = 0; i < batch.size(); ++i) {
-            Pending& p = *batch[i];
-            bool bad = false;
-            for (std::size_t a = slices[i].first_array;
-                 a < slices[i].first_array + slices[i].num_arrays; ++a) {
-                bad |= !row_fail.empty() && row_fail[a] != 0;
-            }
+            Job& job = batch[i]->job;
+            const bool bad =
+                !row_fail.empty() &&
+                std::any_of(row_fail.begin() + static_cast<std::ptrdiff_t>(first_row[i]),
+                            row_fail.begin() + static_cast<std::ptrdiff_t>(first_row[i + 1]),
+                            [](std::uint8_t f) { return f != 0; });
             if (!bad) {
-                std::memcpy(p.job.values.data(), dev.data() + pos,
-                            p.elements * sizeof(float));
-                served_bytes += p.elements * sizeof(float);
+                const std::size_t src = host_base(job);
+                const std::size_t dst = offsets[first_row[i]];
+                const std::size_t len = batch[i]->elements * sizeof(float);
+                std::memcpy(job.values.data() + src, kdev + dst, len);
+                if (planes == 2) std::memcpy(job.payload.data() + src, vdev + dst, len);
+                served_bytes += len;
             }
-            pos += p.elements;
             (bad ? quarantined : served).push_back(std::move(batch[i]));
         }
-        const double d2h = device.transfer_ms(served_bytes);
-        shard.pool.release(lease);
+        const double d2h = device.transfer_ms(planes * served_bytes);
+        release();
         if (!served.empty()) {
             finish_batch(shard, served, h2d, d2h, kernel_ms, service_start);
         }
         quarantine_failed(quarantined);
     } catch (...) {
-        shard.pool.release(lease);
-        throw;
-    }
-}
-
-void Server::execute_ragged(Shard& shard, std::vector<PendingPtr>& batch) {
-    const auto service_start = Clock::now();
-    // Brownout L1+: response verification is the first service quality shed
-    // under overload (the sort still runs; per-row checks are skipped and
-    // counted).  The cached level makes this read lock-free.
-    const bool verify =
-        cfg_.verify_responses &&
-        !(cfg_.health.enabled &&
-          brownout_level_cache_.load(std::memory_order_relaxed) >= 1);
-    if (cfg_.verify_responses && !verify) {
-        std::lock_guard vlk(mutex_);
-        ++hstats_.verify_skipped_batches;
-    }
-    simt::Device& device = *shard.device;
-    std::size_t total_values = 0;
-    std::size_t total_arrays = 0;
-    std::vector<std::uint64_t> fused_offsets;
-    std::vector<BatchSlice> slices;
-    slices.reserve(batch.size());
-    fused_offsets.push_back(0);
-    for (const auto& p : batch) {
-        slices.push_back({total_arrays, p->arrays});
-        const std::uint64_t base = p->job.offsets.front();
-        for (std::size_t i = 1; i < p->job.offsets.size(); ++i) {
-            fused_offsets.push_back(total_values + (p->job.offsets[i] - base));
-        }
-        total_values += p->elements;
-        total_arrays += p->arrays;
-    }
-    const std::size_t bytes = total_values * sizeof(float);
-
-    const BufferPool::Lease lease = acquire_or_trim(shard, bytes);
-    try {
-        auto view = simt::DeviceBuffer<float>::borrow(device, lease.offset, total_values);
-        auto dev = view.span();
-        std::vector<std::uint64_t> expected;
-        if (verify) expected.reserve(total_arrays);
-        std::size_t pos = 0;
-        for (const auto& p : batch) {
-            std::memcpy(dev.data() + pos,
-                        p->job.values.data() + p->job.offsets.front(),
-                        p->elements * sizeof(float));
-            if (verify) {
-                const auto& off = p->job.offsets;
-                for (std::size_t i = 1; i < off.size(); ++i) {
-                    expected.push_back(resilient::row_checksum(std::span<const float>(
-                        p->job.values.data() + off[i - 1],
-                        static_cast<std::size_t>(off[i] - off[i - 1]))));
-                }
-            }
-            pos += p->elements;
-        }
-        const double h2d = device.transfer_ms(bytes);
-
-        Options opts = batch.front()->job.opts;
-        opts.validate = cfg_.validate;
-        opts.collect_bucket_sizes = false;
-        opts.verify_output = false;  // the server verifies per request below
-
-        // Adaptive tuning (see execute_uniform); the representative row
-        // length of the fused CSR buffer stands in for array_size.
-        tune::Plan plan;
-        bool tuned = false;
-        {
-            tune::Sketch merged;
-            for (const auto& p : batch) merged.merge(p->sketch);
-            if (!merged.empty() && total_arrays > 0) {
-                std::lock_guard lk(mutex_);
-                plan = controller_.choose(merged, total_values / total_arrays, opts,
-                                          device.props());
-                tuned = true;
-                opts = plan.opts;
-                if (plan.candidate != "paper-default") ++stats_.tuned_batches;
-            }
-        }
-
-        const SortStats s =
-            sort_ragged_batch_on_device(device, view, fused_offsets, slices, opts);
-        double kernel_ms = s.modeled_kernel_ms();
-        if (tuned) {
-            std::lock_guard lk(mutex_);
-            controller_.observe(plan.regime, plan.candidate, kernel_ms, total_values,
-                                device.props());
-        }
-
-        std::vector<std::uint8_t> row_fail;
-        if (verify) {
-            row_fail.assign(total_arrays, 0);
-            // The ragged device path sorts ascending regardless of
-            // opts.order (see sort_ragged_on_device); verify likewise.
-            const auto vc = resilient::verify_csr_on_device<float>(
-                device, std::span<const float>(dev.data(), total_values), fused_offsets,
-                SortOrder::Ascending, expected, row_fail);
-            kernel_ms += vc.modeled_ms;
-        }
-
-        std::vector<PendingPtr> served;
-        std::vector<PendingPtr> quarantined;
-        pos = 0;
-        std::size_t served_bytes = 0;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            Pending& p = *batch[i];
-            bool bad = false;
-            for (std::size_t a = slices[i].first_array;
-                 a < slices[i].first_array + slices[i].num_arrays; ++a) {
-                bad |= !row_fail.empty() && row_fail[a] != 0;
-            }
-            if (!bad) {
-                std::memcpy(p.job.values.data() + p.job.offsets.front(), dev.data() + pos,
-                            p.elements * sizeof(float));
-                served_bytes += p.elements * sizeof(float);
-            }
-            pos += p.elements;
-            (bad ? quarantined : served).push_back(std::move(batch[i]));
-        }
-        const double d2h = device.transfer_ms(served_bytes);
-        shard.pool.release(lease);
-        if (!served.empty()) {
-            finish_batch(shard, served, h2d, d2h, kernel_ms, service_start);
-        }
-        quarantine_failed(quarantined);
-    } catch (...) {
-        shard.pool.release(lease);
-        throw;
-    }
-}
-
-void Server::execute_pairs(Shard& shard, std::vector<PendingPtr>& batch) {
-    const auto service_start = Clock::now();
-    // Brownout L1+: response verification is the first service quality shed
-    // under overload (the sort still runs; per-row checks are skipped and
-    // counted).  The cached level makes this read lock-free.
-    const bool verify =
-        cfg_.verify_responses &&
-        !(cfg_.health.enabled &&
-          brownout_level_cache_.load(std::memory_order_relaxed) >= 1);
-    if (cfg_.verify_responses && !verify) {
-        std::lock_guard vlk(mutex_);
-        ++hstats_.verify_skipped_batches;
-    }
-    simt::Device& device = *shard.device;
-    const std::size_t n = batch.front()->job.array_size;
-    std::size_t total_arrays = 0;
-    std::vector<BatchSlice> slices;
-    slices.reserve(batch.size());
-    for (const auto& p : batch) {
-        slices.push_back({total_arrays, p->arrays});
-        total_arrays += p->arrays;
-    }
-    const std::size_t count = total_arrays * n;
-    const std::size_t bytes = count * sizeof(float);
-
-    const BufferPool::Lease key_lease = acquire_or_trim(shard, bytes);
-    BufferPool::Lease val_lease;
-    try {
-        val_lease = acquire_or_trim(shard, bytes);
-    } catch (...) {
-        shard.pool.release(key_lease);
-        throw;
-    }
-    try {
-        auto keys = simt::DeviceBuffer<float>::borrow(device, key_lease.offset, count);
-        auto vals = simt::DeviceBuffer<float>::borrow(device, val_lease.offset, count);
-        auto kdev = keys.span();
-        auto vdev = vals.span();
-        std::vector<std::uint64_t> expected;
-        if (verify) expected.reserve(total_arrays);
-        std::size_t pos = 0;
-        for (const auto& p : batch) {
-            std::memcpy(kdev.data() + pos, p->job.values.data(),
-                        p->elements * sizeof(float));
-            std::memcpy(vdev.data() + pos, p->job.payload.data(),
-                        p->elements * sizeof(float));
-            if (verify) {
-                for (std::size_t a = 0; a < p->arrays; ++a) {
-                    expected.push_back(resilient::pair_row_checksum(
-                        std::span<const float>(p->job.values.data() + a * n, n),
-                        std::span<const float>(p->job.payload.data() + a * n, n)));
-                }
-            }
-            pos += p->elements;
-        }
-        const double h2d = device.transfer_ms(2 * bytes);
-
-        Options opts = batch.front()->job.opts;
-        opts.validate = cfg_.validate;
-        opts.collect_bucket_sizes = false;
-        opts.verify_output = false;  // the server verifies per request below
-        const SortStats s = sort_pair_batch_on_device(device, keys, vals, slices,
-                                                      total_arrays, n, opts);
-        double kernel_ms = s.modeled_kernel_ms();
-
-        std::vector<std::uint8_t> row_fail;
-        if (verify) {
-            row_fail.assign(total_arrays, 0);
-            const auto vc = resilient::verify_pair_rows_on_device<float>(
-                device, std::span<const float>(kdev.data(), count),
-                std::span<const float>(vdev.data(), count), total_arrays, n, opts.order,
-                expected, row_fail);
-            kernel_ms += vc.modeled_ms;
-        }
-
-        std::vector<PendingPtr> served;
-        std::vector<PendingPtr> quarantined;
-        pos = 0;
-        std::size_t served_bytes = 0;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            Pending& p = *batch[i];
-            bool bad = false;
-            for (std::size_t a = slices[i].first_array;
-                 a < slices[i].first_array + slices[i].num_arrays; ++a) {
-                bad |= !row_fail.empty() && row_fail[a] != 0;
-            }
-            if (!bad) {
-                std::memcpy(p.job.values.data(), kdev.data() + pos,
-                            p.elements * sizeof(float));
-                std::memcpy(p.job.payload.data(), vdev.data() + pos,
-                            p.elements * sizeof(float));
-                served_bytes += 2 * p.elements * sizeof(float);
-            }
-            pos += p.elements;
-            (bad ? quarantined : served).push_back(std::move(batch[i]));
-        }
-        const double d2h = device.transfer_ms(served_bytes);
-        shard.pool.release(key_lease);
-        shard.pool.release(val_lease);
-        if (!served.empty()) {
-            finish_batch(shard, served, h2d, d2h, kernel_ms, service_start);
-        }
-        quarantine_failed(quarantined);
-    } catch (...) {
-        shard.pool.release(key_lease);
-        shard.pool.release(val_lease);
+        release();
         throw;
     }
 }

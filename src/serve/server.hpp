@@ -124,9 +124,9 @@ struct ServerConfig {
 /// and lands in that shard's queue.  Each shard runs one scheduler thread —
 /// the only toucher of its simt::Device, whose launch path is single-caller
 /// by contract — which coalesces compatible neighbours (same job kind,
-/// geometry and sort options) into fused micro-batches executed through the
-/// batched entry points of core/batch.hpp, with data staged in pooled device
-/// buffers (serve::BufferPool, one per shard) and modeled H2D/compute/D2H
+/// geometry and sort options) into fused micro-batches, each run by one
+/// execute path that calls the core sorters directly, with data staged in
+/// pooled device buffers (serve::BufferPool, one per shard) and modeled H2D/compute/D2H
 /// overlap tracked on a per-shard multi-stream simt::Timeline.  An idle
 /// shard steals bounded runs of queued requests from its most loaded peer,
 /// so a burst routed to one device spreads across the fleet.  Constructing
@@ -155,10 +155,15 @@ struct ServerConfig {
 /// batchmates are served normally.  ServerStats counts retries, quarantines,
 /// steals, re-routes and device losses, with a per-device breakdown.
 ///
-/// Fusion preserves results: every kernel handles one array per block, so a
-/// request's sorted bytes are identical whether it rode a fused batch or a
-/// direct gas::gpu_array_sort / gpu_ragged_sort / gpu_pair_sort call — on
-/// any device of the fleet (see core/batch.hpp).
+/// Fusion preserves results.  Every kernel in the repo processes one array
+/// per block (or per packed lane) with no inter-array coupling: splitters,
+/// bucket counts and phase-3 work never cross array boundaries.  K
+/// compatible requests concatenated into one (sum N x n) launch therefore
+/// give each request exactly the bytes a direct gas::gpu_array_sort /
+/// gpu_ragged_sort / gpu_pair_sort of it would have given, on any device of
+/// the fleet, while paying one launch sequence instead of K.
+/// tests/serve/test_batch.cpp and the tune-off kernel-log identity test
+/// assert it.
 class Server {
   public:
     struct Ticket {
@@ -183,7 +188,7 @@ class Server {
     /// Submits a job.  Returns a ticket whose future resolves to the
     /// Response (including rejections — the future always resolves).
     /// Throws std::invalid_argument for malformed jobs (undersized buffers,
-    /// non-ascending offsets).
+    /// non-ascending offsets, a descending ragged job).
     Ticket submit(Job job);
 
     /// Removes a still-queued request; true on success, false when it
@@ -331,9 +336,9 @@ class Server {
     std::vector<PendingPtr> take_batch(Shard& shard, std::vector<PendingPtr>& expired,
                                        std::vector<PendingPtr>& shed);
     void serve_batch(Shard& shard, std::vector<PendingPtr> batch);
-    void execute_uniform(Shard& shard, std::vector<PendingPtr>& batch);
-    void execute_ragged(Shard& shard, std::vector<PendingPtr>& batch);
-    void execute_pairs(Shard& shard, std::vector<PendingPtr>& batch);
+    /// Runs one fused batch of any kind over its row table: stage, tune,
+    /// sort, verify, copy back or quarantine each request, release.
+    void execute_batch(Shard& shard, std::vector<PendingPtr>& batch);
     void run_cpu_fallback(Pending& p, bool quarantined = false);
     /// Completes verification-failed requests as solo host re-sorts (the
     /// suspect device bytes are never copied back).

@@ -180,7 +180,7 @@ std::vector<std::uint32_t> wl_array_sort_u32(simt::Device& dev) {
     auto ds = workload::make_dataset(8, 300);
     std::vector<std::uint32_t> data(ds.values.size());
     for (std::size_t i = 0; i < data.size(); ++i) {
-        data[i] = static_cast<std::uint32_t>(ds.values[i] * 1e6f);
+        data[i] = static_cast<std::uint32_t>(static_cast<std::int64_t>(ds.values[i] * 1e6f));
     }
     gas::Options opts;
     gas::gpu_array_sort(dev, data, ds.num_arrays, ds.array_size, opts);
@@ -470,7 +470,7 @@ TEST(UniformSortGraph, ResubmitMatchesFreshSortUint32) {
     const auto ds = workload::make_dataset(8, 300);
     std::vector<std::uint32_t> data(ds.values.size());
     for (std::size_t i = 0; i < data.size(); ++i) {
-        data[i] = static_cast<std::uint32_t>(ds.values[i] * 1e6f);
+        data[i] = static_cast<std::uint32_t>(static_cast<std::int64_t>(ds.values[i] * 1e6f));
     }
     expect_resubmission_matches_fresh_sort(data, ds.num_arrays, ds.array_size, {});
 }

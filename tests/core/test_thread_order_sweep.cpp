@@ -48,7 +48,7 @@ TEST(ThreadOrderSweep, ArraySortUint32) {
         auto ds = workload::make_dataset(8, 300);
         std::vector<std::uint32_t> data(ds.values.size());
         for (std::size_t i = 0; i < data.size(); ++i) {
-            data[i] = static_cast<std::uint32_t>(ds.values[i] * 1e6f);
+            data[i] = static_cast<std::uint32_t>(static_cast<std::int64_t>(ds.values[i] * 1e6f));
         }
         gas::gpu_array_sort(dev, data, ds.num_arrays, ds.array_size);
         return data;

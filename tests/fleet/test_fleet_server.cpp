@@ -12,7 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/batch.hpp"
+#include "core/gpu_array_sort.hpp"
 #include "fleet/fleet.hpp"
 #include "workload/generators.hpp"
 
@@ -318,11 +318,11 @@ TEST(FleetServer, HeterogeneousFleetRoutesAroundTheSmallDevice) {
         return static_cast<std::size_t>(
             static_cast<double>(d.memory().capacity()) * 0.9);
     };
-    ASSERT_GT(gas::batch_footprint_bytes(kArrays, kSize, gas::Options{},
-                                         fleet.device(0).props(), 1),
+    ASSERT_GT(gas::device_footprint_bytes(kArrays, kSize, gas::Options{},
+                                          fleet.device(0).props()),
               budget(fleet.device(0)));
-    ASSERT_LE(gas::batch_footprint_bytes(3 * kArrays, kSize, gas::Options{},
-                                         fleet.device(1).props(), 1),
+    ASSERT_LE(gas::device_footprint_bytes(3 * kArrays, kSize, gas::Options{},
+                                          fleet.device(1).props()),
               budget(fleet.device(1)));
 
     std::vector<Server::Ticket> tickets;

@@ -1,8 +1,6 @@
 // Pins the fusion invariant gas::serve relies on: a request's rows sorted as
 // part of a fused batch are bit-identical to the same rows sorted by a direct
-// gas::gpu_*_sort call (see core/batch.hpp).
-#include "core/batch.hpp"
-
+// gas::gpu_*_sort call (see serve/server.hpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -38,8 +36,7 @@ TEST(SortBatch, UniformFusedMatchesDirectPerSlice) {
     fused.insert(fused.end(), b.begin(), b.end());
     simt::DeviceBuffer<float> buf(dev, fused.size());
     simt::copy_to_device(std::span<const float>(fused), buf);
-    const std::vector<gas::BatchSlice> slices = {{0, 6}, {6, 10}};
-    gas::sort_uniform_batch_on_device(dev, buf, slices, 16, n);
+    gas::sort_arrays_on_device(dev, buf, 16, n);
     simt::copy_to_host(buf, std::span<float>(fused));
 
     EXPECT_TRUE(std::equal(direct_a.begin(), direct_a.end(), fused.begin()));
@@ -69,9 +66,7 @@ TEST(SortBatch, RaggedFusedMatchesDirectPerSlice) {
     }
     simt::DeviceBuffer<float> buf(dev, fused.size());
     simt::copy_to_device(std::span<const float>(fused), buf);
-    const std::vector<gas::BatchSlice> slices = {{0, a.num_arrays()},
-                                                 {a.num_arrays(), b.num_arrays()}};
-    gas::sort_ragged_batch_on_device(dev, buf, offsets, slices);
+    gas::sort_ragged_on_device(dev, buf, offsets);
     simt::copy_to_host(buf, std::span<float>(fused));
 
     EXPECT_TRUE(std::equal(direct_a.begin(), direct_a.end(), fused.begin()));
@@ -114,8 +109,7 @@ TEST(SortBatch, PairsFusedMatchesDirectPerSlice) {
     simt::DeviceBuffer<float> vbuf(dev, vals.size());
     simt::copy_to_device(std::span<const float>(keys), kbuf);
     simt::copy_to_device(std::span<const float>(vals), vbuf);
-    const std::vector<gas::BatchSlice> slices = {{0, 5}, {5, 9}};
-    gas::sort_pair_batch_on_device(dev, kbuf, vbuf, slices, 14, n);
+    gas::sort_pairs_on_device(dev, kbuf, vbuf, 14, n);
     simt::copy_to_host(kbuf, std::span<float>(keys));
     simt::copy_to_host(vbuf, std::span<float>(vals));
 
@@ -125,42 +119,16 @@ TEST(SortBatch, PairsFusedMatchesDirectPerSlice) {
     EXPECT_TRUE(std::equal(dvb.begin(), dvb.end(), vals.begin() + 5 * n));
 }
 
-TEST(SortBatch, RejectsSlicesThatDoNotTile) {
-    auto dev = make_device();
-    simt::DeviceBuffer<float> buf(dev, 4 * 32);
-    using Slices = std::vector<gas::BatchSlice>;
-    const Slices gap = {{0, 2}, {3, 1}};
-    const Slices overlap = {{0, 3}, {2, 2}};
-    const Slices shortfall = {{0, 2}};
-    for (const auto& s : {gap, overlap, shortfall}) {
-        EXPECT_THROW(gas::sort_uniform_batch_on_device(dev, buf, s, 4, 32),
-                     std::invalid_argument);
-    }
-}
-
-TEST(SortBatch, PairFootprintIsTwoAlignedPlanes) {
-    const auto props = simt::tiny_device(64 << 20);
-    const gas::Options opts;
-    const std::size_t plane = 10 * 100 * sizeof(float);
-    const std::size_t aligned =
-        (plane + simt::DeviceMemory::kAlignment - 1) / simt::DeviceMemory::kAlignment *
-        simt::DeviceMemory::kAlignment;
-    EXPECT_EQ(gas::batch_footprint_bytes(10, 100, opts, props, 2), 2 * aligned);
-    // Value-only batches include sort temporaries: strictly more than data.
-    EXPECT_GT(gas::batch_footprint_bytes(10, 100, opts, props, 1), plane);
-}
-
 TEST(SortBatch, RaggedRowFitsSharedMatchesKernelLimit) {
     const auto props = simt::tiny_device(64 << 20);
-    const gas::Options opts;
-    EXPECT_TRUE(gas::ragged_row_fits_shared(0, opts, props));
-    EXPECT_TRUE(gas::ragged_row_fits_shared(1000, opts, props));
+    EXPECT_TRUE(gas::ragged_row_fits_shared(0, props));
+    EXPECT_TRUE(gas::ragged_row_fits_shared(1000, props));
     // 13 000 floats overflow the 48 KB shared budget (cf. RaggedSort.RejectsOversizedArrays).
-    EXPECT_FALSE(gas::ragged_row_fits_shared(13000, opts, props));
+    EXPECT_FALSE(gas::ragged_row_fits_shared(13000, props));
     // Pairs stage two planes, halving the admissible row.
     const std::size_t edge = 6000;
-    EXPECT_TRUE(gas::ragged_row_fits_shared(edge, opts, props, 1));
-    EXPECT_FALSE(gas::ragged_row_fits_shared(edge, opts, props, 2));
+    EXPECT_TRUE(gas::ragged_row_fits_shared(edge, props, 1));
+    EXPECT_FALSE(gas::ragged_row_fits_shared(edge, props, 2));
 }
 
 }  // namespace

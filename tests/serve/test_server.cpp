@@ -395,6 +395,15 @@ TEST(Server, MalformedJobsThrow) {
     no_payload.array_size = 8;
     no_payload.values.resize(8);
     EXPECT_THROW((void)server.submit(std::move(no_payload)), std::invalid_argument);
+
+    // The ragged device kernel sorts ascending only; a descending ragged
+    // request would get different bytes from the device and the CPU path.
+    Job ragged_descending;
+    ragged_descending.kind = JobKind::Ragged;
+    ragged_descending.values = {5, 1, 4, 2, 3, 9, 7, 8};
+    ragged_descending.offsets = {0, 5, 8};
+    ragged_descending.opts.order = gas::SortOrder::Descending;
+    EXPECT_THROW((void)server.submit(std::move(ragged_descending)), std::invalid_argument);
 }
 
 TEST(Server, EmptyJobCompletesImmediately) {

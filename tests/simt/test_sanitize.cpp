@@ -126,7 +126,7 @@ TEST(SanitizeCleanRun, RadixSortIsClean) {
     auto host = workload::make_values(30000, workload::Distribution::Uniform, 3);
     std::vector<std::uint32_t> keys(host.size());
     for (std::size_t i = 0; i < host.size(); ++i) {
-        keys[i] = static_cast<std::uint32_t>(host[i] * 1e6f);
+        keys[i] = static_cast<std::uint32_t>(static_cast<std::int64_t>(host[i] * 1e6f));
     }
     thrustlite::device_vector<std::uint32_t> dkeys(dev, keys);
     thrustlite::stable_sort(dkeys);

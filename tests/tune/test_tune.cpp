@@ -429,7 +429,7 @@ TEST(TuneOffIdentity, FifteenEquivalenceWorkloads) {
         auto ds = workload::make_dataset(8, 300);
         std::vector<std::uint32_t> data(ds.values.size());
         for (std::size_t i = 0; i < data.size(); ++i) {
-            data[i] = static_cast<std::uint32_t>(ds.values[i] * 1e6f);
+            data[i] = static_cast<std::uint32_t>(static_cast<std::int64_t>(ds.values[i] * 1e6f));
         }
         gas::gpu_array_sort(dev, data, ds.num_arrays, ds.array_size, base_opts(tune));
         return data;
@@ -594,41 +594,126 @@ gas::serve::Job uniform_job(std::size_t arrays, std::size_t n, Distribution dist
     return job;
 }
 
+/// Request `r` of a kind-identity batch.  Uniform and pair jobs are 4 x 500
+/// rows; ragged jobs are 12 rows of 16..512 values, and the second ragged
+/// request starts its CSR table past a 3-value prefix the server must skip.
+gas::serve::Job identity_job(gas::serve::JobKind kind, std::uint64_t r) {
+    using gas::serve::JobKind;
+    gas::serve::Job job;
+    job.kind = kind;
+    job.opts.auto_tune = false;
+    if (kind == JobKind::Ragged) {
+        auto ds = workload::make_ragged_dataset(12, 16, 512, Distribution::Uniform, 6 + r);
+        const std::uint64_t pad = r == 1 ? 3 : 0;
+        job.values.assign(pad, -1.0f);
+        job.values.insert(job.values.end(), ds.values.begin(), ds.values.end());
+        for (const auto o : ds.offsets) job.offsets.push_back(o + pad);
+        return job;
+    }
+    job = uniform_job(4, 500, Distribution::Uniform, 6 + r, /*auto_tune=*/false);
+    job.kind = kind;
+    if (kind == JobKind::Pairs) {
+        job.payload.resize(job.values.size());
+        for (std::size_t i = 0; i < job.payload.size(); ++i) {
+            job.payload[i] = static_cast<float>(r * 10000 + i);
+        }
+    }
+    return job;
+}
+
 TEST(ServeTune, AutoTuneOffServerReproducesTheDirectKernelLog) {
-    // The strongest seed pin available in-tree: with tuning off, a
-    // single-request batch through the server (graph reuse cache and all)
-    // must emit exactly the kernel log of a direct gpu_array_sort — bytes,
-    // names, shapes, modeled stats — in both sort orders.
-    for (const auto order : {gas::SortOrder::Ascending, gas::SortOrder::Descending}) {
-        SCOPED_TRACE(order == gas::SortOrder::Ascending ? "asc" : "desc");
-        const auto ds = workload::make_dataset(4, 500, Distribution::Uniform, 6);
+    // The strongest seed pin available in-tree: with tuning off, a batch
+    // through the server (graph reuse cache and all) must emit exactly the
+    // kernel log of one direct core sort of the same concatenated rows —
+    // bytes, names, shapes, modeled stats — for every job kind, alone and
+    // fused with batchmates, in every order the kind accepts.
+    using gas::serve::JobKind;
+    for (const auto kind : {JobKind::Uniform, JobKind::Ragged, JobKind::Pairs}) {
+        for (const std::size_t requests : {1, 3}) {
+            for (const auto order : {gas::SortOrder::Ascending, gas::SortOrder::Descending}) {
+                if (kind == JobKind::Ragged && order == gas::SortOrder::Descending) continue;
+                SCOPED_TRACE(gas::serve::to_string(kind) + " x" + std::to_string(requests) +
+                             (order == gas::SortOrder::Ascending ? " asc" : " desc"));
+                std::vector<gas::serve::Job> jobs;
+                for (std::uint64_t r = 0; r < requests; ++r) {
+                    jobs.push_back(identity_job(kind, r));
+                    jobs.back().opts.order = order;
+                }
+                gas::Options opts;
+                opts.order = order;
 
-        simt::Device direct_dev(simt::tiny_device(256 << 20));
-        auto direct = ds.values;
-        gas::Options opts;
-        opts.order = order;
-        gas::gpu_array_sort(direct_dev, direct, 4, 500, opts);
+                // Direct: the concatenated rows, one core sort call.
+                std::vector<float> keys;
+                std::vector<float> payload;
+                std::vector<std::uint64_t> offsets{0};
+                std::size_t rows = 0;
+                for (const auto& job : jobs) {
+                    const std::size_t from = kind == JobKind::Ragged ? job.offsets.front() : 0;
+                    keys.insert(keys.end(), job.values.begin() + from, job.values.end());
+                    payload.insert(payload.end(), job.payload.begin(), job.payload.end());
+                    for (std::size_t i = 1; i < job.offsets.size(); ++i) {
+                        offsets.push_back(offsets.back() + job.offsets[i] - job.offsets[i - 1]);
+                    }
+                    rows += job.num_arrays;
+                }
+                simt::Device direct_dev(simt::tiny_device(256 << 20));
+                simt::DeviceBuffer<float> kbuf(direct_dev, keys.size());
+                simt::copy_to_device(std::span<const float>(keys), kbuf);
+                simt::DeviceBuffer<float> vbuf;
+                if (kind == JobKind::Pairs) {
+                    vbuf = simt::DeviceBuffer<float>(direct_dev, payload.size());
+                    simt::copy_to_device(std::span<const float>(payload), vbuf);
+                }
+                switch (kind) {
+                    case JobKind::Uniform:
+                        gas::sort_arrays_on_device(direct_dev, kbuf, rows, 500, opts);
+                        break;
+                    case JobKind::Ragged:
+                        gas::sort_ragged_on_device(direct_dev, kbuf, offsets, opts);
+                        break;
+                    case JobKind::Pairs:
+                        gas::sort_pairs_on_device(direct_dev, kbuf, vbuf, rows, 500, opts);
+                        break;
+                }
+                simt::copy_to_host(kbuf, std::span<float>(keys));
+                if (kind == JobKind::Pairs) simt::copy_to_host(vbuf, std::span<float>(payload));
 
-        simt::Device serve_dev(simt::tiny_device(256 << 20));
-        gas::serve::ServerConfig cfg;
-        cfg.manual_pump = true;
-        cfg.auto_tune = false;
-        gas::serve::Server server(serve_dev, cfg);
-        auto job = uniform_job(4, 500, Distribution::Uniform, 6);
-        job.opts.order = order;
-        auto ticket = server.submit(std::move(job));
-        server.pump();
-        const auto r = ticket.result.get();
-        ASSERT_TRUE(r.ok());
-        server.stop();
+                simt::Device serve_dev(simt::tiny_device(256 << 20));
+                gas::serve::ServerConfig cfg;
+                cfg.manual_pump = true;
+                cfg.auto_tune = false;
+                gas::serve::Server server(serve_dev, cfg);
+                std::vector<gas::serve::Server::Ticket> tickets;
+                for (auto job : jobs) tickets.push_back(server.submit(std::move(job)));
+                server.pump();
+                std::vector<float> served_keys;
+                std::vector<float> served_payload;
+                for (std::size_t r = 0; r < tickets.size(); ++r) {
+                    const auto resp = tickets[r].result.get();
+                    ASSERT_TRUE(resp.ok());
+                    EXPECT_EQ(resp.batch_requests, requests);
+                    const std::size_t from =
+                        kind == JobKind::Ragged ? jobs[r].offsets.front() : 0;
+                    EXPECT_TRUE(std::equal(jobs[r].values.begin(),
+                                           jobs[r].values.begin() + from, resp.values.begin()));
+                    served_keys.insert(served_keys.end(), resp.values.begin() + from,
+                                       resp.values.end());
+                    served_payload.insert(served_payload.end(), resp.payload.begin(),
+                                          resp.payload.end());
+                }
+                server.stop();
 
-        EXPECT_EQ(direct, r.values);
-        expect_logs_equal(direct_dev.kernel_log(), serve_dev.kernel_log());
-        const auto st = server.stats();
-        EXPECT_FALSE(st.tune_enabled);
-        EXPECT_EQ(st.tune_decisions, 0u);
-        EXPECT_EQ(st.tuned_batches, 0u);
-        EXPECT_EQ(st.tune_sketch_ms, 0.0);
+                EXPECT_EQ(keys, served_keys);
+                EXPECT_EQ(payload, served_payload);
+                expect_logs_equal(direct_dev.kernel_log(), serve_dev.kernel_log());
+                const auto st = server.stats();
+                EXPECT_EQ(st.batches, 1u);
+                EXPECT_FALSE(st.tune_enabled);
+                EXPECT_EQ(st.tune_decisions, 0u);
+                EXPECT_EQ(st.tuned_batches, 0u);
+                EXPECT_EQ(st.tune_sketch_ms, 0.0);
+            }
+        }
     }
 }
 
@@ -704,33 +789,54 @@ TEST(ServeTune, TunedServerServesEveryRegimeCorrectly) {
 }
 
 TEST(ServeTune, FleetKeyBandsAndQueueDepthEwma) {
-    gas::fleet::DeviceFleet fleet(3);
-    gas::serve::ServerConfig cfg;
-    cfg.manual_pump = true;
-    cfg.route_policy = gas::fleet::RoutePolicy::KeyRange;
-    gas::serve::Server server(fleet, cfg);
-    std::vector<gas::serve::Server::Ticket> tickets;
-    for (std::uint64_t r = 0; r < 12; ++r) {
-        tickets.push_back(server.submit(uniform_job(4, 800, Distribution::Uniform, r + 1)));
+    // Every tuned batch refreshes the bands, whatever its kind: ragged
+    // sketches feed the same fleet aggregate as uniform ones.
+    for (const auto kind : {gas::serve::JobKind::Uniform, gas::serve::JobKind::Ragged}) {
+        SCOPED_TRACE(gas::serve::to_string(kind));
+        gas::fleet::DeviceFleet fleet(3);
+        gas::serve::ServerConfig cfg;
+        cfg.manual_pump = true;
+        cfg.route_policy = gas::fleet::RoutePolicy::KeyRange;
+        gas::serve::Server server(fleet, cfg);
+        std::vector<std::pair<gas::serve::Server::Ticket, std::vector<std::uint64_t>>> live;
+        for (std::uint64_t r = 0; r < 12; ++r) {
+            auto job = uniform_job(4, 800, Distribution::Uniform, r + 1);
+            std::vector<std::uint64_t> rows{0, 800, 1600, 2400, 3200};
+            if (kind == gas::serve::JobKind::Ragged) {
+                auto ds = workload::make_ragged_dataset(4, 400, 1200, Distribution::Uniform,
+                                                        r + 1);
+                job.kind = kind;
+                job.num_arrays = 0;
+                job.array_size = 0;
+                job.values = std::move(ds.values);
+                job.offsets.assign(ds.offsets.begin(), ds.offsets.end());
+                rows = job.offsets;
+            }
+            live.emplace_back(server.submit(std::move(job)), std::move(rows));
+        }
+        server.pump();
+        for (auto& [ticket, rows] : live) {
+            const auto resp = ticket.result.get();
+            ASSERT_TRUE(resp.ok());
+            for (std::size_t i = 1; i < rows.size(); ++i) {
+                EXPECT_TRUE(std::is_sorted(
+                    resp.values.begin() + static_cast<std::ptrdiff_t>(rows[i - 1]),
+                    resp.values.begin() + static_cast<std::ptrdiff_t>(rows[i])));
+            }
+        }
+        const auto st = server.stats();
+        // The KeyRange router now runs on data-driven bands recomputed from
+        // the fleet-level aggregate sketch: one upper bound per device,
+        // ascending, closed by the key-space bound.
+        ASSERT_EQ(st.key_bands.size(), 3u);
+        EXPECT_TRUE(std::is_sorted(st.key_bands.begin(), st.key_bands.end()));
+        EXPECT_EQ(st.key_bands.back(), cfg.key_space_max);
+        EXPECT_NE(st.to_json().find("\"key_bands\""), std::string::npos);
+        double max_ewma = 0.0;
+        for (const auto& d : st.devices) max_ewma = std::max(max_ewma, d.queue_depth_ewma);
+        EXPECT_GT(max_ewma, 0.0);
+        server.stop();
     }
-    server.pump();
-    for (auto& t : tickets) {
-        const auto resp = t.result.get();
-        ASSERT_TRUE(resp.ok());
-        EXPECT_TRUE(rows_sorted(resp.values, 4, 800));
-    }
-    const auto st = server.stats();
-    // The KeyRange router now runs on data-driven bands recomputed from the
-    // fleet-level aggregate sketch: one upper bound per device, ascending,
-    // closed by the key-space bound.
-    ASSERT_EQ(st.key_bands.size(), 3u);
-    EXPECT_TRUE(std::is_sorted(st.key_bands.begin(), st.key_bands.end()));
-    EXPECT_EQ(st.key_bands.back(), cfg.key_space_max);
-    EXPECT_NE(st.to_json().find("\"key_bands\""), std::string::npos);
-    double max_ewma = 0.0;
-    for (const auto& d : st.devices) max_ewma = std::max(max_ewma, d.queue_depth_ewma);
-    EXPECT_GT(max_ewma, 0.0);
-    server.stop();
 }
 
 TEST(ServeTune, PairBatchesAreNeverTuned) {
