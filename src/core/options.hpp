@@ -23,7 +23,8 @@ enum class BucketingStrategy {
 
 /// Output ordering.  Descending runs the same ascending machinery over
 /// negated keys (an elementwise negate kernel before and after — IEEE
-/// negation reverses float total order exactly), so every path supports it.
+/// negation reverses float total order exactly), so every sorter supports
+/// it: uniform, ragged, and key/value (uniform or ragged).
 enum class SortOrder { Ascending, Descending };
 
 [[nodiscard]] inline std::string to_string(SortOrder o) {
@@ -87,11 +88,11 @@ struct Options {
     /// debugging tool — prefer verify_output for production resilience.
     bool validate = false;
 
-    /// End-to-end result verification on the device (gas::resilient): an
-    /// order-independent multiset checksum per row before sorting, then one
+    /// End-to-end result verification (gas::resilient): an order-independent
+    /// multiset checksum per row, taken on the host before sorting, then one
     /// verify kernel after — sortedness plus permutation-by-checksum.
     /// Failure throws gas::resilient::VerifyError (a transient error the
-    /// retry harness re-stages and re-runs).  Costs two extra kernels,
+    /// retry harness re-stages and re-runs).  Costs one extra kernel,
     /// recorded in SortStats::verify; off (the default) adds no launches and
     /// keeps output bytes and KernelStats bit-identical.
     bool verify_output = false;

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 #include <string>
 
 #include "core/device_ops.hpp"
+#include "core/fused_sort.hpp"
 #include "core/hybrid_phase3.hpp"
 #include "core/insertion_sort.hpp"
 #include "core/phases.hpp"
@@ -16,112 +16,90 @@
 
 namespace gas {
 
+namespace detail {
+
 namespace {
 
-/// Location of one array inside the flat buffers.
-struct Extent {
-    std::size_t base;
-    std::size_t n;
-};
-
-/// Geometry of one array under the shared options (same rules as make_plan,
-/// evaluated per block for ragged inputs).
-struct RowGeom {
+/// Buckets and sample size of one n-element row: make_plan's rules,
+/// evaluated per block, with the block width as the bucket cap.
+struct RowShape {
     std::size_t p = 1;
     std::size_t sample = 1;
 };
 
-RowGeom row_geom(std::size_t n, const Options& opts, unsigned block_threads) {
-    RowGeom g;
-    if (n == 0) return g;
-    g.p = std::clamp<std::size_t>(n / opts.bucket_target, 1, block_threads);
-    g.sample = static_cast<std::size_t>(
+RowShape row_shape(std::size_t n, const Options& opts, unsigned block_threads) {
+    RowShape r;
+    if (n == 0) return r;
+    r.p = std::clamp<std::size_t>(n / opts.bucket_target, 1, block_threads);
+    r.sample = static_cast<std::size_t>(
         std::llround(opts.sampling_rate * static_cast<double>(n)));
-    g.sample = std::min(std::max(g.sample, g.p), n);
-    return g;
+    r.sample = std::min(std::max(r.sample, r.p), n);
+    return r;
 }
 
-/// The fused key-value sample-sort kernel: one block per array, splitters /
-/// counts / cursors never leave shared memory, the value array is permuted
-/// alongside the keys, everything lands back in place.
-template <typename T>
-SortStats fused_pair_sort(simt::Device& device, std::span<T> keys,
-                          std::span<T> values, std::size_t num_arrays,
-                          std::size_t max_n, const Options& opts,
-                          const std::function<Extent(std::size_t)>& extent_of) {
-    SortStats stats;
-    stats.num_arrays = num_arrays;
-    stats.array_size = max_n;
-    if (num_arrays == 0 || max_n == 0) return stats;
-    if (opts.bucket_target == 0) throw std::invalid_argument("bucket_target must be >= 1");
-    if (!(opts.sampling_rate > 0.0) || opts.sampling_rate > 1.0) {
-        throw std::invalid_argument("sampling_rate must be in (0, 1]");
-    }
+}  // namespace
 
+/// The fused sample-sort kernel: one block per row, splitters / counts /
+/// cursors never leave shared memory, everything lands back in place.  Keys
+/// decide the buckets; with kPairs the value row is staged, scattered and
+/// insertion-sorted alongside, and every per-plane charge doubles.
+template <typename T, bool kPairs>
+simt::KernelStats fused_sort(simt::Device& device, std::span<T> keys, std::span<T> values,
+                             std::span<const std::uint64_t> offsets, unsigned block_threads,
+                             const Options& opts) {
+    constexpr std::uint64_t kPlanes = kPairs ? 2 : 1;
     const auto& props = device.props();
-    const std::size_t max_p =
-        std::clamp<std::size_t>(max_n / opts.bucket_target, 1, props.max_threads_per_block);
-    const auto block_threads = static_cast<unsigned>(max_p);
-    stats.buckets_per_array = max_p;
-
-    const std::size_t shared_need = 2 * max_n * sizeof(T) +
-                                    (max_p + 1) * sizeof(T) +
-                                    2ull * block_threads * sizeof(std::uint32_t);
-    if (shared_need > props.shared_memory_per_block) {
-        throw std::invalid_argument(
-            "pair sort: an array is too large for shared-memory staging (" +
-            std::to_string(max_n) + " pairs need " + std::to_string(shared_need) +
-            " B of " + std::to_string(props.shared_memory_per_block) + " B)");
-    }
-
-    simt::LaunchConfig cfg{"gas.pair_sort_fused", static_cast<unsigned>(num_arrays),
-                           block_threads};
-    const simt::KernelStats k = device.launch(cfg, [&](simt::BlockCtx& blk) {
-        const Extent ext = extent_of(blk.block_idx());
-        const std::size_t n = ext.n;
-        const RowGeom geom = row_geom(n, opts, block_threads);
-        const std::size_t p = geom.p;
+    const simt::LaunchConfig cfg{kPairs ? "gas.pair_sort_fused" : "gas.ragged_fused",
+                                 static_cast<unsigned>(offsets.size() - 1), block_threads};
+    return device.launch(cfg, [&](simt::BlockCtx& blk) {
+        const std::size_t base = offsets[blk.block_idx()];
+        const std::size_t n = offsets[blk.block_idx() + 1] - base;
+        const RowShape shape = row_shape(n, opts, block_threads);
+        const std::size_t p = shape.p;
 
         auto sh_splitters = blk.shared_alloc<T>(p + 1);
         auto counts = blk.shared_alloc<std::uint32_t>(block_threads);
         auto starts = blk.shared_alloc<std::uint32_t>(block_threads);
         auto staged_k = blk.shared_alloc<T>(std::max<std::size_t>(n, 1));
-        auto staged_v = blk.shared_alloc<T>(std::max<std::size_t>(n, 1));
+        simt::sanitize::TrackedSpan<T> staged_v;
+        if constexpr (kPairs) staged_v = blk.shared_alloc<T>(std::max<std::size_t>(n, 1));
         if (n == 0) return;
-        T* key_row = keys.data() + ext.base;
-        T* val_row = values.data() + ext.base;
+        T* key_row = keys.data() + base;
+        T* val_row = kPairs ? values.data() + base : nullptr;
 
         // Phase 1 (fused): sample the keys, insertion-sort the sample, pick
         // splitters — all in shared memory, one thread (paper section 5.1).
         blk.single_thread([&](simt::ThreadCtx& tc) {
-            const std::size_t stride = n / geom.sample;
-            std::span<T> sample = staged_k.subspan(0, geom.sample);
-            for (std::size_t s = 0; s < geom.sample; ++s) sample[s] = key_row[s * stride];
-            tc.global_random(geom.sample);
-            tc.shared(geom.sample);
+            const std::size_t stride = n / shape.sample;
+            // The staging area doubles as the sample buffer before the row
+            // itself is staged.
+            std::span<T> sample = staged_k.subspan(0, shape.sample);
+            for (std::size_t s = 0; s < shape.sample; ++s) sample[s] = key_row[s * stride];
+            tc.global_random(shape.sample);
+            tc.shared(shape.sample);
             const InsertionCost cost = insertion_sort(sample);
             tc.ops(cost.compares + cost.moves);
             tc.shared(2 * (cost.compares + cost.moves));
-            sh_splitters[0] = detail::low_sentinel<T>();
-            const std::size_t sstride = geom.sample / p;
+            sh_splitters[0] = low_sentinel<T>();
+            const std::size_t sstride = shape.sample / p;
             for (std::size_t j = 0; j + 1 < p; ++j) {
                 sh_splitters[j + 1] = sample[(j + 1) * sstride];
             }
-            sh_splitters[p] = detail::high_sentinel<T>();
+            sh_splitters[p] = high_sentinel<T>();
             tc.shared(2 * p);
             tc.ops(p);
         });
 
-        // Stage both rows (cooperative, coalesced).
+        // Stage the row(s) (cooperative, coalesced).
         const auto stage_lane = [&](simt::ThreadCtx& tc) {
             std::uint64_t copied = 0;
             for (std::size_t i = tc.tid(); i < n; i += block_threads) {
                 staged_k[i] = key_row[i];
-                staged_v[i] = val_row[i];
+                if constexpr (kPairs) staged_v[i] = val_row[i];
                 ++copied;
             }
-            tc.global_coalesced(2 * copied * sizeof(T));
-            tc.shared(2 * copied);
+            tc.global_coalesced(kPlanes * copied * sizeof(T));
+            tc.shared(kPlanes * copied);
             tc.ops(copied);
         };
         blk.for_each_warp([&](simt::WarpCtx& wc) {
@@ -129,28 +107,30 @@ SortStats fused_pair_sort(simt::Device& device, std::span<T> keys,
                 wc.for_lanes(stage_lane);
                 return;
             }
-            detail::warp_stage_rows(key_row, staged_k.data(), n, block_threads,
-                                    wc.lane_begin(), wc.width());
-            detail::warp_stage_rows(val_row, staged_v.data(), n, block_threads,
-                                    wc.lane_begin(), wc.width());
+            warp_stage_rows(key_row, staged_k.data(), n, block_threads, wc.lane_begin(),
+                            wc.width());
+            if constexpr (kPairs) {
+                warp_stage_rows(val_row, staged_v.data(), n, block_threads, wc.lane_begin(),
+                                wc.width());
+            }
             for (unsigned l = wc.lane_begin(); l < wc.lane_end(); ++l) {
-                const std::uint64_t copied = detail::strided_count(n, l, block_threads);
-                wc.coalesced_lane(l, 2 * copied * sizeof(T));
-                wc.shared_lane(l, 2 * copied);
+                const std::uint64_t copied = strided_count(n, l, block_threads);
+                wc.coalesced_lane(l, kPlanes * copied * sizeof(T));
+                wc.shared_lane(l, kPlanes * copied);
                 wc.ops_lane(l, copied);
             }
         });
 
         // Phase 2 (fused): count per splitter pair, scan, write back in
-        // place — keys decide the bucket, values ride along.
+        // place.
         const auto count_lane = [&](simt::ThreadCtx& tc) {
-            if (tc.tid() >= p) return;
+            if (tc.tid() >= p) return;  // idle lanes on short rows
             const T lo = sh_splitters[tc.tid()];
             const T hi = sh_splitters[tc.tid() + 1];
             std::uint32_t c = 0;
             for (std::size_t i = 0; i < n; ++i) {
                 const T x = staged_k[i];
-                c += detail::in_bucket(x, lo, hi, tc.tid() == 0) ? 1u : 0u;
+                c += in_bucket(x, lo, hi, tc.tid() == 0) ? 1u : 0u;
             }
             counts[tc.tid()] = c;
             tc.shared(n + 3);
@@ -162,10 +142,9 @@ SortStats fused_pair_sort(simt::Device& device, std::span<T> keys,
                 return;
             }
             const unsigned wb = wc.lane_begin();
-            if (wb >= p) return;  // fully idle warp on short arrays
+            if (wb >= p) return;  // fully idle warp on short rows
             const auto w = static_cast<unsigned>(std::min<std::size_t>(wc.lane_end(), p)) - wb;
-            detail::warp_count_buckets(staged_k.data(), n, sh_splitters.data(), wb, w,
-                                       counts.data());
+            warp_count_buckets(staged_k.data(), n, sh_splitters.data(), wb, w, counts.data());
             for (unsigned k2 = 0; k2 < w; ++k2) {
                 wc.shared_lane(wb + k2, n + 3);
                 wc.ops_lane(wb + k2, n * 3);
@@ -184,7 +163,7 @@ SortStats fused_pair_sort(simt::Device& device, std::span<T> keys,
             }
 #ifndef NDEBUG
             if (sum != n) {
-                throw std::logic_error("gas.pair_sort_fused: bucket counts of array " +
+                throw std::logic_error(cfg.name + ": bucket counts of array " +
                                        std::to_string(blk.block_idx()) + " sum to " +
                                        std::to_string(sum) + ", expected " +
                                        std::to_string(n));
@@ -202,17 +181,17 @@ SortStats fused_pair_sort(simt::Device& device, std::span<T> keys,
             std::uint32_t cursor = starts[tc.tid()];
             for (std::size_t i = 0; i < n; ++i) {
                 const T x = staged_k[i];
-                if (detail::in_bucket(x, lo, hi, tc.tid() == 0)) {
+                if (in_bucket(x, lo, hi, tc.tid() == 0)) {
                     key_row[cursor] = x;
-                    val_row[cursor] = staged_v[i];
+                    if constexpr (kPairs) val_row[cursor] = staged_v[i];
                     ++cursor;
                 }
             }
             const std::uint64_t written = cursor - starts[tc.tid()];
-            tc.shared(2 * n + 2);
+            tc.shared(kPlanes * n + 2);
             tc.ops(n * 3);
-            tc.global_coalesced(2 * written * sizeof(T));
-            tc.global_random(written > 0 ? 2 : 0);  // one run start per buffer
+            tc.global_coalesced(kPlanes * written * sizeof(T));
+            tc.global_random(written > 0 ? kPlanes : 0);  // one run start per plane
         };
         blk.for_each_warp([&](simt::WarpCtx& wc) {
             if (wc.tracked()) {
@@ -225,28 +204,30 @@ SortStats fused_pair_sort(simt::Device& device, std::span<T> keys,
             std::array<std::uint32_t, simt::kMaxWarpLanes> cur;
             for (unsigned k2 = 0; k2 < w; ++k2) cur[k2] = starts[wb + k2];
             const T* sk = staged_k.data();
-            const T* sv = staged_v.data();
-            detail::warp_scatter_buckets(sk, n, sh_splitters.data(), p, wb, w, cur.data(),
-                                         [&](std::uint32_t dst, std::size_t i) {
-                                             key_row[dst] = sk[i];
-                                             val_row[dst] = sv[i];
-                                         });
+            const T* sv = kPairs ? staged_v.data() : nullptr;
+            warp_scatter_buckets(sk, n, sh_splitters.data(), p, wb, w, cur.data(),
+                                 [&](std::uint32_t dst, std::size_t i) {
+                                     key_row[dst] = sk[i];
+                                     if constexpr (kPairs) val_row[dst] = sv[i];
+                                 });
             for (unsigned k2 = 0; k2 < w; ++k2) {
                 const std::uint64_t written = cur[k2] - starts[wb + k2];
-                wc.shared_lane(wb + k2, 2 * n + 2);
+                wc.shared_lane(wb + k2, kPlanes * n + 2);
                 wc.ops_lane(wb + k2, n * 3);
-                wc.coalesced_lane(wb + k2, 2 * written * sizeof(T));
-                wc.random_lane(wb + k2, written > 0 ? 2 : 0);
+                wc.coalesced_lane(wb + k2, kPlanes * written * sizeof(T));
+                wc.random_lane(wb + k2, written > 0 ? kPlanes : 0);
             }
         });
 
         // Phase 3 (fused).  Skewed blocks hand over to the hybrid sorter
-        // (values ride along through the pair variants); balanced blocks
-        // keep the one-lane-per-bucket pair insertion sort.
+        // (size-binned scheduling + cooperative bitonic, see
+        // hybrid_phase3.hpp); balanced blocks keep the paper's
+        // one-lane-per-bucket insertion sort.
         if (opts.hybrid_phase3 && k_max > opts.phase3_small_cutoff) {
-            detail::hybrid_phase3_block</*kPairs=*/true, T>(
-                blk, props, blk.global_view(std::span<T>{key_row, n}),
-                blk.global_view(std::span<T>{val_row, n}), p,
+            simt::sanitize::TrackedSpan<T> val_view;
+            if constexpr (kPairs) val_view = blk.global_view(std::span<T>{val_row, n});
+            hybrid_phase3_block<kPairs, T>(
+                blk, props, blk.global_view(std::span<T>{key_row, n}), val_view, p,
                 [&](std::size_t j) -> std::uint32_t {
                     return j < p ? starts[j] : static_cast<std::uint32_t>(n);
                 },
@@ -258,23 +239,124 @@ SortStats fused_pair_sort(simt::Device& device, std::span<T> keys,
             const std::uint32_t begin = starts[tc.tid()];
             const std::uint32_t end =
                 tc.tid() + 1 < p ? starts[tc.tid() + 1] : static_cast<std::uint32_t>(n);
-            const InsertionCost cost = insertion_sort_pairs(
-                std::span<T>{key_row + begin, key_row + end},
-                std::span<T>{val_row + begin, val_row + end});
+            const std::span<T> bucket{key_row + begin, key_row + end};
+            InsertionCost cost;
+            if constexpr (kPairs) {
+                cost = insertion_sort_pairs(bucket, std::span<T>{val_row + begin, val_row + end});
+            } else {
+                cost = insertion_sort(bucket);
+            }
             tc.ops(cost.compares + cost.moves);
-            tc.global_random(4ull * (end - begin));  // key+value load & store
+            tc.global_random(2 * kPlanes * bucket.size());  // load & store per plane
             tc.shared(2);
         };
         blk.for_each_warp([&](simt::WarpCtx& wc) { wc.for_lanes(insert_lane); });
     });
+}
 
-    stats.phase2 = {k.modeled_ms, k.wall_ms};
+template <typename T, bool kPairs>
+SortStats sort_csr_on_device(simt::Device& device, std::span<T> keys, std::span<T> values,
+                             std::span<const std::uint64_t> offsets, const Options& opts,
+                             const char* where, std::size_t uniform_size) {
+    constexpr std::size_t kPlanes = kPairs ? 2 : 1;
+    SortStats stats;
+    if (offsets.size() < 2) return stats;
+    const std::size_t num_arrays = offsets.size() - 1;
+    std::size_t max_n = 0;
+    for (std::size_t a = 0; a < num_arrays; ++a) {
+        if (offsets[a + 1] < offsets[a]) {
+            throw std::invalid_argument(std::string(where) + ": offsets not ascending");
+        }
+        max_n = std::max<std::size_t>(max_n, offsets[a + 1] - offsets[a]);
+    }
+    const std::size_t total = offsets[num_arrays];
+    if (keys.size() < total || (kPairs && values.size() < total)) {
+        throw std::invalid_argument(std::string(where) + ": buffers smaller than the offsets");
+    }
+    if (opts.bucket_target == 0) throw std::invalid_argument("bucket_target must be >= 1");
+    if (!(opts.sampling_rate > 0.0) || opts.sampling_rate > 1.0) {
+        throw std::invalid_argument("sampling_rate must be in (0, 1]");
+    }
+    stats.num_arrays = num_arrays;
+    stats.array_size = max_n;
+    stats.data_bytes = kPlanes * total * sizeof(T);
+    if (max_n == 0) return stats;
+
+    const auto& props = device.props();
+    const std::size_t max_p =
+        std::clamp<std::size_t>(max_n / opts.bucket_target, 1, props.max_threads_per_block);
+    stats.buckets_per_array = max_p;
+    const std::size_t shared_need = fused_shared_bytes(max_n, max_p, kPlanes, sizeof(T));
+    if (shared_need > props.shared_memory_per_block) {
+        throw std::invalid_argument(
+            std::string(where) + ": an array is too large for shared-memory staging (" +
+            std::to_string(max_n) + " elements need " + std::to_string(shared_need) +
+            " B of " + std::to_string(props.shared_memory_per_block) + " B)");
+    }
+
+    const auto key_span = keys.subspan(0, total);
+    const auto val_span = kPairs ? values.subspan(0, total) : std::span<T>{};
+    // Multiset checksums (key+payload for pairs), taken host-side before any
+    // launch or mutation — the descending negation included — so no injected
+    // fault can poison the baseline; verified after the negate-back below.
+    std::vector<std::uint64_t> expected;
+    if (opts.verify_output) {
+        if constexpr (kPairs) {
+            expected = resilient::host_pair_csr_checksums<T>(
+                std::span<const T>(key_span), std::span<const T>(val_span), offsets);
+        } else {
+            expected = resilient::host_csr_checksums<T>(std::span<const T>(key_span), offsets);
+        }
+    }
+    const bool descending = opts.order == SortOrder::Descending;
+    const auto negate = [&] {
+        const auto k = negate_on_device(device, key_span);
+        stats.extra.modeled_ms += k.modeled_ms;
+        stats.extra.wall_ms += k.wall_ms;
+    };
+    if (descending) negate();
+    const simt::KernelStats k = fused_sort<T, kPairs>(device, keys, values, offsets,
+                                                      static_cast<unsigned>(max_p), opts);
+    stats.phase2 = {k.modeled_ms, k.wall_ms};  // the fused kernel reports as one phase
     stats.phase3_imbalance = k.imbalance;
     stats.peak_device_bytes = device.memory().peak_bytes_in_use();
+    if (descending) negate();
+
+    if (opts.verify_output) {
+        const std::span<const T> ck(key_span);
+        const std::span<const T> cv(val_span);
+        resilient::VerifyCounts vc;
+        if constexpr (kPairs) {
+            vc = uniform_size > 0
+                     ? resilient::verify_pair_rows_on_device<T>(device, ck, cv, num_arrays,
+                                                                uniform_size, opts.order,
+                                                                expected)
+                     : resilient::verify_pair_csr_on_device<T>(device, ck, cv, offsets,
+                                                               opts.order, expected);
+        } else {
+            vc = resilient::verify_csr_on_device<T>(device, ck, offsets, opts.order, expected);
+        }
+        stats.verify.modeled_ms += vc.modeled_ms;
+        stats.verify.wall_ms += vc.wall_ms;
+        if (!vc.ok()) throw resilient::VerifyError(where, vc.unsorted, vc.mismatched);
+    }
     return stats;
 }
 
-}  // namespace
+template SortStats sort_csr_on_device<float, false>(simt::Device&, std::span<float>,
+                                                    std::span<float>,
+                                                    std::span<const std::uint64_t>,
+                                                    const Options&, const char*, std::size_t);
+template SortStats sort_csr_on_device<float, true>(simt::Device&, std::span<float>,
+                                                   std::span<float>,
+                                                   std::span<const std::uint64_t>,
+                                                   const Options&, const char*, std::size_t);
+template SortStats sort_csr_on_device<double, true>(simt::Device&, std::span<double>,
+                                                    std::span<double>,
+                                                    std::span<const std::uint64_t>,
+                                                    const Options&, const char*, std::size_t);
+
+}  // namespace detail
 
 template <typename T>
 SortStats sort_pairs_on_device(simt::Device& device, simt::DeviceBuffer<T>& keys,
@@ -284,47 +366,10 @@ SortStats sort_pairs_on_device(simt::Device& device, simt::DeviceBuffer<T>& keys
         throw std::invalid_argument("sort_pairs_on_device: buffers smaller than N x n");
     }
     if (num_arrays == 0 || array_size == 0) return {};
-    auto key_span = keys.span().subspan(0, num_arrays * array_size);
-    auto val_span = values.span().subspan(0, num_arrays * array_size);
-    const bool descending = opts.order == SortOrder::Descending;
-    SortStats extra;
-    // Key+payload multiset checksums, taken host-side before any launch or
-    // mutation (the descending negation included) so no injected fault can
-    // poison the baseline; verified after the negate-back below.
-    std::vector<std::uint64_t> expected;
-    if (opts.verify_output) {
-        expected = resilient::host_pair_row_checksums<T>(
-            std::span<const T>(key_span), std::span<const T>(val_span), num_arrays,
-            array_size);
-    }
-    if (descending) {
-        const auto k = negate_on_device(device, key_span);
-        extra.extra.modeled_ms += k.modeled_ms;
-        extra.extra.wall_ms += k.wall_ms;
-    }
-    auto stats = fused_pair_sort(device, keys.span(), values.span(), num_arrays, array_size,
-                                 opts, [array_size](std::size_t a) {
-                                     return Extent{a * array_size, array_size};
-                                 });
-    if (descending) {
-        const auto k = negate_on_device(device, key_span);
-        extra.extra.modeled_ms += k.modeled_ms;
-        extra.extra.wall_ms += k.wall_ms;
-    }
-    stats.extra = extra.extra;
-    stats.verify = extra.verify;
-    stats.data_bytes = 2 * num_arrays * array_size * sizeof(T);
-    if (opts.verify_output) {
-        const auto vc = resilient::verify_pair_rows_on_device<T>(
-            device, std::span<const T>(key_span), std::span<const T>(val_span), num_arrays,
-            array_size, opts.order, expected);
-        stats.verify.modeled_ms += vc.modeled_ms;
-        stats.verify.wall_ms += vc.wall_ms;
-        if (!vc.ok()) {
-            throw resilient::VerifyError("gpu_pair_sort", vc.unsorted, vc.mismatched);
-        }
-    }
-    return stats;
+    std::vector<std::uint64_t> offsets(num_arrays + 1);
+    for (std::size_t a = 0; a <= num_arrays; ++a) offsets[a] = a * array_size;
+    return detail::sort_csr_on_device<T, true>(device, keys.span(), values.span(), offsets,
+                                               opts, "sort_pairs_on_device", array_size);
 }
 
 template <typename T>
@@ -353,55 +398,8 @@ SortStats sort_ragged_pairs_on_device(simt::Device& device, simt::DeviceBuffer<T
                                       simt::DeviceBuffer<T>& values,
                                       std::span<const std::uint64_t> offsets,
                                       const Options& opts) {
-    if (offsets.size() < 2) return {};
-    const std::size_t num_arrays = offsets.size() - 1;
-    std::size_t max_n = 0;
-    for (std::size_t a = 0; a < num_arrays; ++a) {
-        if (offsets[a + 1] < offsets[a]) {
-            throw std::invalid_argument("sort_ragged_pairs_on_device: offsets not ascending");
-        }
-        max_n = std::max<std::size_t>(max_n, offsets[a + 1] - offsets[a]);
-    }
-    if (keys.size() < offsets[num_arrays] || values.size() < offsets[num_arrays]) {
-        throw std::invalid_argument("sort_ragged_pairs_on_device: buffers too small");
-    }
-    auto key_span = keys.span().subspan(0, offsets[num_arrays]);
-    auto val_span = values.span().subspan(0, offsets[num_arrays]);
-    const bool descending = opts.order == SortOrder::Descending;
-    SortStats extra;
-    std::vector<std::uint64_t> expected;
-    if (opts.verify_output) {
-        expected = resilient::host_pair_csr_checksums<T>(
-            std::span<const T>(key_span), std::span<const T>(val_span), offsets);
-    }
-    if (descending && !key_span.empty()) {
-        const auto k = negate_on_device(device, key_span);
-        extra.extra.modeled_ms += k.modeled_ms;
-        extra.extra.wall_ms += k.wall_ms;
-    }
-    auto stats = fused_pair_sort(device, keys.span(), values.span(), num_arrays, max_n, opts,
-                                 [offsets](std::size_t a) {
-                                     return Extent{offsets[a], offsets[a + 1] - offsets[a]};
-                                 });
-    if (descending && !key_span.empty()) {
-        const auto k = negate_on_device(device, key_span);
-        extra.extra.modeled_ms += k.modeled_ms;
-        extra.extra.wall_ms += k.wall_ms;
-    }
-    stats.extra = extra.extra;
-    stats.verify = extra.verify;
-    stats.data_bytes = 2 * offsets[num_arrays] * sizeof(T);
-    if (opts.verify_output) {
-        const auto vc = resilient::verify_pair_csr_on_device<T>(
-            device, std::span<const T>(key_span), std::span<const T>(val_span), offsets,
-            opts.order, expected);
-        stats.verify.modeled_ms += vc.modeled_ms;
-        stats.verify.wall_ms += vc.wall_ms;
-        if (!vc.ok()) {
-            throw resilient::VerifyError("gpu_ragged_pair_sort", vc.unsorted, vc.mismatched);
-        }
-    }
-    return stats;
+    return detail::sort_csr_on_device<T, true>(device, keys.span(), values.span(), offsets,
+                                               opts, "sort_ragged_pairs_on_device");
 }
 
 template <typename T>

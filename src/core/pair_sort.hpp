@@ -18,7 +18,8 @@ namespace gas {
 /// on the device instead of re-sorting pairs on the host.
 ///
 /// Implementation: the same three-phase sample sort as gpu_array_sort, fused
-/// into one kernel per the ragged design — splitters, counts and cursors
+/// into one kernel (`gas.pair_sort_fused`) — the same kernel body as
+/// gpu_ragged_sort with a second staged plane: splitters, counts and cursors
 /// stay in shared memory, the value array is permuted alongside the keys,
 /// and no temporary global memory is allocated.  Pairs with equal keys keep
 /// no particular order (sample sort is not stable).  Requires each array

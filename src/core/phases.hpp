@@ -44,10 +44,6 @@ template <typename T>
     }
 }
 
-/// Float aliases kept for existing call sites and tests.
-inline constexpr float kLowSentinel = -std::numeric_limits<float>::infinity();
-inline constexpr float kHighSentinel = std::numeric_limits<float>::infinity();
-
 /// Bucket membership predicate.  Buckets partition by half-open intervals
 /// (lo, hi], with bucket 0 inclusive at lo so that values equal to the low
 /// sentinel (e.g. -inf, or 0 for unsigned types) are not lost.  Exactly one

@@ -15,11 +15,16 @@ namespace gas {
 /// occupies values[offsets[i], offsets[i+1])), in place on the device.
 ///
 /// Implementation note: because each block owns one array end to end, the
-/// three phases fuse into a single kernel whose splitters, counts and bucket
-/// offsets never leave shared memory — zero temporary global memory, an even
-/// stronger in-place property than the uniform driver.  Requires every array
-/// to fit the 48 KB shared staging area (about 10k floats after bookkeeping);
-/// throws std::invalid_argument otherwise.
+/// three phases fuse into a single kernel (`gas.ragged_fused`) whose
+/// splitters, counts and bucket offsets never leave shared memory — zero
+/// temporary global memory, an even stronger in-place property than the
+/// uniform driver.  It is the keys-only instance of the fused kernel the
+/// key/value sorters run (pair_sort.hpp), so it honours every Options field
+/// they do: Descending order (negation around the launch), verify_output,
+/// and std::invalid_argument for a zero bucket_target or a sampling_rate
+/// outside (0, 1].  Requires every array to fit the 48 KB shared staging
+/// area (about 10k floats after bookkeeping); throws std::invalid_argument
+/// otherwise.
 SortStats sort_ragged_on_device(simt::Device& device, simt::DeviceBuffer<float>& values,
                                 std::span<const std::uint64_t> offsets,
                                 const Options& opts = {});

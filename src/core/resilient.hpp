@@ -182,9 +182,10 @@ struct RetryPolicy {
 }
 
 // ---------------------------------------------------------------------------
-// Device-side checksum / verify kernels.
+// Device-side verify kernels.
 //
-// One thread per row, kPack rows per block (the small-array path's packing).
+// One thread per row, kRowsPerBlock rows per block.  The checksum baseline
+// they compare against comes from the host (see host_row_checksums above).
 // Verification is a real kernel launch with modeled cost, so enabling
 // Options::verify_output shows up honestly in modeled time (SortStats::verify)
 // — and so an injected corruption arriving *before* the verify launch is
@@ -208,39 +209,6 @@ inline constexpr unsigned kRowsPerBlock = 256;
 
 /// `row(r)` yields {keys, values} spans for row r (values empty when the
 /// workload is keys-only).
-template <typename T, typename RowFn>
-simt::KernelStats checksum_kernel(simt::Device& device, const char* name,
-                                  std::size_t num_rows, RowFn row,
-                                  std::span<std::uint64_t> out) {
-    if (num_rows == 0) return {};
-    const simt::LaunchConfig cfg{
-        name, static_cast<unsigned>((num_rows + kRowsPerBlock - 1) / kRowsPerBlock),
-        kRowsPerBlock};
-    return device.launch(cfg, [&](simt::BlockCtx& blk) {
-        const auto checksum_lane = [&](simt::ThreadCtx& tc) {
-            const std::size_t r =
-                static_cast<std::size_t>(blk.block_idx()) * kRowsPerBlock + tc.tid();
-            if (r >= num_rows) return;
-            const auto [keys, values] = row(r);
-            std::uint64_t sum = 0;
-            if (values.empty()) {
-                for (const T v : keys) sum += elem_hash(v);
-            } else {
-                for (std::size_t i = 0; i < keys.size(); ++i) {
-                    sum += pair_hash(keys[i], values[i]);
-                }
-            }
-            out[r] = sum;
-            tc.ops(3ull * keys.size());
-            // A per-lane linear scan consumes every byte of every DRAM
-            // segment it touches — streaming bandwidth, not scattered access.
-            tc.global_coalesced(keys.size_bytes() + values.size_bytes() +
-                                sizeof(std::uint64_t));
-        };
-        blk.for_each_warp([&](simt::WarpCtx& wc) { wc.for_lanes(checksum_lane); });
-    });
-}
-
 template <typename T, typename RowFn>
 VerifyCounts verify_kernel(simt::Device& device, const char* name, std::size_t num_rows,
                            RowFn row, SortOrder order,
@@ -277,8 +245,8 @@ VerifyCounts verify_kernel(simt::Device& device, const char* name, std::size_t n
             if (sum != expected[r]) flags |= 2;
             row_fail[r] = flags;
             tc.ops(4ull * keys.size());
-            // Streaming row scan: charge bandwidth, not per-element segments
-            // (see checksum_kernel above).
+            // A per-lane linear scan consumes every byte of every DRAM
+            // segment it touches — streaming bandwidth, not scattered access.
             tc.global_coalesced(keys.size_bytes() + values.size_bytes() +
                                 sizeof(std::uint64_t) + sizeof(std::uint8_t));
         };
@@ -320,15 +288,6 @@ struct CsrRows {
 
 }  // namespace detail
 
-/// Pre-sort checksums for `num_rows` uniform rows of `row_size` elements.
-template <typename T>
-simt::KernelStats checksum_rows_on_device(simt::Device& device, std::span<const T> data,
-                                          std::size_t num_rows, std::size_t row_size,
-                                          std::span<std::uint64_t> out) {
-    return detail::checksum_kernel<T>(device, "gas.checksum", num_rows,
-                                      detail::UniformRows<T>{data, row_size, {}}, out);
-}
-
 /// Post-sort verification of uniform rows: order per `order`, multiset
 /// checksum per row against `expected`.  `row_fail` (optional) receives per
 /// row: bit 0 = unsorted, bit 1 = checksum mismatch.
@@ -342,16 +301,7 @@ VerifyCounts verify_rows_on_device(simt::Device& device, std::span<const T> data
                                     expected, row_fail);
 }
 
-/// CSR (ragged) variants: row i spans values[offsets[i], offsets[i+1]).
-template <typename T>
-simt::KernelStats checksum_csr_on_device(simt::Device& device, std::span<const T> data,
-                                         std::span<const std::uint64_t> offsets,
-                                         std::span<std::uint64_t> out) {
-    const std::size_t rows = offsets.empty() ? 0 : offsets.size() - 1;
-    return detail::checksum_kernel<T>(device, "gas.checksum_csr", rows,
-                                      detail::CsrRows<T>{data, offsets, {}}, out);
-}
-
+/// CSR (ragged) variant: row i spans data[offsets[i], offsets[i+1]).
 template <typename T>
 VerifyCounts verify_csr_on_device(simt::Device& device, std::span<const T> data,
                                   std::span<const std::uint64_t> offsets, SortOrder order,
@@ -366,15 +316,6 @@ VerifyCounts verify_csr_on_device(simt::Device& device, std::span<const T> data,
 /// Key/value variants: the checksum binds each key to its payload, so a
 /// payload that stops traveling with its key is detected, not just key loss.
 template <typename T>
-simt::KernelStats checksum_pair_rows_on_device(simt::Device& device, std::span<const T> keys,
-                                               std::span<const T> values, std::size_t num_rows,
-                                               std::size_t row_size,
-                                               std::span<std::uint64_t> out) {
-    return detail::checksum_kernel<T>(device, "gas.checksum_pairs", num_rows,
-                                      detail::UniformRows<T>{keys, row_size, values}, out);
-}
-
-template <typename T>
 VerifyCounts verify_pair_rows_on_device(simt::Device& device, std::span<const T> keys,
                                         std::span<const T> values, std::size_t num_rows,
                                         std::size_t row_size, SortOrder order,
@@ -383,16 +324,6 @@ VerifyCounts verify_pair_rows_on_device(simt::Device& device, std::span<const T>
     return detail::verify_kernel<T>(device, "gas.verify_pairs", num_rows,
                                     detail::UniformRows<T>{keys, row_size, values}, order,
                                     expected, row_fail);
-}
-
-template <typename T>
-simt::KernelStats checksum_pair_csr_on_device(simt::Device& device, std::span<const T> keys,
-                                              std::span<const T> values,
-                                              std::span<const std::uint64_t> offsets,
-                                              std::span<std::uint64_t> out) {
-    const std::size_t rows = offsets.empty() ? 0 : offsets.size() - 1;
-    return detail::checksum_kernel<T>(device, "gas.checksum_pairs_csr", rows,
-                                      detail::CsrRows<T>{keys, offsets, values}, out);
 }
 
 template <typename T>

@@ -17,10 +17,7 @@ using Clock = std::chrono::steady_clock;
 /// serving layer speaks.
 enum class JobKind : std::uint8_t {
     Uniform,  ///< num_arrays x array_size rows in `values`
-    /// CSR: `offsets` (N+1 entries) into `values`.  Ascending only: the fused
-    /// ragged kernel has no descending form, so submit() rejects a ragged job
-    /// with SortOrder::Descending.
-    Ragged,
+    Ragged,   ///< CSR: `offsets` (N+1 entries) into `values`
     Pairs,    ///< num_arrays x array_size keys in `values`, payload alongside
 };
 

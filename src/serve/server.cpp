@@ -124,9 +124,6 @@ void validate_job(const Job& job) {
             }
             break;
         case JobKind::Ragged: {
-            if (job.opts.order == SortOrder::Descending) {
-                throw std::invalid_argument("serve: ragged jobs sort ascending only");
-            }
             for (std::size_t i = 1; i < job.offsets.size(); ++i) {
                 if (job.offsets[i] < job.offsets[i - 1]) {
                     throw std::invalid_argument("serve: ragged offsets not ascending");
@@ -1143,10 +1140,8 @@ void Server::execute_batch(Shard& shard, std::vector<PendingPtr>& batch) {
                         device, kspan, total_arrays, n, opts.order, expected, row_fail);
                     break;
                 case JobKind::Ragged:
-                    // The ragged kernel sorts ascending only (validate_job
-                    // rejects Descending ragged jobs).
-                    vc = resilient::verify_csr_on_device<float>(
-                        device, kspan, offsets, SortOrder::Ascending, expected, row_fail);
+                    vc = resilient::verify_csr_on_device<float>(device, kspan, offsets,
+                                                                opts.order, expected, row_fail);
                     break;
                 case JobKind::Pairs:
                     vc = resilient::verify_pair_rows_on_device<float>(

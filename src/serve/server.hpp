@@ -188,7 +188,7 @@ class Server {
     /// Submits a job.  Returns a ticket whose future resolves to the
     /// Response (including rejections — the future always resolves).
     /// Throws std::invalid_argument for malformed jobs (undersized buffers,
-    /// non-ascending offsets, a descending ragged job).
+    /// non-ascending offsets).
     Ticket submit(Job job);
 
     /// Removes a still-queued request; true on success, false when it

@@ -58,14 +58,17 @@ RadixStats stable_sort_by_key(simt::Device& device, std::span<std::uint64_t> key
 RadixStats stable_sort(simt::Device& device, std::span<std::uint64_t> keys,
                        const RadixOptions& opts = {});
 
-/// device_vector conveniences.
+/// device_vector conveniences.  An empty vector may have no device, so it
+/// returns before touching one.
 inline RadixStats stable_sort_by_key(device_vector<std::uint32_t>& keys,
                                      device_vector<std::uint32_t>& values,
                                      const RadixOptions& opts = {}) {
+    if (keys.empty()) return {};
     return stable_sort_by_key(*keys.device(), keys.span(), values.span(), opts);
 }
 inline RadixStats stable_sort(device_vector<std::uint32_t>& keys,
                               const RadixOptions& opts = {}) {
+    if (keys.empty()) return {};
     return stable_sort(*keys.device(), keys.span(), opts);
 }
 

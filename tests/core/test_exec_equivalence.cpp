@@ -166,7 +166,7 @@ void golden_sweep(F fn, std::uint64_t golden) {
     }
 }
 
-// --- the 15 sweep workloads, shared by both sweeps -------------------------
+// --- the 17 sweep workloads, shared by both sweeps -------------------------
 
 std::vector<float> wl_array_sort_verify(simt::Device& dev) {
     auto ds = workload::make_dataset(16, 500);
@@ -259,6 +259,34 @@ std::vector<float> wl_ragged_pair_sort(simt::Device& dev) {
     return out;
 }
 
+std::vector<float> wl_ragged_sort_verify(simt::Device& dev) {
+    auto ds = workload::make_ragged_dataset(12, 16, 512, workload::Distribution::Normal, 9);
+    std::vector<std::uint64_t> offsets(ds.offsets.begin(), ds.offsets.end());
+    gas::Options opts;
+    opts.verify_output = true;  // covers gas.verify_csr
+    gas::gpu_ragged_sort(dev, ds.values, offsets, opts);
+    return ds.values;
+}
+
+std::vector<double> wl_ragged_pair_sort_double_descending(simt::Device& dev) {
+    auto ds =
+        workload::make_ragged_dataset(10, 16, 256, workload::Distribution::Uniform, 11);
+    std::vector<double> keys(ds.values.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        // Sub-float-precision offsets make the double keys matter.
+        keys[i] = static_cast<double>(ds.values[i]) + 1e-12 * static_cast<double>(i);
+    }
+    std::vector<double> vals(keys.rbegin(), keys.rend());
+    std::vector<std::uint64_t> offsets(ds.offsets.begin(), ds.offsets.end());
+    gas::Options opts;
+    opts.order = gas::SortOrder::Descending;
+    opts.verify_output = true;  // covers gas.verify_pairs_csr
+    gas::gpu_ragged_pair_sort(dev, std::span<double>(keys), std::span<double>(vals), offsets,
+                              opts);
+    keys.insert(keys.end(), vals.begin(), vals.end());
+    return keys;
+}
+
 gas::Options hybrid_forced() {
     gas::Options opts;
     opts.phase3_small_cutoff = 16;
@@ -338,6 +366,10 @@ TEST(ExecEquivalence, GlobalScratchFallback) { exec_sweep(wl_global_scratch); }
 TEST(ExecEquivalence, PairSort) { exec_sweep(wl_pair_sort); }
 TEST(ExecEquivalence, RaggedSort) { exec_sweep(wl_ragged_sort); }
 TEST(ExecEquivalence, RaggedPairSort) { exec_sweep(wl_ragged_pair_sort); }
+TEST(ExecEquivalence, RaggedSortWithVerify) { exec_sweep(wl_ragged_sort_verify); }
+TEST(ExecEquivalence, RaggedPairSortDoubleDescending) {
+    exec_sweep(wl_ragged_pair_sort_double_descending);
+}
 TEST(ExecEquivalence, HybridSkewArraySort) { exec_sweep(wl_hybrid_skew_array); }
 TEST(ExecEquivalence, HybridSkewRaggedSort) { exec_sweep(wl_hybrid_skew_ragged); }
 TEST(ExecEquivalence, HybridSkewPairSort) { exec_sweep(wl_hybrid_skew_pair); }
@@ -374,6 +406,12 @@ TEST(GraphEquivalence, PairSort) { golden_sweep(wl_pair_sort, 0x985a517d4d30636d
 TEST(GraphEquivalence, RaggedSort) { golden_sweep(wl_ragged_sort, 0x479eef9ebce1e649ull); }
 TEST(GraphEquivalence, RaggedPairSort) {
     golden_sweep(wl_ragged_pair_sort, 0xa9e6f1c843daab59ull);
+}
+TEST(GraphEquivalence, RaggedSortWithVerify) {
+    golden_sweep(wl_ragged_sort_verify, 0xd4532550e2b649c5ull);
+}
+TEST(GraphEquivalence, RaggedPairSortDoubleDescending) {
+    golden_sweep(wl_ragged_pair_sort_double_descending, 0x0110ffab5afebed9ull);
 }
 TEST(GraphEquivalence, HybridSkewArraySort) {
     golden_sweep(wl_hybrid_skew_array, 0x2def1f21057fc591ull);

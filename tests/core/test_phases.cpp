@@ -64,8 +64,8 @@ TEST(SplitterPhase, EmitsSentinelsAndSortedInteriorSplitters) {
     const auto sp = s.splitters.span();
     for (std::size_t a = 0; a < ds.num_arrays; ++a) {
         const auto row = sp.subspan(a * s.plan.splitters_per_array, s.plan.splitters_per_array);
-        EXPECT_EQ(row.front(), gas::detail::kLowSentinel) << a;
-        EXPECT_EQ(row.back(), gas::detail::kHighSentinel) << a;
+        EXPECT_EQ(row.front(), gas::detail::low_sentinel<float>()) << a;
+        EXPECT_EQ(row.back(), gas::detail::high_sentinel<float>()) << a;
         EXPECT_TRUE(std::is_sorted(row.begin(), row.end())) << "splitter row " << a;
         // Interior splitters must be actual array values.
         for (std::size_t j = 1; j + 1 < row.size(); ++j) {
@@ -79,8 +79,8 @@ TEST(SplitterPhase, EmitsSentinelsAndSortedInteriorSplitters) {
 TEST(BucketPredicate, PartitionsExactlyOnce) {
     // Property: for any splitter row and any value, exactly one bucket
     // accepts it.
-    const std::vector<float> splitters = {gas::detail::kLowSentinel, 1.0f, 5.0f, 5.0f,
-                                          gas::detail::kHighSentinel};
+    const std::vector<float> splitters = {gas::detail::low_sentinel<float>(), 1.0f, 5.0f, 5.0f,
+                                          gas::detail::high_sentinel<float>()};
     const std::vector<float> probes = {-1e30f, 0.0f, 1.0f, 2.0f, 5.0f, 6.0f, 1e30f,
                                        -std::numeric_limits<float>::infinity(),
                                        std::numeric_limits<float>::infinity()};

@@ -66,6 +66,32 @@ TEST(RaggedSort, RejectsOversizedArrays) {
     EXPECT_THROW(gas::sort_ragged_on_device(dev, buf, offsets), std::invalid_argument);
 }
 
+TEST(RaggedSort, RejectsUnusableOptions) {
+    auto dev = make_device();
+    std::vector<float> values = {5, 1, 4, 2, 3, 9, 7, 8};
+    const std::vector<std::uint64_t> offsets = {0, 5, 8};
+    gas::Options no_buckets;
+    no_buckets.bucket_target = 0;
+    EXPECT_THROW(gas::gpu_ragged_sort(dev, values, offsets, no_buckets), std::invalid_argument);
+    for (const double rate : {0.0, -0.5, 1.5}) {
+        gas::Options bad_rate;
+        bad_rate.sampling_rate = rate;
+        EXPECT_THROW(gas::gpu_ragged_sort(dev, values, offsets, bad_rate), std::invalid_argument)
+            << rate;
+    }
+}
+
+TEST(RaggedSort, SortsDescending) {
+    auto dev = make_device();
+    std::vector<float> values = {5, 1, 4, 2, 3, 9, 7, 8};
+    const std::vector<std::uint64_t> offsets = {0, 5, 8};
+    gas::Options opts;
+    opts.order = gas::SortOrder::Descending;
+    opts.verify_output = true;
+    gas::gpu_ragged_sort(dev, values, offsets, opts);
+    EXPECT_EQ(values, (std::vector<float>{5, 4, 3, 2, 1, 9, 8, 7}));
+}
+
 TEST(RaggedSort, RejectsUndersizedValueBuffer) {
     auto dev = make_device();
     simt::DeviceBuffer<float> buf(dev, 5);

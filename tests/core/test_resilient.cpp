@@ -113,19 +113,6 @@ TEST(RetryPolicy, VerifyErrorCarriesBothArms) {
     EXPECT_NE(std::string(e.what()).find("5 checksum"), std::string::npos);
 }
 
-TEST(VerifyKernels, ChecksumKernelMatchesHostChecksum) {
-    auto dev = make_device();
-    const auto ds = workload::make_dataset(7, 33, workload::Distribution::Uniform, 5);
-    std::vector<std::uint64_t> out(ds.num_arrays, 0);
-    const auto stats = resilient::checksum_rows_on_device<float>(
-        dev, ds.values, ds.num_arrays, ds.array_size, out);
-    EXPECT_GT(stats.modeled_ms, 0.0);
-    for (std::size_t a = 0; a < ds.num_arrays; ++a) {
-        EXPECT_EQ(out[a], resilient::row_checksum(std::span<const float>(
-                              ds.values.data() + a * ds.array_size, ds.array_size)));
-    }
-}
-
 TEST(VerifyKernels, FlagsUnsortedAndMismatchedArmsIndependently) {
     auto dev = make_device();
     const std::size_t n = 16;
@@ -161,10 +148,8 @@ TEST(VerifyKernels, RespectsDescendingOrderAndCsrGeometry) {
     auto dev = make_device();
     const auto rag = workload::make_ragged_dataset(5, 3, 40, workload::Distribution::Uniform, 7);
     const std::vector<std::uint64_t> offsets(rag.offsets.begin(), rag.offsets.end());
-    std::vector<std::uint64_t> expected(rag.num_arrays());
-    const auto csum = resilient::checksum_csr_on_device<float>(
-        dev, rag.values, offsets, expected);
-    EXPECT_GT(csum.modeled_ms, 0.0);
+    const auto expected =
+        resilient::host_csr_checksums<float>(std::span<const float>(rag.values), offsets);
 
     auto desc = rag.values;
     for (std::size_t a = 0; a < rag.num_arrays(); ++a) {
@@ -190,8 +175,8 @@ TEST(VerifyKernels, PairVariantChecksPayloadBinding) {
     auto ds = workload::make_dataset(rows, n, workload::Distribution::Uniform, 8);
     std::vector<float> payload(rows * n);
     for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<float>(i);
-    std::vector<std::uint64_t> expected(rows);
-    resilient::checksum_pair_rows_on_device<float>(dev, ds.values, payload, rows, n, expected);
+    const auto expected = resilient::host_pair_row_checksums<float>(
+        std::span<const float>(ds.values), std::span<const float>(payload), rows, n);
 
     // Sort each row's pairs by key on the host (the reference permutation).
     std::vector<float> keys = ds.values;
@@ -406,12 +391,8 @@ TEST(VerifiedSort, RaggedAndPairWrappersVerifyAndRetry) {
         auto ds = workload::make_dataset(5, 80, workload::Distribution::Uniform, 14);
         std::vector<float> payload(ds.values.size());
         for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<float>(i);
-        std::vector<std::uint64_t> expected(5);
-        {
-            auto scratch = make_device();
-            resilient::checksum_pair_rows_on_device<float>(scratch, ds.values, payload, 5, 80,
-                                                           expected);
-        }
+        const auto expected = resilient::host_pair_row_checksums<float>(
+            std::span<const float>(ds.values), std::span<const float>(payload), 5, 80);
         Options opts;
         opts.verify_output = true;
         resilient::pair_sort<float>(dev, std::span<float>(ds.values),

@@ -210,6 +210,40 @@ TEST(Server, DescendingOrderIsServed) {
     auto ticket = server.submit(std::move(job));
     server.pump();
     EXPECT_EQ(ticket.result.get().values, expected);
+
+    // Ragged: the device path (fused kernel + verify) and the CPU fallback
+    // (forced by a device too small to stage the job) return the same bytes.
+    const auto rag = workload::make_ragged_dataset(6, 0, 120, workload::Distribution::Normal, 9);
+    Job ragged;
+    ragged.kind = JobKind::Ragged;
+    ragged.values = rag.values;
+    ragged.offsets.assign(rag.offsets.begin(), rag.offsets.end());
+    ragged.opts.order = gas::SortOrder::Descending;
+    auto ragged_expected = ragged.values;
+    for (std::size_t a = 0; a + 1 < ragged.offsets.size(); ++a) {
+        std::sort(ragged_expected.begin() + static_cast<std::ptrdiff_t>(ragged.offsets[a]),
+                  ragged_expected.begin() + static_cast<std::ptrdiff_t>(ragged.offsets[a + 1]),
+                  std::greater<float>());
+    }
+    const auto serve_on = [&](simt::Device& d, const ServerConfig& cfg) {
+        Server s(d, cfg);
+        auto t = s.submit(Job(ragged));
+        s.pump();
+        return t.result.get();
+    };
+    auto verified_cfg = manual_config();
+    verified_cfg.verify_responses = true;
+    auto ragged_dev = make_device();
+    const Response on_device = serve_on(ragged_dev, verified_cfg);
+    ASSERT_TRUE(on_device.ok()) << on_device.error;
+    EXPECT_FALSE(on_device.cpu_fallback);
+    EXPECT_EQ(on_device.values, ragged_expected);
+
+    auto small = make_device(1 << 10);
+    const Response on_cpu = serve_on(small, manual_config());
+    ASSERT_TRUE(on_cpu.ok()) << on_cpu.error;
+    EXPECT_TRUE(on_cpu.cpu_fallback);
+    EXPECT_EQ(on_cpu.values, on_device.values);
 }
 
 TEST(Server, ZeroCapacityQueueRejectsEverything) {
@@ -395,15 +429,6 @@ TEST(Server, MalformedJobsThrow) {
     no_payload.array_size = 8;
     no_payload.values.resize(8);
     EXPECT_THROW((void)server.submit(std::move(no_payload)), std::invalid_argument);
-
-    // The ragged device kernel sorts ascending only; a descending ragged
-    // request would get different bytes from the device and the CPU path.
-    Job ragged_descending;
-    ragged_descending.kind = JobKind::Ragged;
-    ragged_descending.values = {5, 1, 4, 2, 3, 9, 7, 8};
-    ragged_descending.offsets = {0, 5, 8};
-    ragged_descending.opts.order = gas::SortOrder::Descending;
-    EXPECT_THROW((void)server.submit(std::move(ragged_descending)), std::invalid_argument);
 }
 
 TEST(Server, EmptyJobCompletesImmediately) {
