@@ -107,42 +107,25 @@ int main(int argc, char** argv) {
     std::printf("zipf-hot phase-3 lane imbalance: %.1fx baseline -> %.1fx hybrid\n",
                 zipf_imb_base, zipf_imb_hyb);
 
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-        std::fprintf(f, "{\n  \"bench\": \"phase3_skew\",\n");
-        std::fprintf(f, "  \"num_arrays\": %zu,\n  \"array_size\": %zu,\n", num_arrays, n);
-        std::fprintf(f, "  \"distributions\": [\n");
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            const Row& r = rows[i];
-            const double speedup =
-                r.hyb.phase3_ms > 0.0 ? r.base.phase3_ms / r.hyb.phase3_ms : 1.0;
-            std::fprintf(f,
-                         "    {\"name\": \"%s\", "
-                         "\"baseline\": {\"phase3_ms\": %.6f, \"total_ms\": %.6f, "
-                         "\"imbalance\": %.4f}, "
-                         "\"hybrid\": {\"phase3_ms\": %.6f, \"total_ms\": %.6f, "
-                         "\"imbalance\": %.4f}, "
-                         "\"phase3_speedup\": %.4f, \"max_bucket\": %u}%s\n",
-                         r.name.c_str(), r.base.phase3_ms, r.base.total_ms,
-                         r.base.imbalance, r.hyb.phase3_ms, r.hyb.total_ms,
-                         r.hyb.imbalance, speedup, r.base.max_bucket,
-                         i + 1 < rows.size() ? "," : "");
-        }
-        std::fprintf(f, "  ],\n");
-        std::fprintf(f, "  \"gates\": {\n");
-        std::fprintf(f,
-                     "    \"zipf_hot_phase3_speedup\": {\"value\": %.4f, \"min\": 3.0, "
-                     "\"pass\": %s},\n",
-                     zipf_speedup, zipf_pass ? "true" : "false");
-        std::fprintf(f,
-                     "    \"uniform_total_drift\": {\"value\": %.6f, \"max\": 0.02, "
-                     "\"pass\": %s}\n",
-                     uniform_drift, uniform_pass ? "true" : "false");
-        std::fprintf(f, "  }\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s\n", json_path.c_str());
-    } else {
-        std::printf("could not write %s\n", json_path.c_str());
+    obs::Json j;
+    j.begin_object().field("bench", "phase3_skew").field("num_arrays", num_arrays);
+    j.field("array_size", n).array("distributions");
+    const auto write_run = [&j](const char* name, const Run& run) {
+        j.object(name).field("phase3_ms", run.phase3_ms).field("total_ms", run.total_ms);
+        j.field("imbalance", run.imbalance).end_object();
+    };
+    for (const Row& r : rows) {
+        j.begin_object().field("name", r.name);
+        write_run("baseline", r.base);
+        write_run("hybrid", r.hyb);
+        j.field("phase3_speedup", r.hyb.phase3_ms > 0.0 ? r.base.phase3_ms / r.hyb.phase3_ms : 1.0);
+        j.field("max_bucket", r.base.max_bucket).end_object();
     }
+    j.end_array().object("gates").object("zipf_hot_phase3_speedup");
+    j.field("value", zipf_speedup).field("min", 3.0).field("pass", zipf_pass).end_object();
+    j.object("uniform_total_drift").field("value", uniform_drift).field("max", 0.02);
+    j.field("pass", uniform_pass).end_object().end_object().end_object();
+    bench::write_json_file(json_path, j);
 
     const bool inert = bench::verify_sanitize_off_guarantee([](simt::Device& dev) {
         // The skewed distribution exercises the hybrid cooperative path and

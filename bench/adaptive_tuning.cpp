@@ -288,19 +288,6 @@ StreamReport run_stream(const char* label, std::size_t per_regime) {
     return rep;
 }
 
-/// Pulls "\"quick_adaptive_advantage\": <num>" out of a committed baseline.
-double baseline_quick_advantage(const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "r");
-    if (f == nullptr) return 0.0;
-    std::string text(1 << 16, '\0');
-    text.resize(std::fread(text.data(), 1, text.size(), f));
-    std::fclose(f);
-    const char* key = "\"quick_adaptive_advantage\":";
-    const auto pos = text.find(key);
-    if (pos == std::string::npos) return 0.0;
-    return std::strtod(text.c_str() + pos + std::strlen(key), nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -364,7 +351,8 @@ int main(int argc, char** argv) {
 
     bool baseline_pass = true;
     if (!baseline_path.empty()) {
-        const double base = baseline_quick_advantage(baseline_path);
+        const double base =
+            bench::baseline_number(baseline_path, "quick_adaptive_advantage").value_or(0.0);
         if (base <= 0.0) {
             std::printf("baseline: no quick_adaptive_advantage in %s — FAIL\n",
                         baseline_path.c_str());
@@ -379,61 +367,35 @@ int main(int argc, char** argv) {
     }
 
     if (!json_path.empty()) {
-        if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-            const auto arms = [&](const StreamReport& rep) {
-                std::fprintf(f,
-                             "    \"adaptive\": {\"modeled_ms\": %.4f, "
-                             "\"sketch_ms\": %.4f, \"mismatches\": %zu},\n",
-                             rep.adaptive.modeled_ms, rep.adaptive.sketch_ms,
-                             rep.adaptive.mismatches);
-                // "advantage" always follows the last arm, so every arm
-                // takes a comma.
-                for (const auto& arm : rep.statics) {
-                    std::fprintf(f,
-                                 "    \"%s\": {\"modeled_ms\": %.4f, "
-                                 "\"mismatches\": %zu},\n",
-                                 arm.name.c_str(), arm.modeled_ms, arm.mismatches);
-                }
-            };
-            std::fprintf(f, "{\n  \"bench\": \"adaptive_tuning\",\n");
-            std::fprintf(f, "  \"arrays\": %zu,\n  \"array_size\": %zu,\n", kArrays,
-                         kSize);
-            std::fprintf(f, "  \"quick\": {\n");
-            arms(q);
-            std::fprintf(f, "    \"advantage\": %.4f\n  },\n", q.advantage);
-            std::fprintf(f, "  \"quick_adaptive_advantage\": %.4f,\n", q.advantage);
-            if (!quick) {
-                std::fprintf(f, "  \"full\": {\n");
-                arms(full);
-                std::fprintf(f, "    \"advantage\": %.4f,\n", full.advantage);
-                std::fprintf(f, "    \"best_static\": \"%s\"\n  },\n",
-                             full.best_static.c_str());
-                std::fprintf(f, "  \"gates\": {\n");
-                std::fprintf(f,
-                             "    \"adaptive_vs_best_static\": {\"value\": %.4f, "
-                             "\"min\": 1.2, \"pass\": %s},\n",
-                             full.advantage, full.advantage >= 1.2 ? "true" : "false");
-                std::fprintf(f,
-                             "    \"beats_every_static\": {\"pass\": %s},\n",
-                             full.beats_all ? "true" : "false");
-                std::fprintf(f,
-                             "    \"byte_mismatches\": {\"value\": %zu, \"max\": 0, "
-                             "\"pass\": %s},\n",
-                             full.total_mismatches,
-                             full.total_mismatches == 0 ? "true" : "false");
-                std::fprintf(f,
-                             "    \"sketch_overhead\": {\"value_ms\": %.4f, "
-                             "\"max_share\": 0.05, \"pass\": true}\n",
-                             full.adaptive.sketch_ms);
-                std::fprintf(f, "  },\n");
+        obs::Json j;
+        const auto arms = [&j](const StreamReport& rep) {
+            j.object("adaptive").field("modeled_ms", rep.adaptive.modeled_ms);
+            j.field("sketch_ms", rep.adaptive.sketch_ms);
+            j.field("mismatches", rep.adaptive.mismatches).end_object();
+            for (const auto& arm : rep.statics) {
+                j.object(arm.name).field("modeled_ms", arm.modeled_ms);
+                j.field("mismatches", arm.mismatches).end_object();
             }
-            std::fprintf(f, "  \"pass\": %s\n}\n", ok ? "true" : "false");
-            std::fclose(f);
-            std::printf("wrote %s\n", json_path.c_str());
-        } else {
-            std::printf("could not write %s\n", json_path.c_str());
-            ok = false;
+            j.field("advantage", rep.advantage);
+        };
+        j.begin_object().field("bench", "adaptive_tuning").field("arrays", kArrays);
+        j.field("array_size", kSize).object("quick");
+        arms(q);
+        j.end_object().field("quick_adaptive_advantage", q.advantage);
+        if (!quick) {
+            j.object("full");
+            arms(full);
+            j.field("best_static", full.best_static).end_object().object("gates");
+            j.object("adaptive_vs_best_static").field("value", full.advantage);
+            j.field("min", 1.2).field("pass", full.advantage >= 1.2).end_object();
+            j.object("beats_every_static").field("pass", full.beats_all).end_object();
+            j.object("byte_mismatches").field("value", full.total_mismatches);
+            j.field("max", 0).field("pass", full.total_mismatches == 0).end_object();
+            j.object("sketch_overhead").field("value_ms", full.adaptive.sketch_ms);
+            j.field("max_share", 0.05).field("pass", true).end_object().end_object();
         }
+        j.field("pass", ok).end_object();
+        ok = bench::write_json_file(json_path, j) && ok;
     }
 
     return ok ? 0 : 1;

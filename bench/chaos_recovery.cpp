@@ -220,59 +220,32 @@ int main(int argc, char** argv) {
                     soak_served, soak_bad, soak_requests, soak_pass ? "PASS" : "FAIL");
     }
 
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-        std::fprintf(f, "{\n  \"bench\": \"chaos_recovery\",\n");
-        std::fprintf(f, "  \"requests\": %zu,\n  \"arrays_per_request\": %zu,\n", requests,
-                     kArraysPerRequest);
-        std::fprintf(f, "  \"array_size\": %zu,\n", kArraySize);
-        std::fprintf(f,
-                     "  \"plan\": {\"seed\": 7, \"alloc_fail_every\": 50, "
-                     "\"corrupt_every\": 200, \"detected\": false},\n");
-        std::fprintf(f,
-                     "  \"faults\": {\"fired\": %llu, \"corruptions\": %llu, "
-                     "\"alloc_failures\": %llu, \"suppressed\": %llu},\n",
-                     static_cast<unsigned long long>(chaos.faults.fired()),
-                     static_cast<unsigned long long>(chaos.faults.corruptions),
-                     static_cast<unsigned long long>(chaos.faults.alloc_failures),
-                     static_cast<unsigned long long>(chaos.faults.suppressed));
-        std::fprintf(f,
-                     "  \"recovery\": {\"retries\": %llu, \"alloc_retries\": %llu, "
-                     "\"quarantined\": %llu, \"verify_failures\": %llu, "
-                     "\"retry_backoff_ms\": %.6f},\n",
-                     static_cast<unsigned long long>(chaos.stats.retries),
-                     static_cast<unsigned long long>(chaos.stats.alloc_retries),
-                     static_cast<unsigned long long>(chaos.stats.quarantined),
-                     static_cast<unsigned long long>(chaos.stats.verify_failures),
-                     chaos.stats.retry_backoff_ms);
-        std::fprintf(f,
-                     "  \"modeled_kernel_ms\": {\"clean\": %.6f, \"verified\": %.6f, "
-                     "\"chaos\": %.6f},\n",
-                     clean.stats.modeled_kernel_ms, verified.stats.modeled_kernel_ms,
-                     chaos.stats.modeled_kernel_ms);
-        std::fprintf(f, "  \"gates\": {\n");
-        std::fprintf(f,
-                     "    \"termination\": {\"unrecovered\": %zu, \"max\": 0, \"pass\": "
-                     "%s},\n",
-                     chaos.not_ok, termination_pass ? "true" : "false");
-        std::fprintf(f,
-                     "    \"integrity\": {\"mismatches\": %zu, \"max\": 0, \"pass\": %s},\n",
-                     mismatches, integrity_pass ? "true" : "false");
-        std::fprintf(f,
-                     "    \"verify_overhead\": {\"fraction\": %.6f, \"max\": 0.10, "
-                     "\"pass\": %s},\n",
-                     overhead, overhead_pass ? "true" : "false");
-        std::fprintf(f,
-                     "    \"soak\": {\"served\": %zu, \"bad\": %zu, \"faults_fired\": "
-                     "%llu, \"ran\": %s, \"pass\": %s}\n",
-                     soak_served, soak_bad,
-                     static_cast<unsigned long long>(soak_faults),
-                     soak_requests > 0 ? "true" : "false", soak_pass ? "true" : "false");
-        std::fprintf(f, "  }\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s\n", json_path.c_str());
-    } else {
-        std::printf("could not write %s\n", json_path.c_str());
-    }
+    obs::Json j;
+    j.begin_object().field("bench", "chaos_recovery").field("requests", requests);
+    j.field("arrays_per_request", kArraysPerRequest).field("array_size", kArraySize);
+    j.object("plan").field("seed", plan.seed).field("alloc_fail_every", plan.alloc_fail_every);
+    j.field("corrupt_every", plan.corrupt_every).field("detected", plan.detected);
+    j.end_object().object("faults").field("fired", chaos.faults.fired());
+    j.field("corruptions", chaos.faults.corruptions);
+    j.field("alloc_failures", chaos.faults.alloc_failures);
+    j.field("suppressed", chaos.faults.suppressed).end_object();
+    const gas::serve::ServerStats& cs = chaos.stats;
+    j.object("recovery").field("retries", cs.retries).field("alloc_retries", cs.alloc_retries);
+    j.field("quarantined", cs.quarantined).field("verify_failures", cs.verify_failures);
+    j.field("retry_backoff_ms", cs.retry_backoff_ms).end_object();
+    j.object("modeled_kernel_ms").field("clean", clean.stats.modeled_kernel_ms);
+    j.field("verified", verified.stats.modeled_kernel_ms);
+    j.field("chaos", cs.modeled_kernel_ms).end_object().object("gates");
+    j.object("termination").field("unrecovered", chaos.not_ok).field("max", 0);
+    j.field("pass", termination_pass).end_object();
+    j.object("integrity").field("mismatches", mismatches).field("max", 0);
+    j.field("pass", integrity_pass).end_object();
+    j.object("verify_overhead").field("fraction", overhead).field("max", 0.10);
+    j.field("pass", overhead_pass).end_object();
+    j.object("soak").field("served", soak_served).field("bad", soak_bad);
+    j.field("faults_fired", soak_faults).field("ran", soak_requests > 0);
+    j.field("pass", soak_pass).end_object().end_object().end_object();
+    bench::write_json_file(json_path, j);
 
     // The verify kernels must be untouched by the sanitizer machinery, like
     // every other bench's workload.

@@ -10,10 +10,14 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "simt/cost_model.hpp"
 #include "simt/device.hpp"
 
@@ -101,6 +105,25 @@ class CsvWriter {
   private:
     std::FILE* file_ = nullptr;
 };
+
+/// Writes `doc` and a trailing newline to `path`, and says so on stdout;
+/// false when the file could not be written.
+inline bool write_json_file(const std::string& path, const obs::Json& doc) {
+    std::ofstream out(path);
+    out << doc.str() << '\n';
+    out.close();
+    std::printf("%s %s\n", out ? "wrote" : "could not write", path.c_str());
+    return static_cast<bool>(out);
+}
+
+/// The top-level number `key` of the JSON file at `path` (a committed bench
+/// baseline); std::nullopt when the file or the key is missing.
+inline std::optional<double> baseline_number(const std::string& path, const char* key) {
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return obs::read_number(text.str(), key);
+}
 
 /// N grid for the runtime figures.  Paper: 5e4 .. 2e5; default: 1/40 of it,
 /// which preserves the linear-in-N shape (one block per array).

@@ -250,73 +250,39 @@ int main(int argc, char** argv) {
                     soak_served, soak_bad, soak_requests, soak_pass ? "PASS" : "FAIL");
     }
 
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-        std::fprintf(f, "{\n  \"bench\": \"fleet_scaling\",\n");
-        std::fprintf(f, "  \"requests\": %zu,\n  \"arrays_per_request\": %zu,\n", requests,
-                     kArraysPerRequest);
-        std::fprintf(f, "  \"array_size\": %zu,\n  \"quick\": %s,\n", kArraySize,
-                     quick ? "true" : "false");
-        std::fprintf(f, "  \"scaling\": [\n");
-        for (std::size_t i = 0; i < device_grid.size(); ++i) {
-            std::fprintf(f,
-                         "    {\"devices\": %zu, \"modeled_overlap_ms\": %.6f, "
-                         "\"speedup\": %.4f}%s\n",
-                         device_grid[i], overlap_ms[i], speedups[i],
-                         i + 1 < device_grid.size() ? "," : "");
-        }
-        std::fprintf(f, "  ],\n");
-        std::fprintf(f, "  \"four_device_run\": {\"batches\": %llu, "
-                     "\"compute_utilization\": %.4f, \"steals\": %llu, \"per_device\": [\n",
-                     static_cast<unsigned long long>(four_dev_stats.batches),
-                     four_dev_stats.compute_utilization,
-                     static_cast<unsigned long long>(four_dev_stats.steals));
-        for (std::size_t i = 0; i < four_dev_stats.devices.size(); ++i) {
-            const auto& d = four_dev_stats.devices[i];
-            std::fprintf(f,
-                         "    {\"name\": \"%s\", \"routed\": %llu, \"completed\": %llu, "
-                         "\"batches\": %llu, \"kernel_ms\": %.6f, \"utilization\": %.4f}%s\n",
-                         d.name.c_str(), static_cast<unsigned long long>(d.routed),
-                         static_cast<unsigned long long>(d.completed),
-                         static_cast<unsigned long long>(d.batches), d.modeled_kernel_ms,
-                         d.compute_utilization,
-                         i + 1 < four_dev_stats.devices.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]},\n");
-        std::fprintf(f,
-                     "  \"failover\": {\"unrecovered\": %zu, \"mismatches\": %zu, "
-                     "\"reroutes\": %llu, \"devices_quarantined\": %llu},\n",
-                     failover.not_ok, mismatches,
-                     static_cast<unsigned long long>(failover.stats.reroutes),
-                     static_cast<unsigned long long>(failover.stats.devices_quarantined));
-        std::fprintf(f,
-                     "  \"soak\": {\"requests\": %zu, \"bad\": %zu, "
-                     "\"modeled_overlap_ms\": %.6f, \"ran\": %s},\n",
-                     soak_served, soak_bad, soak_overlap_ms, quick ? "false" : "true");
-        std::fprintf(f, "  \"gates\": {\n");
-        std::fprintf(f,
-                     "    \"scaling_4dev\": {\"value\": %.4f, \"min\": %.1f, \"pass\": %s},\n",
-                     speedup4, scale4_min, scaling_pass ? "true" : "false");
-        std::fprintf(f,
-                     "    \"failover_termination\": {\"unrecovered\": %zu, \"max\": 0, "
-                     "\"pass\": %s},\n",
-                     failover.not_ok, termination_pass ? "true" : "false");
-        std::fprintf(f,
-                     "    \"failover_integrity\": {\"mismatches\": %zu, \"max\": 0, "
-                     "\"pass\": %s},\n",
-                     mismatches, integrity_pass ? "true" : "false");
-        std::fprintf(f,
-                     "    \"failover_quarantine\": {\"value\": %llu, \"expect\": 1, "
-                     "\"pass\": %s},\n",
-                     static_cast<unsigned long long>(failover.stats.devices_quarantined),
-                     quarantine_pass ? "true" : "false");
-        std::fprintf(f, "    \"soak\": {\"served\": %zu, \"bad\": %zu, \"pass\": %s}\n",
-                     soak_served, soak_bad, soak_pass ? "true" : "false");
-        std::fprintf(f, "  }\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s\n", json_path.c_str());
-    } else {
-        std::printf("could not write %s\n", json_path.c_str());
+    obs::Json j;
+    j.begin_object().field("bench", "fleet_scaling").field("requests", requests);
+    j.field("arrays_per_request", kArraysPerRequest).field("array_size", kArraySize);
+    j.field("quick", quick).array("scaling");
+    for (std::size_t i = 0; i < device_grid.size(); ++i) {
+        j.begin_object().field("devices", device_grid[i]);
+        j.field("modeled_overlap_ms", overlap_ms[i]).field("speedup", speedups[i]).end_object();
     }
+    j.end_array().object("four_device_run").field("batches", four_dev_stats.batches);
+    j.field("compute_utilization", four_dev_stats.compute_utilization);
+    j.field("steals", four_dev_stats.steals).array("per_device");
+    for (const auto& d : four_dev_stats.devices) {
+        j.begin_object().field("name", d.name).field("routed", d.routed);
+        j.field("completed", d.completed).field("batches", d.batches);
+        j.field("kernel_ms", d.modeled_kernel_ms).field("utilization", d.compute_utilization);
+        j.end_object();
+    }
+    j.end_array().end_object().object("failover").field("unrecovered", failover.not_ok);
+    j.field("mismatches", mismatches).field("reroutes", failover.stats.reroutes);
+    j.field("devices_quarantined", failover.stats.devices_quarantined).end_object();
+    j.object("soak").field("requests", soak_served).field("bad", soak_bad);
+    j.field("modeled_overlap_ms", soak_overlap_ms).field("ran", !quick).end_object();
+    j.object("gates").object("scaling_4dev").field("value", speedup4);
+    j.field("min", scale4_min).field("pass", scaling_pass).end_object();
+    j.object("failover_termination").field("unrecovered", failover.not_ok).field("max", 0);
+    j.field("pass", termination_pass).end_object();
+    j.object("failover_integrity").field("mismatches", mismatches).field("max", 0);
+    j.field("pass", integrity_pass).end_object();
+    j.object("failover_quarantine").field("value", failover.stats.devices_quarantined);
+    j.field("expect", 1).field("pass", quarantine_pass).end_object();
+    j.object("soak").field("served", soak_served).field("bad", soak_bad);
+    j.field("pass", soak_pass).end_object().end_object().end_object();
+    bench::write_json_file(json_path, j);
 
     // Fleet-served kernels must be untouched by the sanitizer machinery,
     // like every other bench's workload.

@@ -127,20 +127,6 @@ double graph_chain_rate(simt::Device& dev, unsigned grid, unsigned block,
     return iters * chain / seconds_since(t0);
 }
 
-/// Pulls "\"quick_graph_launches_per_sec\": <num>" out of a committed
-/// baseline JSON; returns 0.0 when the file or field is missing.
-double baseline_quick_rate(const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "r");
-    if (f == nullptr) return 0.0;
-    std::string text(1 << 16, '\0');
-    text.resize(std::fread(text.data(), 1, text.size(), f));
-    std::fclose(f);
-    const char* key = "\"quick_graph_launches_per_sec\":";
-    const auto pos = text.find(key);
-    if (pos == std::string::npos) return 0.0;
-    return std::strtod(text.c_str() + pos + std::strlen(key), nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -181,8 +167,9 @@ int main(int argc, char** argv) {
     // negate/verify variants; STA is 3 kernels x 8 passes x 3 sorts).
     const unsigned chain = 24;
 
-    std::string json = "{\"bench\":\"micro_launch_overhead\",\"workers\":" +
-                       std::to_string(workers) + ",\"block_dim\":" + std::to_string(block);
+    obs::Json json;
+    json.begin_object().field("bench", "micro_launch_overhead").field("workers", workers);
+    json.field("block_dim", block);
     bool ok = true;
 
     std::printf("Launch overhead: persistent pool vs per-launch thread spawning\n");
@@ -195,9 +182,8 @@ int main(int argc, char** argv) {
         std::printf("%8s | %18s %18s | %8s\n", "grid", "pool launches/s",
                     "spawn launches/s", "speedup");
         bench::rule();
-        json += ",\"results\":[";
-        for (std::size_t i = 0; i < std::size(grids); ++i) {
-            const unsigned grid = grids[i];
+        json.array("results");
+        for (const unsigned grid : grids) {
             // Larger grids do real per-block work; scale iterations down so
             // the bench stays quick without losing resolution.
             const int scale = grid >= 64 ? 4 : 1;
@@ -208,14 +194,10 @@ int main(int argc, char** argv) {
             if (grid <= 16 && speedup < 3.0) spawn_ok = false;
             std::printf("%8u | %18.0f %18.0f | %7.1fx\n", grid, pool, spawn, speedup);
             std::fflush(stdout);
-            char row[256];
-            std::snprintf(row, sizeof(row),
-                          "%s{\"grid\":%u,\"pool_launches_per_sec\":%.1f,"
-                          "\"spawn_launches_per_sec\":%.1f,\"speedup\":%.3f}",
-                          i == 0 ? "" : ",", grid, pool, spawn, speedup);
-            json += row;
+            json.begin_object().field("grid", grid).field("pool_launches_per_sec", pool);
+            json.field("spawn_launches_per_sec", spawn).field("speedup", speedup).end_object();
         }
-        json += "]";
+        json.end_array();
         std::printf("small grids (<=16 blocks) pool >= 3x spawn: %s\n",
                     spawn_ok ? "yes" : "NO");
         ok = ok && spawn_ok;
@@ -238,7 +220,7 @@ int main(int argc, char** argv) {
     std::printf("%8s | %18s %18s | %8s\n", "grid", "graph launches/s",
                 "loop launches/s", "speedup");
     bench::rule();
-    json += ",\"graph\":[";
+    json.array("graph");
     bool graph_ok = true;
     double quick_rate = 0.0;
     // Sized so each measurement spans ~100ms — launch rates on a timeshared
@@ -252,8 +234,7 @@ int main(int argc, char** argv) {
         for (int rep = 0; rep < 3; ++rep) best = std::max(best, measure());
         return best;
     };
-    for (std::size_t i = 0; i < std::size(grids); ++i) {
-        const unsigned grid = grids[i];
+    for (const unsigned grid : grids) {
         const int scale = grid >= 64 ? 4 : 1;
         const double loop = best_of(
             [&] { return loop_chain_rate(team_dev, grid, block, chain, chain_iters / scale); });
@@ -268,14 +249,11 @@ int main(int argc, char** argv) {
         if (grid == 4) quick_rate = graph;
         std::printf("%8u | %18.0f %18.0f | %7.1fx\n", grid, graph, loop, speedup);
         std::fflush(stdout);
-        char row[256];
-        std::snprintf(row, sizeof(row),
-                      "%s{\"grid\":%u,\"chain\":%u,\"graph_launches_per_sec\":%.1f,"
-                      "\"loop_launches_per_sec\":%.1f,\"speedup\":%.3f}",
-                      i == 0 ? "" : ",", grid, chain, graph, loop, speedup);
-        json += row;
+        json.begin_object().field("grid", grid).field("chain", chain);
+        json.field("graph_launches_per_sec", graph).field("loop_launches_per_sec", loop);
+        json.field("speedup", speedup).end_object();
     }
-    json += "]";
+    json.end_array();
     std::printf("overhead-dominated small grid (4 blocks) graph >= 2x loop: %s\n",
                 graph_ok ? "yes" : "NO");
     ok = ok && graph_ok;
@@ -291,7 +269,9 @@ int main(int argc, char** argv) {
 
     bool baseline_pass = true;
     if (!baseline_path.empty()) {
-        const double base = baseline_quick_rate(baseline_path);
+        const double base =
+            bench::baseline_number(baseline_path, "quick_graph_launches_per_sec")
+                .value_or(0.0);
         if (base <= 0.0) {
             std::printf("baseline: no quick_graph_launches_per_sec in %s — FAIL\n",
                         baseline_path.c_str());
@@ -305,27 +285,13 @@ int main(int argc, char** argv) {
         ok = ok && baseline_pass;
     }
 
-    char tail[256];
-    std::snprintf(tail, sizeof(tail),
-                  ",\"quick_graph_launches_per_sec\":%.1f"
-                  ",\"sanitize_off_bit_identical\":%s"
-                  ",\"small_grid_pool_speedup_ge_3x\":%s"
-                  ",\"small_grid_graph_speedup_ge_2x\":%s,\"pass\":%s}",
-                  quick_rate, inert ? "true" : "false", spawn_ok ? "true" : "false",
-                  graph_ok ? "true" : "false", ok ? "true" : "false");
-    json += tail;
+    json.field("quick_graph_launches_per_sec", quick_rate);
+    json.field("sanitize_off_bit_identical", inert);
+    json.field("small_grid_pool_speedup_ge_3x", spawn_ok);
+    json.field("small_grid_graph_speedup_ge_2x", graph_ok).field("pass", ok).end_object();
 
     bench::rule();
-    std::printf("%s\n", json.c_str());
-    if (!json_path.empty()) {
-        if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-            std::fprintf(f, "%s\n", json.c_str());
-            std::fclose(f);
-            std::printf("wrote %s\n", json_path.c_str());
-        } else {
-            std::printf("could not write %s\n", json_path.c_str());
-            ok = false;
-        }
-    }
+    std::printf("%s\n", json.str().c_str());
+    if (!json_path.empty()) ok = bench::write_json_file(json_path, json) && ok;
     return ok ? 0 : 1;
 }

@@ -323,55 +323,30 @@ int main(int argc, char** argv) {
     std::printf("gate: health=off identity, %zu divergence(s) (need 0) ..... %s\n",
                 off_divergence, identity_pass ? "PASS" : "FAIL");
 
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-        std::fprintf(f, "{\n  \"bench\": \"overload_recovery\",\n");
-        std::fprintf(f, "  \"capacity\": %zu,\n  \"arrays_per_request\": %zu,\n",
-                     capacity, kArraysPerRequest);
-        std::fprintf(f, "  \"array_size\": %zu,\n  \"devices\": 2,\n", kArraySize);
-        std::fprintf(f,
-                     "  \"burst\": {\"submitted\": %zu, \"ok\": %zu, \"shed\": %zu, "
-                     "\"brownout_peak\": %d, \"escalations\": %llu},\n",
-                     2 * capacity, burst.ok, burst.shed, brownout_peak,
-                     static_cast<unsigned long long>(brownout_escalations));
-        std::fprintf(f,
-                     "  \"recovery\": {\"after_kill\": \"%s\", \"after_revive\": "
-                     "\"%s\", \"quarantines\": %llu, \"probes_passed\": %llu, "
-                     "\"readmissions\": %llu},\n",
-                     state_after_kill.c_str(), state_after_recovery.c_str(),
-                     static_cast<unsigned long long>(quarantines),
-                     static_cast<unsigned long long>(probes_passed),
-                     static_cast<unsigned long long>(readmissions));
-        std::fprintf(f, "  \"hangs_detected\": %llu,\n",
-                     static_cast<unsigned long long>(hangs_detected));
-        std::fprintf(f, "  \"gates\": {\n");
-        std::fprintf(f, "    \"termination\": {\"pass\": %s},\n",
-                     termination_pass ? "true" : "false");
-        std::fprintf(f, "    \"typed_sheds\": {\"shed\": %zu, \"pass\": %s},\n",
-                     burst.shed, typed_shed_pass ? "true" : "false");
-        std::fprintf(f,
-                     "    \"integrity\": {\"mismatches\": %zu, \"hedge_mismatches\": "
-                     "%llu, \"max\": 0, \"pass\": %s},\n",
-                     total_mismatches,
-                     static_cast<unsigned long long>(recovery_hedge_mismatches),
-                     integrity_pass ? "true" : "false");
-        std::fprintf(f, "    \"recovery\": {\"pass\": %s},\n",
-                     recovery_pass ? "true" : "false");
-        std::fprintf(f, "    \"hang_detection\": {\"pass\": %s},\n",
-                     hang_pass ? "true" : "false");
-        // Wall-clock ratio: recorded for trending, gated loosely (3x) so a
-        // noisy host cannot flip it; the bench runs RUN_SERIAL in ctest.
-        std::fprintf(f,
-                     "    \"brownout_p99\": {\"ratio\": %.4f, \"max\": 3.0, "
-                     "\"pass\": %s},\n",
-                     p99_ratio, brownout_pass ? "true" : "false");
-        std::fprintf(f, "    \"off_identity\": {\"divergences\": %zu, \"pass\": %s}\n",
-                     off_divergence, identity_pass ? "true" : "false");
-        std::fprintf(f, "  }\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s\n", json_path.c_str());
-    } else {
-        std::printf("could not write %s\n", json_path.c_str());
-    }
+    obs::Json j;
+    j.begin_object().field("bench", "overload_recovery").field("capacity", capacity);
+    j.field("arrays_per_request", kArraysPerRequest).field("array_size", kArraySize);
+    j.field("devices", 2).object("burst").field("submitted", 2 * capacity);
+    j.field("ok", burst.ok).field("shed", burst.shed).field("brownout_peak", brownout_peak);
+    j.field("escalations", brownout_escalations).end_object();
+    j.object("recovery").field("after_kill", state_after_kill);
+    j.field("after_revive", state_after_recovery).field("quarantines", quarantines);
+    j.field("probes_passed", probes_passed).field("readmissions", readmissions);
+    j.end_object().field("hangs_detected", hangs_detected).object("gates");
+    j.object("termination").field("pass", termination_pass).end_object();
+    j.object("typed_sheds").field("shed", burst.shed).field("pass", typed_shed_pass);
+    j.end_object().object("integrity").field("mismatches", total_mismatches);
+    j.field("hedge_mismatches", recovery_hedge_mismatches).field("max", 0);
+    j.field("pass", integrity_pass).end_object();
+    j.object("recovery").field("pass", recovery_pass).end_object();
+    j.object("hang_detection").field("pass", hang_pass).end_object();
+    // Wall-clock ratio: recorded for trending, gated loosely (3x) so a
+    // noisy host cannot flip it; the bench runs RUN_SERIAL in ctest.
+    j.object("brownout_p99").field("ratio", p99_ratio).field("max", 3.0);
+    j.field("pass", brownout_pass).end_object();
+    j.object("off_identity").field("divergences", off_divergence);
+    j.field("pass", identity_pass).end_object().end_object().end_object();
+    bench::write_json_file(json_path, j);
 
     const bool all_pass = termination_pass && typed_shed_pass && integrity_pass &&
                           recovery_pass && hang_pass && brownout_pass && identity_pass;

@@ -170,8 +170,9 @@ int main(int argc, char** argv) {
     const bool speedup_pass = requests >= 1000 && speedup >= 2.0;
     const bool identity_pass = mismatches == 0;
     const bool soak_pass = soak_requests == 0 || (soak_served >= soak_requests && soak_bad == 0);
-    std::printf("gate: micro-batching throughput speedup %.2fx (need >= 2x) %s\n", speedup,
-                speedup_pass ? "PASS" : "FAIL");
+    std::printf("gate: micro-batching throughput speedup %.2fx over %zu requests "
+                "(need >= 2x and >= 1000 requests) %s\n",
+                speedup, requests, speedup_pass ? "PASS" : "FAIL");
     std::printf("gate: served-vs-direct bit mismatches %zu (need 0) ........ %s\n",
                 mismatches, identity_pass ? "PASS" : "FAIL");
     if (soak_requests > 0) {
@@ -179,44 +180,26 @@ int main(int argc, char** argv) {
                     soak_served, soak_bad, soak_requests, soak_pass ? "PASS" : "FAIL");
     }
 
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-        std::fprintf(f, "{\n  \"bench\": \"serve\",\n");
-        std::fprintf(f, "  \"requests\": %zu,\n  \"arrays_per_request\": %zu,\n", requests,
-                     arrays_per_request);
-        std::fprintf(f, "  \"array_size\": %zu,\n", n);
-        std::fprintf(f, "  \"baseline\": {\"modeled_total_ms\": %.6f},\n", baseline_ms);
-        std::fprintf(f,
-                     "  \"server\": {\"modeled_overlap_ms\": %.6f, \"modeled_serial_ms\": "
-                     "%.6f, \"batches\": %llu, \"occupancy\": %.4f, \"pool_reuse_rate\": "
-                     "%.4f, \"compute_utilization\": %.4f,\n",
-                     stats.modeled_overlap_ms, stats.modeled_serial_ms,
-                     static_cast<unsigned long long>(stats.batches),
-                     stats.batch_occupancy(), stats.pool.reuse_rate(),
-                     stats.compute_utilization);
-        std::fprintf(f,
-                     "    \"modeled_latency_ms\": {\"p50\": %.6f, \"p95\": %.6f, \"p99\": "
-                     "%.6f}},\n",
-                     stats.modeled_ms.p50, stats.modeled_ms.p95, stats.modeled_ms.p99);
-        std::fprintf(f, "  \"gates\": {\n");
-        std::fprintf(f,
-                     "    \"throughput_speedup\": {\"value\": %.4f, \"min\": 2.0, "
-                     "\"pass\": %s},\n",
-                     speedup, speedup_pass ? "true" : "false");
-        std::fprintf(f,
-                     "    \"bit_identity_mismatches\": {\"value\": %zu, \"max\": 0, "
-                     "\"pass\": %s},\n",
-                     mismatches, identity_pass ? "true" : "false");
-        std::fprintf(f,
-                     "    \"soak\": {\"served\": %zu, \"bad\": %zu, \"ran\": %s, "
-                     "\"pass\": %s}\n",
-                     soak_served, soak_bad, soak_requests > 0 ? "true" : "false",
-                     soak_pass ? "true" : "false");
-        std::fprintf(f, "  }\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s\n", json_path.c_str());
-    } else {
-        std::printf("could not write %s\n", json_path.c_str());
-    }
+    obs::Json j;
+    j.begin_object().field("bench", "serve").field("requests", requests);
+    j.field("arrays_per_request", arrays_per_request).field("array_size", n);
+    j.object("baseline").field("modeled_total_ms", baseline_ms).end_object();
+    j.object("server").field("modeled_overlap_ms", stats.modeled_overlap_ms);
+    j.field("modeled_serial_ms", stats.modeled_serial_ms).field("batches", stats.batches);
+    j.field("occupancy", stats.batch_occupancy());
+    j.field("pool_reuse_rate", stats.pool.reuse_rate());
+    j.field("compute_utilization", stats.compute_utilization);
+    j.object("modeled_latency_ms").field("p50", stats.modeled_ms.p50);
+    j.field("p95", stats.modeled_ms.p95).field("p99", stats.modeled_ms.p99);
+    j.end_object().end_object().object("gates");
+    j.object("throughput_speedup").field("value", speedup).field("min", 2.0);
+    j.field("pass", speedup_pass).end_object();
+    j.object("bit_identity_mismatches").field("value", mismatches).field("max", 0);
+    j.field("pass", identity_pass).end_object();
+    j.object("soak").field("served", soak_served).field("bad", soak_bad);
+    j.field("ran", soak_requests > 0).field("pass", soak_pass);
+    j.end_object().end_object().end_object();
+    bench::write_json_file(json_path, j);
 
     // The fused batch kernels must be untouched by the sanitizer machinery,
     // like every other bench's workload.

@@ -121,20 +121,6 @@ Section run_section(const char* name, std::size_t num_arrays, std::size_t array_
     return s;
 }
 
-/// Pulls "\"quick_warp_elems_per_sec\": <num>" out of a committed baseline
-/// JSON; returns 0.0 when the file or field is missing.
-double baseline_quick_eps(const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "r");
-    if (f == nullptr) return 0.0;
-    std::string text(1 << 16, '\0');
-    text.resize(std::fread(text.data(), 1, text.size(), f));
-    std::fclose(f);
-    const char* key = "\"quick_warp_elems_per_sec\":";
-    const auto pos = text.find(key);
-    if (pos == std::string::npos) return 0.0;
-    return std::strtod(text.c_str() + pos + std::strlen(key), nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -207,7 +193,8 @@ int main(int argc, char** argv) {
 
     bool baseline_pass = true;
     if (!baseline_path.empty()) {
-        const double base = baseline_quick_eps(baseline_path);
+        const double base =
+            bench::baseline_number(baseline_path, "quick_warp_elems_per_sec").value_or(0.0);
         if (base <= 0.0) {
             std::printf("baseline: no quick_warp_elems_per_sec in %s — FAIL\n",
                         baseline_path.c_str());
@@ -222,50 +209,36 @@ int main(int argc, char** argv) {
     }
 
     if (!json_path.empty()) {
-        if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-            const auto section = [&](const char* name, const Section& s) {
-                std::fprintf(f,
-                             "  \"%s\": {\"num_arrays\": %zu, \"array_size\": %zu, "
-                             "\"scalar_elems_per_sec\": %.1f, \"warp_elems_per_sec\": %.1f, "
-                             "\"speedup\": %.4f, \"byte_mismatches\": %zu, "
-                             "\"stats_drift\": %zu},\n",
-                             name, s.num_arrays, s.array_size, s.scalar_eps, s.warp_eps,
-                             s.speedup, s.mismatches, s.drift);
-            };
-            std::fprintf(f, "{\n  \"bench\": \"warp_fastpath\",\n");
-            section("quick", q);
-            std::fprintf(f, "  \"quick_warp_elems_per_sec\": %.1f,\n", q.warp_eps);
-            if (!quick) {
-                section("fig4", f4);
-                if (paper_scale) {
-                    std::fprintf(f,
-                                 "  \"paper_scale\": {\"num_arrays\": 200000, "
-                                 "\"array_size\": 1000, \"wall_s\": %.3f, "
-                                 "\"elems_per_sec\": %.1f, \"sorted\": %s},\n",
-                                 paper_wall_s, paper_eps, paper_sorted ? "true" : "false");
-                }
-                std::fprintf(f, "  \"gates\": {\n");
-                std::fprintf(f,
-                             "    \"fig4_speedup\": {\"value\": %.4f, \"min\": 3.0, "
-                             "\"pass\": %s},\n",
-                             f4.speedup, f4.speedup >= 3.0 ? "true" : "false");
-                std::fprintf(f,
-                             "    \"fig4_byte_mismatches\": {\"value\": %zu, \"max\": 0, "
-                             "\"pass\": %s},\n",
-                             f4.mismatches, f4.mismatches == 0 ? "true" : "false");
-                std::fprintf(f,
-                             "    \"fig4_stats_drift\": {\"value\": %zu, \"max\": 0, "
-                             "\"pass\": %s}\n",
-                             f4.drift, f4.drift == 0 ? "true" : "false");
-                std::fprintf(f, "  },\n");
+        obs::Json j;
+        const auto section = [&j](const char* name, const Section& s) {
+            j.object(name).field("num_arrays", s.num_arrays).field("array_size", s.array_size);
+            j.field("scalar_elems_per_sec", s.scalar_eps).field("warp_elems_per_sec", s.warp_eps);
+            j.field("speedup", s.speedup).field("byte_mismatches", s.mismatches);
+            j.field("stats_drift", s.drift).end_object();
+        };
+        const auto gate = [&j](const char* name, const char* bound_key, auto value,
+                               auto bound, bool pass) {
+            j.object(name).field("value", value).field(bound_key, bound).field("pass", pass);
+            j.end_object();
+        };
+        j.begin_object().field("bench", "warp_fastpath");
+        section("quick", q);
+        j.field("quick_warp_elems_per_sec", q.warp_eps);
+        if (!quick) {
+            section("fig4", f4);
+            if (paper_scale) {
+                j.object("paper_scale").field("num_arrays", 200000).field("array_size", 1000);
+                j.field("wall_s", paper_wall_s).field("elems_per_sec", paper_eps);
+                j.field("sorted", paper_sorted).end_object();
             }
-            std::fprintf(f, "  \"pass\": %s\n}\n", ok ? "true" : "false");
-            std::fclose(f);
-            std::printf("wrote %s\n", json_path.c_str());
-        } else {
-            std::printf("could not write %s\n", json_path.c_str());
-            ok = false;
+            j.object("gates");
+            gate("fig4_speedup", "min", f4.speedup, 3.0, f4.speedup >= 3.0);
+            gate("fig4_byte_mismatches", "max", f4.mismatches, 0, f4.mismatches == 0);
+            gate("fig4_stats_drift", "max", f4.drift, 0, f4.drift == 0);
+            j.end_object();
         }
+        j.field("pass", ok).end_object();
+        ok = bench::write_json_file(json_path, j) && ok;
     }
 
     return ok ? 0 : 1;

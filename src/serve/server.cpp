@@ -1057,7 +1057,7 @@ void Server::execute_batch(Shard& shard, std::vector<PendingPtr>& batch) {
         const double h2d = device.transfer_ms(planes * bytes);
 
         Options opts = head.opts;
-        opts.validate = cfg_.validate;
+        opts.validate = false;
         opts.collect_bucket_sizes = false;
         opts.verify_output = false;  // the server verifies per request below
 
@@ -1095,11 +1095,8 @@ void Server::execute_batch(Shard& shard, std::vector<PendingPtr>& batch) {
         SortStats s;
         switch (head.kind) {
             case JobKind::Uniform:
-                if (opts.validate) {
-                    s = sort_arrays_on_device(device, keys, total_arrays, n, opts);
-                } else if (shard.graph_cache &&
-                           shard.graph_cache->matches(device, keys.span(), total_arrays, n,
-                                                      opts)) {
+                if (shard.graph_cache &&
+                    shard.graph_cache->matches(device, keys.span(), total_arrays, n, opts)) {
                     // Graph reuse cache: a consecutive batch with the same
                     // fingerprint (device span, geometry, effective options)
                     // resubmits the shard's held graph.

@@ -65,10 +65,6 @@ struct ServerConfig {
     /// consumer to wait for.
     bool manual_pump = false;
 
-    /// Validate every fused device batch (sortedness + permutation) before
-    /// completing its requests.  Costs a host pass; meant for tests.
-    bool validate = false;
-
     /// Per-request response verification (gas::resilient): expected multiset
     /// checksums are taken from the host copy while staging, and one verify
     /// kernel checks sortedness + checksum per row after the device sort.  A

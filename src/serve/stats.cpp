@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
+
+#include "obs/json.hpp"
 
 namespace gas::serve {
 
@@ -25,208 +25,96 @@ LatencySummary summarize(const LatencyDigest& d) {
 
 namespace {
 
-void append(std::string& out, const char* fmt, ...) {
-    char buf[256];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    out += buf;
-}
-
-void append_latency(std::string& out, const char* name, const LatencySummary& s,
-                    bool last = false) {
-    append(out,
-           "    \"%s\": {\"count\": %zu, \"mean\": %.6f, \"p50\": %.6f, \"p95\": %.6f, "
-           "\"p99\": %.6f, \"max\": %.6f}%s\n",
-           name, s.count, s.mean, s.p50, s.p95, s.p99, s.max, last ? "" : ",");
+void write_latency(obs::Json& j, const char* name, const LatencySummary& s) {
+    j.object(name).field("count", s.count).field("mean", s.mean).field("p50", s.p50);
+    j.field("p95", s.p95).field("p99", s.p99).field("max", s.max).end_object();
 }
 
 }  // namespace
 
 std::string ServerStats::to_json() const {
-    std::string j = "{\n";
-    append(j, "  \"requests\": {\n");
-    append(j,
-           "    \"submitted\": %llu, \"accepted\": %llu, \"rejected\": %llu, "
-           "\"timed_out\": %llu, \"cancelled\": %llu, \"completed\": %llu, "
-           "\"failed\": %llu, \"shed\": %llu, \"cpu_fallbacks\": %llu\n",
-           static_cast<unsigned long long>(submitted),
-           static_cast<unsigned long long>(accepted),
-           static_cast<unsigned long long>(rejected),
-           static_cast<unsigned long long>(timed_out),
-           static_cast<unsigned long long>(cancelled),
-           static_cast<unsigned long long>(completed),
-           static_cast<unsigned long long>(failed),
-           static_cast<unsigned long long>(shed),
-           static_cast<unsigned long long>(cpu_fallbacks));
-    append(j, "  },\n");
-    append(j, "  \"batching\": {\n");
-    append(j,
-           "    \"batches\": %llu, \"batched_requests\": %llu, \"fused_arrays\": %llu, "
-           "\"occupancy\": %.4f\n",
-           static_cast<unsigned long long>(batches),
-           static_cast<unsigned long long>(batched_requests),
-           static_cast<unsigned long long>(fused_arrays), batch_occupancy());
-    append(j, "  },\n");
-    append(j, "  \"queue\": {\"depth\": %zu, \"peak\": %zu},\n", queue_depth, queue_peak);
-    append(j, "  \"resilience\": {\n");
-    append(j,
-           "    \"retries\": %llu, \"alloc_retries\": %llu, \"quarantined\": %llu, "
-           "\"verify_failures\": %llu, \"retry_backoff_ms\": %.6f\n",
-           static_cast<unsigned long long>(retries),
-           static_cast<unsigned long long>(alloc_retries),
-           static_cast<unsigned long long>(quarantined),
-           static_cast<unsigned long long>(verify_failures), retry_backoff_ms);
-    append(j, "  },\n");
-    append(j, "  \"fleet\": {\n");
-    append(j,
-           "    \"devices\": %zu, \"steals\": %llu, \"reroutes\": %llu, "
-           "\"devices_quarantined\": %llu,\n",
-           devices.size(), static_cast<unsigned long long>(steals),
-           static_cast<unsigned long long>(reroutes),
-           static_cast<unsigned long long>(devices_quarantined));
-    append(j, "    \"key_bands\": [");
-    for (std::size_t i = 0; i < key_bands.size(); ++i) {
-        append(j, "%s%.1f", i > 0 ? ", " : "", key_bands[i]);
+    obs::Json j;
+    j.begin_object().object("requests");
+    j.field("submitted", submitted).field("accepted", accepted).field("rejected", rejected);
+    j.field("timed_out", timed_out).field("cancelled", cancelled).field("completed", completed);
+    j.field("failed", failed).field("shed", shed).field("cpu_fallbacks", cpu_fallbacks);
+    j.end_object().object("batching");
+    j.field("batches", batches).field("batched_requests", batched_requests);
+    j.field("fused_arrays", fused_arrays).field("occupancy", batch_occupancy());
+    j.end_object().object("queue").field("depth", queue_depth).field("peak", queue_peak);
+    j.end_object().object("resilience");
+    j.field("retries", retries).field("alloc_retries", alloc_retries);
+    j.field("quarantined", quarantined).field("verify_failures", verify_failures);
+    j.field("retry_backoff_ms", retry_backoff_ms);
+    j.end_object().object("fleet");
+    j.field("devices", devices.size()).field("steals", steals).field("reroutes", reroutes);
+    j.field("devices_quarantined", devices_quarantined).array("key_bands");
+    for (const double band : key_bands) j.value(band);
+    j.end_array().array("per_device");
+    for (const DeviceBreakdown& d : devices) {
+        j.begin_object().field("name", d.name).field("quarantined", d.quarantined);
+        j.field("routed", d.routed).field("completed", d.completed);
+        j.field("batches", d.batches).field("fused_arrays", d.fused_arrays);
+        j.field("steals_in", d.steals_in).field("steals_out", d.steals_out);
+        j.field("reroutes_in", d.reroutes_in).field("reroutes_out", d.reroutes_out);
+        j.field("queue_depth", d.queue_depth).field("queue_depth_ewma", d.queue_depth_ewma);
+        j.field("health_state", d.health_state).field("kernel_ms", d.modeled_kernel_ms);
+        j.field("overlap_ms", d.modeled_overlap_ms);
+        j.field("compute_utilization", d.compute_utilization).end_object();
     }
-    append(j, "],\n");
-    append(j, "    \"per_device\": [\n");
-    for (std::size_t i = 0; i < devices.size(); ++i) {
-        const DeviceBreakdown& d = devices[i];
-        append(j,
-               "      {\"name\": \"%s\", \"quarantined\": %s, \"routed\": %llu, "
-               "\"completed\": %llu, \"batches\": %llu, \"fused_arrays\": %llu,\n",
-               d.name.c_str(), d.quarantined ? "true" : "false",
-               static_cast<unsigned long long>(d.routed),
-               static_cast<unsigned long long>(d.completed),
-               static_cast<unsigned long long>(d.batches),
-               static_cast<unsigned long long>(d.fused_arrays));
-        append(j,
-               "       \"steals_in\": %llu, \"steals_out\": %llu, \"reroutes_in\": %llu, "
-               "\"reroutes_out\": %llu, \"queue_depth\": %zu,\n",
-               static_cast<unsigned long long>(d.steals_in),
-               static_cast<unsigned long long>(d.steals_out),
-               static_cast<unsigned long long>(d.reroutes_in),
-               static_cast<unsigned long long>(d.reroutes_out), d.queue_depth);
-        append(j, "       \"queue_depth_ewma\": %.4f, \"health_state\": \"%s\",\n",
-               d.queue_depth_ewma, d.health_state.c_str());
-        append(j,
-               "       \"kernel_ms\": %.6f, \"overlap_ms\": %.6f, "
-               "\"compute_utilization\": %.4f}%s\n",
-               d.modeled_kernel_ms, d.modeled_overlap_ms, d.compute_utilization,
-               i + 1 < devices.size() ? "," : "");
+    j.end_array().end_object().object("graph");
+    j.field("graphs", graphs).field("nodes", graph_nodes);
+    j.field("kernel_nodes", graph_kernel_nodes).field("host_nodes", graph_host_nodes);
+    j.field("device_enqueued", graph_device_enqueued).field("pruned", graph_pruned);
+    j.field("cache_hits", graph_cache_hits).field("cache_misses", graph_cache_misses);
+    j.field("cache_evictions", graph_cache_evictions);
+    j.field("cache_hit_rate", graph_cache_hit_rate());
+    j.end_object().object("tune");
+    j.field("enabled", tune_enabled).field("decisions", tune_decisions);
+    j.field("plan_switches", tune_plan_switches).field("tuned_batches", tuned_batches);
+    j.field("sketch_ms", tune_sketch_ms).array("cells");
+    for (const TuneCell& c : tune_cells) {
+        j.begin_object().field("regime", c.regime).field("candidate", c.candidate);
+        j.field("predicted", c.predicted).field("observed", c.observed);
+        j.field("observations", c.observations).field("incumbent", c.incumbent);
+        j.end_object();
     }
-    append(j, "    ]\n");
-    append(j, "  },\n");
-    append(j, "  \"graph\": {\n");
-    append(j,
-           "    \"graphs\": %llu, \"nodes\": %llu, \"kernel_nodes\": %llu, "
-           "\"host_nodes\": %llu, \"device_enqueued\": %llu, \"pruned\": %llu,\n",
-           static_cast<unsigned long long>(graphs),
-           static_cast<unsigned long long>(graph_nodes),
-           static_cast<unsigned long long>(graph_kernel_nodes),
-           static_cast<unsigned long long>(graph_host_nodes),
-           static_cast<unsigned long long>(graph_device_enqueued),
-           static_cast<unsigned long long>(graph_pruned));
-    append(j,
-           "    \"cache_hits\": %llu, \"cache_misses\": %llu, "
-           "\"cache_evictions\": %llu, \"cache_hit_rate\": %.4f\n",
-           static_cast<unsigned long long>(graph_cache_hits),
-           static_cast<unsigned long long>(graph_cache_misses),
-           static_cast<unsigned long long>(graph_cache_evictions),
-           graph_cache_hit_rate());
-    append(j, "  },\n");
-    append(j, "  \"tune\": {\n");
-    append(j,
-           "    \"enabled\": %s, \"decisions\": %llu, \"plan_switches\": %llu, "
-           "\"tuned_batches\": %llu, \"sketch_ms\": %.6f,\n",
-           tune_enabled ? "true" : "false",
-           static_cast<unsigned long long>(tune_decisions),
-           static_cast<unsigned long long>(tune_plan_switches),
-           static_cast<unsigned long long>(tuned_batches), tune_sketch_ms);
-    append(j, "    \"cells\": [\n");
-    for (std::size_t i = 0; i < tune_cells.size(); ++i) {
-        const TuneCell& c = tune_cells[i];
-        append(j,
-               "      {\"regime\": \"%s\", \"candidate\": \"%s\", \"predicted\": %.3f, "
-               "\"observed\": %.3f, \"observations\": %llu, \"incumbent\": %s}%s\n",
-               c.regime.c_str(), c.candidate.c_str(), c.predicted, c.observed,
-               static_cast<unsigned long long>(c.observations),
-               c.incumbent ? "true" : "false", i + 1 < tune_cells.size() ? "," : "");
-    }
-    append(j, "    ]\n");
-    append(j, "  },\n");
-    append(j, "  \"health\": {\n");
-    append(j,
-           "    \"enabled\": %s, \"demotions\": %llu, \"quarantines\": %llu, "
-           "\"probations\": %llu, \"readmissions\": %llu, "
-           "\"degraded_recoveries\": %llu,\n",
-           health.enabled ? "true" : "false",
-           static_cast<unsigned long long>(health.demotions),
-           static_cast<unsigned long long>(health.quarantines),
-           static_cast<unsigned long long>(health.probations),
-           static_cast<unsigned long long>(health.readmissions),
-           static_cast<unsigned long long>(health.degraded_recoveries));
-    append(j,
-           "    \"probes_run\": %llu, \"probes_passed\": %llu, \"probes_failed\": %llu, "
-           "\"hangs_detected\": %llu,\n",
-           static_cast<unsigned long long>(health.probes_run),
-           static_cast<unsigned long long>(health.probes_passed),
-           static_cast<unsigned long long>(health.probes_failed),
-           static_cast<unsigned long long>(health.hangs_detected));
-    append(j,
-           "    \"hedges_launched\": %llu, \"hedge_wins\": %llu, "
-           "\"hedge_primary_wins\": %llu, \"hedge_mismatches\": %llu,\n",
-           static_cast<unsigned long long>(health.hedges_launched),
-           static_cast<unsigned long long>(health.hedge_wins),
-           static_cast<unsigned long long>(health.hedge_primary_wins),
-           static_cast<unsigned long long>(health.hedge_mismatches));
-    append(j,
-           "    \"shed_overflow\": %llu, \"shed_brownout\": %llu, "
-           "\"shed_sojourn\": %llu, \"shed_total\": %llu,\n",
-           static_cast<unsigned long long>(health.shed_overflow),
-           static_cast<unsigned long long>(health.shed_brownout),
-           static_cast<unsigned long long>(health.shed_sojourn),
-           static_cast<unsigned long long>(health.shed_total()));
-    append(j,
-           "    \"brownout_level\": %d, \"brownout_escalations\": %llu, "
-           "\"brownout_deescalations\": %llu, \"verify_skipped_batches\": %llu\n",
-           health.brownout_level,
-           static_cast<unsigned long long>(health.brownout_escalations),
-           static_cast<unsigned long long>(health.brownout_deescalations),
-           static_cast<unsigned long long>(health.verify_skipped_batches));
-    append(j, "  },\n");
-    append(j, "  \"modeled\": {\n");
-    append(j,
-           "    \"kernel_ms\": %.6f, \"h2d_ms\": %.6f, \"d2h_ms\": %.6f, "
-           "\"overlap_ms\": %.6f, \"serial_ms\": %.6f, \"overlap_speedup\": %.4f, "
-           "\"throughput_rps\": %.2f,\n",
-           modeled_kernel_ms, modeled_h2d_ms, modeled_d2h_ms, modeled_overlap_ms,
-           modeled_serial_ms, overlap_speedup(), modeled_throughput_rps());
-    append(j,
-           "    \"h2d_busy_ms\": %.6f, \"compute_busy_ms\": %.6f, \"d2h_busy_ms\": %.6f, "
-           "\"h2d_utilization\": %.4f, \"compute_utilization\": %.4f, "
-           "\"d2h_utilization\": %.4f\n",
-           h2d_busy_ms, compute_busy_ms, d2h_busy_ms, h2d_utilization,
-           compute_utilization, d2h_utilization);
-    append(j, "  },\n");
-    append(j, "  \"wall_service_ms\": %.6f,\n", wall_service_ms);
-    append(j, "  \"pool\": {\n");
-    append(j,
-           "    \"acquires\": %llu, \"reuse_hits\": %llu, \"device_allocs\": %llu, "
-           "\"reuse_rate\": %.4f, \"bytes_cached\": %zu, \"peak_leased\": %zu\n",
-           static_cast<unsigned long long>(pool.acquires),
-           static_cast<unsigned long long>(pool.reuse_hits),
-           static_cast<unsigned long long>(pool.device_allocs), pool.reuse_rate(),
-           pool.bytes_cached, pool.peak_leased);
-    append(j, "  },\n");
-    append(j, "  \"latency\": {\n");
-    append_latency(j, "queue_wait_ms", queue_wait_ms);
-    append_latency(j, "wall_ms", wall_ms);
-    append_latency(j, "modeled_ms", modeled_ms, /*last=*/true);
-    append(j, "  }\n}\n");
-    return j;
+    const HealthStats& h = health;
+    j.end_array().end_object().object("health");
+    j.field("enabled", h.enabled).field("demotions", h.demotions);
+    j.field("quarantines", h.quarantines).field("probations", h.probations);
+    j.field("readmissions", h.readmissions);
+    j.field("degraded_recoveries", h.degraded_recoveries);
+    j.field("probes_run", h.probes_run).field("probes_passed", h.probes_passed);
+    j.field("probes_failed", h.probes_failed).field("hangs_detected", h.hangs_detected);
+    j.field("hedges_launched", h.hedges_launched).field("hedge_wins", h.hedge_wins);
+    j.field("hedge_primary_wins", h.hedge_primary_wins);
+    j.field("hedge_mismatches", h.hedge_mismatches);
+    j.field("shed_overflow", h.shed_overflow).field("shed_brownout", h.shed_brownout);
+    j.field("shed_sojourn", h.shed_sojourn).field("shed_total", h.shed_total());
+    j.field("brownout_level", h.brownout_level);
+    j.field("brownout_escalations", h.brownout_escalations);
+    j.field("brownout_deescalations", h.brownout_deescalations);
+    j.field("verify_skipped_batches", h.verify_skipped_batches);
+    j.end_object().object("modeled");
+    j.field("kernel_ms", modeled_kernel_ms).field("h2d_ms", modeled_h2d_ms);
+    j.field("d2h_ms", modeled_d2h_ms).field("overlap_ms", modeled_overlap_ms);
+    j.field("serial_ms", modeled_serial_ms).field("overlap_speedup", overlap_speedup());
+    j.field("throughput_rps", modeled_throughput_rps()).field("h2d_busy_ms", h2d_busy_ms);
+    j.field("compute_busy_ms", compute_busy_ms).field("d2h_busy_ms", d2h_busy_ms);
+    j.field("h2d_utilization", h2d_utilization);
+    j.field("compute_utilization", compute_utilization);
+    j.field("d2h_utilization", d2h_utilization);
+    j.end_object().field("wall_service_ms", wall_service_ms).object("pool");
+    j.field("acquires", pool.acquires).field("reuse_hits", pool.reuse_hits);
+    j.field("device_allocs", pool.device_allocs).field("reuse_rate", pool.reuse_rate());
+    j.field("bytes_cached", pool.bytes_cached).field("peak_leased", pool.peak_leased);
+    j.end_object().object("latency");
+    write_latency(j, "queue_wait_ms", queue_wait_ms);
+    write_latency(j, "wall_ms", wall_ms);
+    write_latency(j, "modeled_ms", modeled_ms);
+    j.end_object().end_object();
+    return j.str();
 }
 
 }  // namespace gas::serve

@@ -2,33 +2,9 @@
 
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace simt::faults {
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
-}  // namespace
 
 std::string describe(const FaultEvent& e) {
     std::ostringstream os;
@@ -48,29 +24,29 @@ std::string to_text(const FaultReport& report) {
     return os.str();
 }
 
-std::string to_json(const FaultReport& report) {
-    std::ostringstream os;
-    os << "{\"tool\":\"simt::faults\",\"clean\":" << (report.clean() ? "true" : "false");
-    os << ",\"counts\":{\"alloc-fail\":{\"checks\":" << report.alloc_checks
-       << ",\"fired\":" << report.alloc_failures
-       << "},\"launch-fail\":{\"checks\":" << report.launch_checks
-       << ",\"fired\":" << report.launch_failures
-       << "},\"corrupt\":{\"checks\":" << report.corrupt_checks
-       << ",\"fired\":" << report.corruptions
-       << "},\"stall\":{\"checks\":" << report.stall_checks
-       << ",\"fired\":" << report.stalls
-       << "},\"hang\":{\"checks\":" << report.hang_checks
-       << ",\"fired\":" << report.hangs << "}}";
-    os << ",\"suppressed\":" << report.suppressed;
-    os << ",\"events\":[";
-    for (std::size_t i = 0; i < report.events.size(); ++i) {
-        const FaultEvent& e = report.events[i];
-        os << (i ? "," : "") << "{\"kind\":\"" << to_string(e.kind)
-           << "\",\"ordinal\":" << e.ordinal << ",\"target\":\"" << json_escape(e.target)
-           << "\",\"detail\":\"" << json_escape(e.detail) << "\"}";
+void write_json(obs::Json& out, const FaultReport& report) {
+    const auto count = [&out](const char* kind, std::uint64_t checks, std::uint64_t fired) {
+        out.object(kind).field("checks", checks).field("fired", fired).end_object();
+    };
+    out.begin_object().field("tool", "simt::faults").field("clean", report.clean());
+    out.object("counts");
+    count("alloc-fail", report.alloc_checks, report.alloc_failures);
+    count("launch-fail", report.launch_checks, report.launch_failures);
+    count("corrupt", report.corrupt_checks, report.corruptions);
+    count("stall", report.stall_checks, report.stalls);
+    count("hang", report.hang_checks, report.hangs);
+    out.end_object().field("suppressed", report.suppressed).array("events");
+    for (const FaultEvent& e : report.events) {
+        out.begin_object().field("kind", to_string(e.kind)).field("ordinal", e.ordinal);
+        out.field("target", e.target).field("detail", e.detail).end_object();
     }
-    os << "]}";
-    return os.str();
+    out.end_array().end_object();
+}
+
+std::string to_json(const FaultReport& report) {
+    obs::Json out;
+    write_json(out, report);
+    return out.str();
 }
 
 }  // namespace simt::faults

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace simt::faults {
 
 /// Kinds of injectable faults (see FaultPlan for trigger semantics).
@@ -67,7 +69,11 @@ struct FaultReport {
 /// Multi-line human summary of the whole report.
 [[nodiscard]] std::string to_text(const FaultReport& report);
 
-/// Stable JSON object for the whole report (tools/gas_chaos --json).
+/// Writes the whole report as one JSON object into `out`, so a larger
+/// document (tools/gas_chaos --json) can nest it.
+void write_json(obs::Json& out, const FaultReport& report);
+
+/// The whole report as a stand-alone JSON document.
 [[nodiscard]] std::string to_json(const FaultReport& report);
 
 }  // namespace simt::faults

@@ -2,33 +2,9 @@
 
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace simt::sanitize {
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
-}  // namespace
 
 std::string describe(const Finding& f) {
     std::ostringstream os;
@@ -45,38 +21,30 @@ std::string describe(const Finding& f) {
 }
 
 std::string to_json(const SanitizeReport& report) {
-    std::ostringstream os;
-    os << "{\"tool\":\"simt::sanitize\",\"clean\":" << (report.clean() ? "true" : "false");
-    os << ",\"counts\":{";
-    const FindingKind kinds[] = {FindingKind::Race, FindingKind::OutOfBounds,
-                                 FindingKind::UninitRead, FindingKind::BankConflict};
-    for (std::size_t i = 0; i < 4; ++i) {
-        os << (i ? "," : "") << "\"" << to_string(kinds[i])
-           << "\":" << report.count(kinds[i]);
+    obs::Json out;
+    out.begin_object().field("tool", "simt::sanitize").field("clean", report.clean());
+    out.object("counts");
+    for (const FindingKind kind : {FindingKind::Race, FindingKind::OutOfBounds,
+                                   FindingKind::UninitRead, FindingKind::BankConflict}) {
+        out.field(to_string(kind), report.count(kind));
     }
-    os << "},\"suppressed\":" << report.suppressed;
-    os << ",\"findings\":[";
-    for (std::size_t i = 0; i < report.findings.size(); ++i) {
-        const Finding& f = report.findings[i];
-        os << (i ? "," : "") << "{\"kind\":\"" << to_string(f.kind) << "\",\"space\":\""
-           << to_string(f.space) << "\",\"kernel\":\"" << json_escape(f.kernel)
-           << "\",\"block\":" << f.block << ",\"region\":" << f.region
-           << ",\"lane\":" << f.lane << ",\"other_lane\":" << f.other_lane
-           << ",\"offset\":" << f.offset << ",\"write\":" << (f.write ? "true" : "false")
-           << ",\"detail\":\"" << json_escape(f.detail) << "\"}";
+    out.end_object().field("suppressed", report.suppressed).array("findings");
+    for (const Finding& f : report.findings) {
+        out.begin_object().field("kind", to_string(f.kind)).field("space", to_string(f.space));
+        out.field("kernel", f.kernel).field("block", f.block).field("region", f.region);
+        out.field("lane", f.lane).field("other_lane", f.other_lane).field("offset", f.offset);
+        out.field("write", f.write).field("detail", f.detail).end_object();
     }
-    os << "],\"launches\":[";
-    for (std::size_t i = 0; i < report.launches.size(); ++i) {
-        const LaunchSanitizeStats& l = report.launches[i];
-        os << (i ? "," : "") << "{\"kernel\":\"" << json_escape(l.kernel)
-           << "\",\"grid\":" << l.grid_dim << ",\"block\":" << l.block_dim
-           << ",\"tracked_accesses\":" << l.tracked_accesses
-           << ",\"bank_conflict_cycles\":" << l.bank_conflict_cycles
-           << ",\"worst_bank_degree\":" << l.worst_bank_degree
-           << ",\"findings\":" << l.findings << "}";
+    out.end_array().array("launches");
+    for (const LaunchSanitizeStats& l : report.launches) {
+        out.begin_object().field("kernel", l.kernel).field("grid", l.grid_dim);
+        out.field("block", l.block_dim).field("tracked_accesses", l.tracked_accesses);
+        out.field("bank_conflict_cycles", l.bank_conflict_cycles);
+        out.field("worst_bank_degree", l.worst_bank_degree).field("findings", l.findings);
+        out.end_object();
     }
-    os << "]}";
-    return os.str();
+    out.end_array().end_object();
+    return out.str();
 }
 
 }  // namespace simt::sanitize

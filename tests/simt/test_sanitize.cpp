@@ -229,7 +229,7 @@ TEST(SanitizeReportPrint, ProducesTableAndJson) {
     simt::print_sanitize_report(os, dev);
     EXPECT_NE(os.str().find("no findings"), std::string::npos);
     const std::string json = simt::sanitize::to_json(dev.sanitize_report());
-    EXPECT_NE(json.find("\"clean\":true"), std::string::npos);
+    EXPECT_NE(json.find("\"clean\": true"), std::string::npos);
 }
 
 }  // namespace

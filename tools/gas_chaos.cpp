@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "core/resilient_sort.hpp"
+#include "obs/json.hpp"
 #include "ooc/out_of_core.hpp"
 #include "serve/server.hpp"
 #include "simt/device.hpp"
@@ -411,19 +412,6 @@ WorkloadResult run_kill_revive(const CliOptions& cli) {
     return res;
 }
 
-void json_escape_into(std::string& out, const std::string& s) {
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (c == '\n') {
-            out += "\\n";
-        } else {
-            out += c;
-        }
-    }
-}
-
 int cmd_run(const CliOptions& cli) {
     const simt::faults::FaultPlan plan = make_plan(cli);
     std::vector<std::string> names;
@@ -485,21 +473,19 @@ int cmd_run(const CliOptions& cli) {
     }
 
     if (!cli.json.empty()) {
-        std::string j = "{\n  \"tool\": \"gas_chaos\",\n  \"seed\": " +
-                        std::to_string(cli.seed) + ",\n  \"workloads\": {\n";
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            const auto& r = results[i];
-            j += "    \"" + r.name + "\": {\"recovered\": " +
-                 (r.recovered ? "true" : "false") +
-                 ", \"mismatches\": " + std::to_string(r.mismatches) + ", \"detail\": \"";
-            json_escape_into(j, r.detail.empty() ? r.error : r.detail);
-            j += "\", \"faults\": " + simt::faults::to_json(r.report) + "}";
-            j += i + 1 < results.size() ? ",\n" : "\n";
+        obs::Json j;
+        j.begin_object().field("tool", "gas_chaos").field("seed", cli.seed);
+        j.object("workloads");
+        for (const auto& r : results) {
+            j.object(r.name).field("recovered", r.recovered).field("mismatches", r.mismatches);
+            j.field("detail", r.detail.empty() ? r.error : r.detail).key("faults");
+            simt::faults::write_json(j, r.report);
+            j.end_object();
         }
-        j += "  },\n  \"unrecovered\": " + std::to_string(unrecovered) +
-             ",\n  \"mismatched_rows\": " + std::to_string(mismatches) + "\n}\n";
+        j.end_object().field("unrecovered", unrecovered);
+        j.field("mismatched_rows", mismatches).end_object();
         if (std::FILE* f = std::fopen(cli.json.c_str(), "w")) {
-            std::fwrite(j.data(), 1, j.size(), f);
+            std::fprintf(f, "%s\n", j.str().c_str());
             std::fclose(f);
             std::printf("wrote %s\n", cli.json.c_str());
         } else {

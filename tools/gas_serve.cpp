@@ -224,8 +224,7 @@ int cmd_run(const CliOptions& cli) {
 
     if (!cli.json.empty()) {
         if (std::FILE* f = std::fopen(cli.json.c_str(), "w")) {
-            const std::string j = stats.to_json();
-            std::fwrite(j.data(), 1, j.size(), f);
+            std::fprintf(f, "%s\n", stats.to_json().c_str());
             std::fclose(f);
             std::printf("wrote %s\n", cli.json.c_str());
         } else {

@@ -24,8 +24,9 @@ if(NOT EXISTS ${WORK_DIR}/gas_check.json)
   message(FATAL_ERROR "expected JSON report missing")
 endif()
 file(READ ${WORK_DIR}/gas_check.json json)
-if(NOT json MATCHES "\"clean\":true")
-  message(FATAL_ERROR "JSON report not clean:\n${json}")
+string(JSON clean ERROR_VARIABLE err GET "${json}" clean)
+if(err OR NOT clean STREQUAL "ON")
+  message(FATAL_ERROR "JSON report not clean (${clean} ${err}):\n${json}")
 endif()
 
 # The graph workload standalone and strict: the full pipeline through

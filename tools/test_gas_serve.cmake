@@ -11,6 +11,17 @@ function(run)
   set(last_out "${out}" PARENT_SCOPE)
 endfunction()
 
+# Reads the member at the path ARGN of the JSON text `json` (object keys and
+# array indices; booleans read as ON/OFF) and fails unless it equals
+# `expected`.  Malformed JSON fails too.
+function(expect_json json expected)
+  string(JSON actual ERROR_VARIABLE err GET "${json}" ${ARGN})
+  if(err OR NOT actual STREQUAL expected)
+    message(FATAL_ERROR "stats JSON at '${ARGN}': expected '${expected}', got "
+                        "'${actual}' ${err}\n${json}")
+  endif()
+endfunction()
+
 foreach(mode scalar warp)
   run(${GAS_SERVE} run --requests 64 --arrays 4 --size 64 --exec ${mode})
   if(NOT last_out MATCHES "64 ok \\(0 cpu fallbacks\\), 0 not-ok, 0 unsorted")
@@ -27,9 +38,7 @@ if(NOT EXISTS ${STATS})
   message(FATAL_ERROR "async run did not write ${STATS}")
 endif()
 file(READ ${STATS} stats_json)
-if(NOT stats_json MATCHES "\"completed\": 96")
-  message(FATAL_ERROR "stats JSON missing completed count:\n${stats_json}")
-endif()
+expect_json("${stats_json}" 96 requests completed)
 
 # Fleet path: every routing policy across 3 devices must serve the full
 # stream, and the stats JSON must carry the per-device fleet block.
@@ -41,12 +50,8 @@ foreach(policy least-loaded consistent-hash key-range)
     message(FATAL_ERROR "fleet ${policy} run not fully served:\n${last_out}")
   endif()
   file(READ ${FLEET_STATS} fleet_json)
-  if(NOT fleet_json MATCHES "\"per_device\"")
-    message(FATAL_ERROR "fleet stats JSON missing per_device block:\n${fleet_json}")
-  endif()
-  if(NOT fleet_json MATCHES "\"dev2\"")
-    message(FATAL_ERROR "fleet stats JSON missing third device:\n${fleet_json}")
-  endif()
+  expect_json("${fleet_json}" 3 fleet devices)
+  expect_json("${fleet_json}" dev2 fleet per_device 2 name)
 endforeach()
 run(${GAS_SERVE} run --requests 48 --devices 4 --policy least-loaded --async)
 if(NOT last_out MATCHES "48 ok \\(0 cpu fallbacks\\), 0 not-ok, 0 unsorted")
@@ -65,21 +70,11 @@ if(NOT last_out MATCHES "health: on")
   message(FATAL_ERROR "health summary line missing:\n${last_out}")
 endif()
 file(READ ${HEALTH_STATS} health_json)
-if(NOT health_json MATCHES "\"health\": {")
-  message(FATAL_ERROR "stats JSON missing the health block:\n${health_json}")
-endif()
-if(NOT health_json MATCHES "\"enabled\": true")
-  message(FATAL_ERROR "health block not marked enabled:\n${health_json}")
-endif()
-if(NOT health_json MATCHES "\"hedge_mismatches\": 0")
-  message(FATAL_ERROR "hedge mismatch gate not zero:\n${health_json}")
-endif()
-if(NOT health_json MATCHES "\"health_state\": \"healthy\"")
-  message(FATAL_ERROR "per-device health_state missing:\n${health_json}")
-endif()
+expect_json("${health_json}" ON health enabled)
+expect_json("${health_json}" 0 health hedge_mismatches)
+expect_json("${health_json}" healthy fleet per_device 0 health_state)
+expect_json("${health_json}" healthy fleet per_device 1 health_state)
 # And --health off keeps the block present but disabled (schema stability).
 run(${GAS_SERVE} run --requests 16 --health off --json ${HEALTH_STATS})
 file(READ ${HEALTH_STATS} health_json)
-if(NOT health_json MATCHES "\"enabled\": false")
-  message(FATAL_ERROR "health off not reflected in JSON:\n${health_json}")
-endif()
+expect_json("${health_json}" OFF health enabled)
