@@ -12,21 +12,29 @@
 //
 //   pool vs spawn   >= 3x launches/sec on small grids (full mode only)
 //   graph vs loop   >= 2x launches/sec on small grids (fig4-shaped chains)
+//   pool wakes      a 24-launch loop at grid 4 wakes the pool 24 times; one
+//                   submit of the same chain wakes it at most
+//                   quick_graph_pool_wakes_per_submit times (the baseline's
+//                   value, else 1 — Device::submit's one round-trip promise)
 //
 //   micro_launch_overhead [--quick] [--iters N] [--json PATH]
 //                         [--baseline PATH]
 //
 // The full run owns the committed BENCH_graph.json artifact; --quick is the
-// bench-smoke ctest body — it trims iterations, skips the slow spawn
-// comparison, and diffs its graph launch rate against the committed
-// baseline (>20% regression fails).  Exit code 0 iff every gate passed.
+// bench-smoke ctest body — it trims iterations and skips the slow spawn
+// comparison.  Every gate is a ratio or a count taken in the same run, so
+// it holds on any host; the grid-4 graph launch rate is printed beside the
+// committed one as information only, since it measures the host as much as
+// the code.  Exit code 0 iff every gate passed.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -91,40 +99,44 @@ double spawn_rate(const simt::DeviceProperties& props, unsigned grid, unsigned b
     return iters / seconds_since(t0);
 }
 
-/// Kernel launches/sec when a `chain`-node dependency chain is issued as
-/// `chain` separate Device::launch calls (one scheduling round-trip each).
-double loop_chain_rate(simt::Device& dev, unsigned grid, unsigned block,
-                       unsigned chain, int iters) {
-    const auto run = [&] {
-        for (unsigned k = 0; k < chain; ++k) {
-            dev.launch({"micro.tiny", grid, block}, tiny_body);
-        }
-    };
-    for (int i = 0; i < 4; ++i) run();
+/// A `chain`-node dependency chain issued as `chain` separate
+/// Device::launch calls (one scheduling round-trip each).
+void loop_chain(simt::Device& dev, unsigned grid, unsigned block, unsigned chain) {
+    for (unsigned k = 0; k < chain; ++k) dev.launch({"micro.tiny", grid, block}, tiny_body);
+}
+
+/// The same chain built as a graph and run by one Device::submit: the
+/// worker team stays resident across all `chain` nodes, so the per-launch
+/// wake/join round-trip is paid once per graph.
+void graph_chain(simt::Device& dev, unsigned grid, unsigned block, unsigned chain) {
+    simt::Graph g;
+    simt::Graph::NodeId prev = 0;
+    for (unsigned k = 0; k < chain; ++k) {
+        prev = k == 0 ? g.add_kernel({"micro.tiny", grid, block}, tiny_body)
+                      : g.add_kernel({"micro.tiny", grid, block}, tiny_body, {prev});
+    }
+    dev.submit(g);
+}
+
+/// Kernel launches/sec of `run_chain` (loop_chain or graph_chain).  Graph
+/// construction is timed too — a sorter rebuilds its graph per sort, so
+/// build cost is part of the win.
+template <typename RunChain>
+double chain_rate(RunChain run_chain, simt::Device& dev, unsigned grid, unsigned block,
+                  unsigned chain, int iters) {
+    for (int i = 0; i < 4; ++i) run_chain(dev, grid, block, chain);
     const auto t0 = Clock::now();
-    for (int i = 0; i < iters; ++i) run();
+    for (int i = 0; i < iters; ++i) run_chain(dev, grid, block, chain);
     return iters * chain / seconds_since(t0);
 }
 
-/// Kernel launches/sec when the same chain is one Device::submit: the worker
-/// team stays resident across all `chain` nodes, so the per-launch wake/join
-/// round-trip is paid once per graph.  Graph construction is timed too — a
-/// sorter rebuilds its graph per sort, so build cost is part of the win.
-double graph_chain_rate(simt::Device& dev, unsigned grid, unsigned block,
-                        unsigned chain, int iters) {
-    const auto run = [&] {
-        simt::Graph g;
-        simt::Graph::NodeId prev = 0;
-        for (unsigned k = 0; k < chain; ++k) {
-            prev = k == 0 ? g.add_kernel({"micro.tiny", grid, block}, tiny_body)
-                          : g.add_kernel({"micro.tiny", grid, block}, tiny_body, {prev});
-        }
-        dev.submit(g);
-    };
-    for (int i = 0; i < 4; ++i) run();
-    const auto t0 = Clock::now();
-    for (int i = 0; i < iters; ++i) run();
-    return iters * chain / seconds_since(t0);
+/// Pool wakes (Device::pool_wakes) that one run of `run_chain` costs.
+template <typename RunChain>
+std::uint64_t chain_wakes(RunChain run_chain, simt::Device& dev, unsigned grid,
+                          unsigned block, unsigned chain) {
+    const std::uint64_t before = dev.pool_wakes();
+    run_chain(dev, grid, block, chain);
+    return dev.pool_wakes() - before;
 }
 
 }  // namespace
@@ -236,10 +248,11 @@ int main(int argc, char** argv) {
     };
     for (const unsigned grid : grids) {
         const int scale = grid >= 64 ? 4 : 1;
-        const double loop = best_of(
-            [&] { return loop_chain_rate(team_dev, grid, block, chain, chain_iters / scale); });
-        const double graph = best_of(
-            [&] { return graph_chain_rate(team_dev, grid, block, chain, chain_iters / scale); });
+        const int n = chain_iters / scale;
+        const double loop =
+            best_of([&] { return chain_rate(loop_chain, team_dev, grid, block, chain, n); });
+        const double graph =
+            best_of([&] { return chain_rate(graph_chain, team_dev, grid, block, chain, n); });
         const double speedup = graph / loop;
         // The gate sits on the overhead-dominated point (a 4-block grid is
         // too small to hide any scheduling round-trip).  Larger grids are
@@ -257,6 +270,37 @@ int main(int argc, char** argv) {
     std::printf("overhead-dominated small grid (4 blocks) graph >= 2x loop: %s\n",
                 graph_ok ? "yes" : "NO");
     ok = ok && graph_ok;
+
+    // The launch-rate advantage above rests on Device::submit waking the
+    // pool once per graph where the loop wakes it once per launch.  Those
+    // counts are the same on every host, so they carry the committed
+    // baseline's gate; the loop's count also proves the counter sees wakes.
+    const std::uint64_t loop_wakes = chain_wakes(loop_chain, team_dev, 4, block, chain);
+    const std::uint64_t submit_wakes = chain_wakes(graph_chain, team_dev, 4, block, chain);
+    std::optional<double> allowed_wakes = 1.0;
+    if (!baseline_path.empty()) {
+        allowed_wakes =
+            bench::baseline_number(baseline_path, "quick_graph_pool_wakes_per_submit");
+        if (!allowed_wakes) {
+            std::printf("baseline: no quick_graph_pool_wakes_per_submit in %s — FAIL\n",
+                        baseline_path.c_str());
+        }
+    }
+    const bool wakes_ok = loop_wakes == chain && allowed_wakes &&
+                          static_cast<double>(submit_wakes) <= *allowed_wakes;
+    std::printf("gate: pool wakes at grid 4: loop %llu (need %u), submit %llu "
+                "(need <= %.0f) ... %s\n",
+                static_cast<unsigned long long>(loop_wakes), chain,
+                static_cast<unsigned long long>(submit_wakes), allowed_wakes.value_or(0.0),
+                wakes_ok ? "PASS" : "FAIL");
+    ok = ok && wakes_ok;
+    if (!baseline_path.empty()) {
+        const double base =
+            bench::baseline_number(baseline_path, "quick_graph_launches_per_sec").value_or(0.0);
+        std::printf("info: grid-4 graph launch rate %.0f/s, committed %.0f/s "
+                    "(host-dependent, not gated)\n",
+                    quick_rate, base);
+    }
     bench::rule();
 
     // The numbers above are only honest if the sanitizer machinery is
@@ -267,25 +311,10 @@ int main(int argc, char** argv) {
     });
     ok = ok && inert;
 
-    bool baseline_pass = true;
-    if (!baseline_path.empty()) {
-        const double base =
-            bench::baseline_number(baseline_path, "quick_graph_launches_per_sec")
-                .value_or(0.0);
-        if (base <= 0.0) {
-            std::printf("baseline: no quick_graph_launches_per_sec in %s — FAIL\n",
-                        baseline_path.c_str());
-            baseline_pass = false;
-        } else {
-            baseline_pass = quick_rate >= 0.8 * base;
-            std::printf("gate: graph launch rate %.0f/s vs baseline %.0f/s "
-                        "(need >= 80%%) ... %s\n",
-                        quick_rate, base, baseline_pass ? "PASS" : "FAIL");
-        }
-        ok = ok && baseline_pass;
-    }
-
     json.field("quick_graph_launches_per_sec", quick_rate);
+    json.field("quick_loop_pool_wakes", loop_wakes);
+    json.field("quick_graph_pool_wakes_per_submit", submit_wakes);
+    json.field("pool_wakes_ok", wakes_ok);
     json.field("sanitize_off_bit_identical", inert);
     json.field("small_grid_pool_speedup_ge_3x", spawn_ok);
     json.field("small_grid_graph_speedup_ge_2x", graph_ok).field("pass", ok).end_object();

@@ -74,6 +74,11 @@ class Device {
     /// equivalent loop of launches.  Defined in graph.cpp.
     GraphStats submit(Graph& graph);
 
+    /// Times the worker pool has been woken: one per launch() that fans out
+    /// to more than one worker, one per submit() on a multi-worker device,
+    /// none for inline (1-worker) execution; 0 before the first launch.
+    [[nodiscard]] std::uint64_t pool_wakes() const { return pool_ ? pool_->wakes() : 0; }
+
     /// Cumulative counters over every submit() on this device, consumed by
     /// the serve layer's observability ("graph" stats block).
     struct GraphTelemetry {

@@ -55,6 +55,13 @@ class ThreadPool {
     /// Pool threads currently alive (excludes the caller; grows on demand).
     [[nodiscard]] unsigned threads() const { return static_cast<unsigned>(threads_.size()); }
 
+    /// Times run() has woken the pool threads: one per multi-worker run (a
+    /// 1-worker run executes inline and wakes nobody).  Safe from any thread.
+    [[nodiscard]] std::uint64_t wakes() const {
+        const std::scoped_lock lock(mutex_);
+        return generation_;
+    }
+
   private:
     void worker_main(unsigned index);
     void ensure_threads(unsigned count);
@@ -62,7 +69,7 @@ class ThreadPool {
     std::vector<std::thread> threads_;
     std::vector<std::unique_ptr<BlockCtx>> slots_;
 
-    std::mutex mutex_;
+    mutable std::mutex mutex_;
     std::condition_variable work_cv_;  ///< workers wait here for a new job
     std::condition_variable done_cv_;  ///< run() waits here for completion
     const std::function<void(unsigned)>* task_ = nullptr;

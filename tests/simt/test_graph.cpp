@@ -1,6 +1,7 @@
 // simt::Graph + Device::submit: DAG construction diagnostics, deterministic
 // execution order, dynamic enqueue, conditional nodes, the bit-identical
-// stats contract against the loop-of-launches path, and fault-hook parity.
+// stats contract against the loop-of-launches path, fault-hook parity, and
+// the one-pool-wake-per-submit scheduling promise.
 
 #include <gtest/gtest.h>
 
@@ -255,6 +256,50 @@ TEST(Graph, TelemetryAccumulatesAcrossSubmits) {
     EXPECT_EQ(dev.kernel_log().size(), 4u);
     dev.clear_graph_telemetry();
     EXPECT_EQ(dev.graph_telemetry().graphs, 0u);
+}
+
+void one_op(BlockCtx& blk) {
+    blk.for_each_thread([&](ThreadCtx& tc) { tc.ops(1); });
+}
+
+/// Appends an `n`-kernel dependency chain of `grid`-block kernels to `g`.
+void add_chain(Graph& g, unsigned n, unsigned grid) {
+    Graph::NodeId prev = 0;
+    for (unsigned k = 0; k < n; ++k) {
+        prev = k == 0 ? g.add_kernel({"link", grid, 32}, one_op)
+                      : g.add_kernel({"link", grid, 32}, one_op, {prev});
+    }
+}
+
+TEST(Graph, SubmitWakesThePoolOncePerGraph) {
+    // Device::submit's promise: the worker pool is woken once for the whole
+    // graph and stays resident, where a loop of launches wakes it once per
+    // multi-block launch.  A 1-block launch runs inline and wakes nobody.
+    constexpr unsigned kChain = 6;
+    for (const unsigned grid : {2u, 4u, 9u}) {
+        Device dev(simt::tiny_device(1 << 20));
+        dev.set_host_workers(4);
+        EXPECT_EQ(dev.pool_wakes(), 0u);
+        Graph g;
+        add_chain(g, kChain, grid);
+        dev.submit(g);
+        EXPECT_EQ(dev.pool_wakes(), 1u) << "grid " << grid;
+        for (unsigned k = 0; k < kChain; ++k) dev.launch({"link", grid, 32}, one_op);
+        EXPECT_EQ(dev.pool_wakes(), 1u + kChain) << "grid " << grid;
+        dev.launch({"inline", 1, 32}, one_op);
+        EXPECT_EQ(dev.pool_wakes(), 1u + kChain) << "grid " << grid;
+    }
+}
+
+TEST(Graph, SingleWorkerDeviceNeverWakesThePool) {
+    Device dev(simt::tiny_device(1 << 20));
+    dev.set_host_workers(1);
+    Graph g;
+    add_chain(g, 6, 4);
+    dev.submit(g);
+    for (unsigned k = 0; k < 6; ++k) dev.launch({"link", 4, 32}, one_op);
+    EXPECT_EQ(dev.kernel_log().size(), 12u);
+    EXPECT_EQ(dev.pool_wakes(), 0u);
 }
 
 TEST(Graph, KernelExceptionPropagatesAndTeamSurvives) {
