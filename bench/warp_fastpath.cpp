@@ -3,10 +3,12 @@
 //
 // Three sections, each sorting the same dataset under both execution modes:
 //
-//   quick  — a small fig-4-shaped workload; always runs, and its warp
-//            throughput is recorded flat in the JSON so the bench-smoke
-//            ctest can diff a fresh --quick run against the committed
-//            BENCH_warp_fastpath.json baseline (>20% regression fails).
+//   quick  — a small fig-4-shaped workload; always runs.  Gates: the warp
+//            path must deliver >= 3x the scalar interpreter's throughput
+//            measured in the same run, with 0 output byte mismatches and 0
+//            KernelStats drift.  Its warp throughput is recorded flat in the
+//            JSON; --baseline prints the committed rate beside the fresh one
+//            as host-dependent information, not gated.
 //   fig4   — the paper's Figure-4 workload at the default bench scale
 //            (N = 2500 arrays of n = 1000 floats).  Gates: the warp path
 //            must deliver >= 3x the scalar interpreter's wall-clock
@@ -152,7 +154,12 @@ int main(int argc, char** argv) {
     bench::rule('=');
 
     const Section q = run_section("quick", 250, 1000);
-    bool ok = q.mismatches == 0 && q.drift == 0;
+    // In-run ratio, not an absolute rate: both modes run on this host in
+    // this process, so the gate holds on any machine.
+    bool ok = q.speedup >= 3.0 && q.mismatches == 0 && q.drift == 0;
+    std::printf("gate: quick warp speedup %.2fx (need >= 3x), %zu mismatches, %zu drift ... "
+                "%s\n",
+                q.speedup, q.mismatches, q.drift, ok ? "PASS" : "FAIL");
 
     Section f4;
     double paper_wall_s = 0.0;
@@ -191,21 +198,15 @@ int main(int argc, char** argv) {
         }
     }
 
-    bool baseline_pass = true;
     if (!baseline_path.empty()) {
-        const double base =
-            bench::baseline_number(baseline_path, "quick_warp_elems_per_sec").value_or(0.0);
-        if (base <= 0.0) {
-            std::printf("baseline: no quick_warp_elems_per_sec in %s — FAIL\n",
-                        baseline_path.c_str());
-            baseline_pass = false;
+        const auto base = bench::baseline_number(baseline_path, "quick_warp_elems_per_sec");
+        if (base) {
+            std::printf("info: quick warp throughput %.2f Me/s, committed %.2f Me/s "
+                        "(host-dependent, not gated)\n",
+                        q.warp_eps / 1e6, *base / 1e6);
         } else {
-            baseline_pass = q.warp_eps >= 0.8 * base;
-            std::printf("gate: quick warp throughput %.2f Me/s vs baseline %.2f Me/s "
-                        "(need >= 80%%) ... %s\n",
-                        q.warp_eps / 1e6, base / 1e6, baseline_pass ? "PASS" : "FAIL");
+            std::printf("info: no quick_warp_elems_per_sec in %s\n", baseline_path.c_str());
         }
-        ok = ok && baseline_pass;
     }
 
     if (!json_path.empty()) {

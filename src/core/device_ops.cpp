@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "simt/device_buffer.hpp"
-
 namespace gas {
 
 namespace {
@@ -47,48 +45,5 @@ template simt::KernelStats negate_on_device<float>(simt::Device&, std::span<floa
 template simt::KernelStats negate_on_device<double>(simt::Device&, std::span<double>);
 template detail::KernelSpec negate_spec<float>(std::span<float>);
 template detail::KernelSpec negate_spec<double>(std::span<double>);
-
-std::size_t count_unsorted_on_device(simt::Device& device, std::span<const float> data,
-                                     std::size_t num_arrays, std::size_t array_size) {
-    if (num_arrays == 0 || array_size < 2) return 0;
-
-    simt::DeviceBuffer<std::uint32_t> flags(device, num_arrays);
-    auto fspan = flags.span();
-
-    const auto threads =
-        static_cast<unsigned>(std::min<std::size_t>(array_size - 1, 256));
-    simt::LaunchConfig cfg{"gas.check_sorted", static_cast<unsigned>(num_arrays), threads};
-    device.launch(cfg, [&](simt::BlockCtx& blk) {
-        auto violations = blk.shared_alloc<std::uint32_t>(threads);
-        const float* row = data.data() + blk.block_idx() * array_size;
-
-        const auto scan_lane = [&](simt::ThreadCtx& tc) {
-            std::uint32_t v = 0;
-            std::uint64_t seen = 0;
-            for (std::size_t i = tc.tid() + 1; i < array_size; i += threads) {
-                v += row[i - 1] > row[i] ? 1u : 0u;
-                ++seen;
-            }
-            violations[tc.tid()] = v;
-            tc.global_coalesced(2 * seen * sizeof(float));
-            tc.ops(2 * seen);
-            tc.shared(1);
-        };
-        blk.for_each_warp([&](simt::WarpCtx& wc) { wc.for_lanes(scan_lane); });
-
-        blk.single_thread([&](simt::ThreadCtx& tc) {
-            std::uint32_t total = 0;
-            for (unsigned t = 0; t < threads; ++t) total += violations[t];
-            fspan[blk.block_idx()] = total;
-            tc.ops(threads);
-            tc.shared(threads);
-            tc.global_random(1);
-        });
-    });
-
-    std::size_t unsorted = 0;
-    for (std::uint32_t f : fspan) unsorted += f > 0 ? 1 : 0;
-    return unsorted;
-}
 
 }  // namespace gas

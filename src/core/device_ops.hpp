@@ -27,17 +27,4 @@ detail::KernelSpec negate_spec(std::span<T> data);
 extern template detail::KernelSpec negate_spec<float>(std::span<float>);
 extern template detail::KernelSpec negate_spec<double>(std::span<double>);
 
-/// Device-side sortedness check: one block per array, threads compare
-/// adjacent elements in strides, a per-array violation count is reduced in
-/// shared memory.  Lets callers re-validate results without copying the
-/// dataset back to the host.  Returns the number of unsorted arrays.
-std::size_t count_unsorted_on_device(simt::Device& device, std::span<const float> data,
-                                     std::size_t num_arrays, std::size_t array_size);
-
-/// Convenience: true iff every array is ascending (device-side check).
-inline bool is_sorted_on_device(simt::Device& device, std::span<const float> data,
-                                std::size_t num_arrays, std::size_t array_size) {
-    return count_unsorted_on_device(device, data, num_arrays, array_size) == 0;
-}
-
 }  // namespace gas

@@ -27,21 +27,21 @@ namespace gas::detail {
 /// Sorts the rows `offsets` (N+1 entries, CSR) cuts out of `keys` in place,
 /// with `values` permuted alongside when kPairs: offset and option checks,
 /// host checksums, descending negation, the fused launch, and verify.
-/// `where` names the caller in error messages.  A nonzero `uniform_size`
-/// marks rows of that one size, which verify through the uniform-row kernel.
+/// `where` names the caller in error messages; `verify_name` names the verify
+/// kernel it launches under Options::verify_output.
 template <typename T, bool kPairs>
 SortStats sort_csr_on_device(simt::Device& device, std::span<T> keys, std::span<T> values,
                              std::span<const std::uint64_t> offsets, const Options& opts,
-                             const char* where, std::size_t uniform_size = 0);
+                             const char* where, const char* verify_name);
 
 extern template SortStats sort_csr_on_device<float, false>(
     simt::Device&, std::span<float>, std::span<float>, std::span<const std::uint64_t>,
-    const Options&, const char*, std::size_t);
+    const Options&, const char*, const char*);
 extern template SortStats sort_csr_on_device<float, true>(
     simt::Device&, std::span<float>, std::span<float>, std::span<const std::uint64_t>,
-    const Options&, const char*, std::size_t);
+    const Options&, const char*, const char*);
 extern template SortStats sort_csr_on_device<double, true>(
     simt::Device&, std::span<double>, std::span<double>, std::span<const std::uint64_t>,
-    const Options&, const char*, std::size_t);
+    const Options&, const char*, const char*);
 
 }  // namespace gas::detail

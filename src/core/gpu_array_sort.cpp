@@ -35,9 +35,11 @@ SortStats sort_arrays_on_device(simt::Device& device, simt::DeviceBuffer<T>& dat
     // taken host-side from the freshly-staged span before the first launch
     // (a baseline no injected fault can poison — see host_row_checksums),
     // checked by one verify kernel with modeled cost right before returning.
+    std::vector<std::uint64_t> offsets;
     std::vector<std::uint64_t> expected;
     if (opts.verify_output) {
-        expected = resilient::host_row_checksums<T>(span, num_arrays, array_size);
+        offsets = resilient::uniform_offsets(num_arrays, array_size);
+        expected = resilient::host_row_checksums<T>(span, {}, offsets);
     }
 
     SortStats stats = pipeline.run();
@@ -66,8 +68,8 @@ SortStats sort_arrays_on_device(simt::Device& device, simt::DeviceBuffer<T>& dat
     }
 
     if (opts.verify_output) {
-        const auto vc = resilient::verify_rows_on_device<T>(device, span, num_arrays,
-                                                            array_size, opts.order, expected);
+        const auto vc = resilient::verify_rows_on_device<T>(device, "gas.verify", span, {},
+                                                            offsets, opts.order, expected);
         stats.verify.modeled_ms += vc.modeled_ms;
         stats.verify.wall_ms += vc.wall_ms;
         if (!vc.ok()) {

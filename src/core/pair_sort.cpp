@@ -257,7 +257,7 @@ simt::KernelStats fused_sort(simt::Device& device, std::span<T> keys, std::span<
 template <typename T, bool kPairs>
 SortStats sort_csr_on_device(simt::Device& device, std::span<T> keys, std::span<T> values,
                              std::span<const std::uint64_t> offsets, const Options& opts,
-                             const char* where, std::size_t uniform_size) {
+                             const char* where, const char* verify_name) {
     constexpr std::size_t kPlanes = kPairs ? 2 : 1;
     SortStats stats;
     if (offsets.size() < 2) return stats;
@@ -301,12 +301,7 @@ SortStats sort_csr_on_device(simt::Device& device, std::span<T> keys, std::span<
     // fault can poison the baseline; verified after the negate-back below.
     std::vector<std::uint64_t> expected;
     if (opts.verify_output) {
-        if constexpr (kPairs) {
-            expected = resilient::host_pair_csr_checksums<T>(
-                std::span<const T>(key_span), std::span<const T>(val_span), offsets);
-        } else {
-            expected = resilient::host_csr_checksums<T>(std::span<const T>(key_span), offsets);
-        }
+        expected = resilient::host_row_checksums<T>(key_span, val_span, offsets);
     }
     const bool descending = opts.order == SortOrder::Descending;
     const auto negate = [&] {
@@ -323,19 +318,9 @@ SortStats sort_csr_on_device(simt::Device& device, std::span<T> keys, std::span<
     if (descending) negate();
 
     if (opts.verify_output) {
-        const std::span<const T> ck(key_span);
-        const std::span<const T> cv(val_span);
-        resilient::VerifyCounts vc;
-        if constexpr (kPairs) {
-            vc = uniform_size > 0
-                     ? resilient::verify_pair_rows_on_device<T>(device, ck, cv, num_arrays,
-                                                                uniform_size, opts.order,
-                                                                expected)
-                     : resilient::verify_pair_csr_on_device<T>(device, ck, cv, offsets,
-                                                               opts.order, expected);
-        } else {
-            vc = resilient::verify_csr_on_device<T>(device, ck, offsets, opts.order, expected);
-        }
+        const auto vc = resilient::verify_rows_on_device<T>(device, verify_name, key_span,
+                                                            val_span, offsets, opts.order,
+                                                            expected);
         stats.verify.modeled_ms += vc.modeled_ms;
         stats.verify.wall_ms += vc.wall_ms;
         if (!vc.ok()) throw resilient::VerifyError(where, vc.unsorted, vc.mismatched);
@@ -346,15 +331,15 @@ SortStats sort_csr_on_device(simt::Device& device, std::span<T> keys, std::span<
 template SortStats sort_csr_on_device<float, false>(simt::Device&, std::span<float>,
                                                     std::span<float>,
                                                     std::span<const std::uint64_t>,
-                                                    const Options&, const char*, std::size_t);
+                                                    const Options&, const char*, const char*);
 template SortStats sort_csr_on_device<float, true>(simt::Device&, std::span<float>,
                                                    std::span<float>,
                                                    std::span<const std::uint64_t>,
-                                                   const Options&, const char*, std::size_t);
+                                                   const Options&, const char*, const char*);
 template SortStats sort_csr_on_device<double, true>(simt::Device&, std::span<double>,
                                                     std::span<double>,
                                                     std::span<const std::uint64_t>,
-                                                    const Options&, const char*, std::size_t);
+                                                    const Options&, const char*, const char*);
 
 }  // namespace detail
 
@@ -366,10 +351,10 @@ SortStats sort_pairs_on_device(simt::Device& device, simt::DeviceBuffer<T>& keys
         throw std::invalid_argument("sort_pairs_on_device: buffers smaller than N x n");
     }
     if (num_arrays == 0 || array_size == 0) return {};
-    std::vector<std::uint64_t> offsets(num_arrays + 1);
-    for (std::size_t a = 0; a <= num_arrays; ++a) offsets[a] = a * array_size;
+    const auto offsets = resilient::uniform_offsets(num_arrays, array_size);
     return detail::sort_csr_on_device<T, true>(device, keys.span(), values.span(), offsets,
-                                               opts, "sort_pairs_on_device", array_size);
+                                               opts, "sort_pairs_on_device",
+                                               "gas.verify_pairs");
 }
 
 template <typename T>
@@ -399,7 +384,8 @@ SortStats sort_ragged_pairs_on_device(simt::Device& device, simt::DeviceBuffer<T
                                       std::span<const std::uint64_t> offsets,
                                       const Options& opts) {
     return detail::sort_csr_on_device<T, true>(device, keys.span(), values.span(), offsets,
-                                               opts, "sort_ragged_pairs_on_device");
+                                               opts, "sort_ragged_pairs_on_device",
+                                               "gas.verify_pairs_csr");
 }
 
 template <typename T>

@@ -7,7 +7,7 @@ namespace gas {
 SortStats sort_ragged_on_device(simt::Device& device, simt::DeviceBuffer<float>& values,
                                 std::span<const std::uint64_t> offsets, const Options& opts) {
     return detail::sort_csr_on_device<float, false>(device, values.span(), {}, offsets, opts,
-                                                    "sort_ragged_on_device");
+                                                    "sort_ragged_on_device", "gas.verify_csr");
 }
 
 bool ragged_row_fits_shared(std::size_t n, const simt::DeviceProperties& props,

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -52,71 +54,46 @@ template <typename T>
     return mix64(key_bits(key) ^ mix64(key_bits(value)));
 }
 
+/// Multiset checksum of one row; with `values` (same length as `keys`) each
+/// key is bound to its payload, so a payload that stops traveling with its
+/// key moves the checksum, not just key loss.  Empty `values` = keys only.
 template <typename T>
-[[nodiscard]] std::uint64_t row_checksum(std::span<const T> row) {
+[[nodiscard]] std::uint64_t row_checksum(std::span<const T> keys,
+                                         std::span<const T> values = {}) {
     std::uint64_t sum = 0;
-    for (const T v : row) sum += elem_hash(v);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        sum += values.empty() ? elem_hash(keys[i]) : pair_hash(keys[i], values[i]);
+    }
     return sum;
 }
 
-template <typename T>
-[[nodiscard]] std::uint64_t pair_row_checksum(std::span<const T> keys, std::span<const T> values) {
-    std::uint64_t sum = 0;
-    for (std::size_t i = 0; i < keys.size(); ++i) sum += pair_hash(keys[i], values[i]);
-    return sum;
+/// CSR row table of `num_rows` rows of `row_size` elements: offsets[i] =
+/// i * row_size, N+1 entries.
+[[nodiscard]] inline std::vector<std::uint64_t> uniform_offsets(std::size_t num_rows,
+                                                                std::size_t row_size) {
+    std::vector<std::uint64_t> offsets(num_rows + 1);
+    for (std::size_t r = 0; r <= num_rows; ++r) offsets[r] = r * row_size;
+    return offsets;
 }
 
-// Host-side batch checksums.  The verification baseline must come from data
-// no device fault can touch: the serve layer hashes its staging copies, and
-// the sorters hash the freshly-uploaded span before the first launch (the
-// corruption model materializes flips at launch *entry*, so that read is
-// pristine by construction).  Taking the baseline via a device kernel would
-// open a TOCTOU window — corruption firing at that kernel's entry poisons
-// the baseline and certifies corrupted data as correct.
-
+// Host-side batch checksums, one per CSR row: row r spans [offsets[r],
+// offsets[r+1]) of `keys` (and of `values`, when not empty).  The
+// verification baseline must come from data no device fault can touch: the
+// serve layer hashes its staging copies, and the sorters hash the
+// freshly-uploaded span before the first launch (the corruption model
+// materializes flips at launch *entry*, so that read is pristine by
+// construction).  Taking the baseline via a device kernel would open a
+// TOCTOU window — corruption firing at that kernel's entry poisons the
+// baseline and certifies corrupted data as correct.
 template <typename T>
-[[nodiscard]] std::vector<std::uint64_t> host_row_checksums(std::span<const T> data,
-                                                            std::size_t num_rows,
-                                                            std::size_t row_size) {
-    std::vector<std::uint64_t> out(num_rows);
-    for (std::size_t r = 0; r < num_rows; ++r) {
-        out[r] = row_checksum(data.subspan(r * row_size, row_size));
-    }
-    return out;
-}
-
-template <typename T>
-[[nodiscard]] std::vector<std::uint64_t> host_csr_checksums(
-    std::span<const T> data, std::span<const std::uint64_t> offsets) {
-    std::vector<std::uint64_t> out(offsets.empty() ? 0 : offsets.size() - 1);
-    for (std::size_t r = 0; r < out.size(); ++r) {
-        out[r] = row_checksum(data.subspan(offsets[r], offsets[r + 1] - offsets[r]));
-    }
-    return out;
-}
-
-template <typename T>
-[[nodiscard]] std::vector<std::uint64_t> host_pair_row_checksums(std::span<const T> keys,
-                                                                 std::span<const T> values,
-                                                                 std::size_t num_rows,
-                                                                 std::size_t row_size) {
-    std::vector<std::uint64_t> out(num_rows);
-    for (std::size_t r = 0; r < num_rows; ++r) {
-        out[r] = pair_row_checksum(keys.subspan(r * row_size, row_size),
-                                   values.subspan(r * row_size, row_size));
-    }
-    return out;
-}
-
-template <typename T>
-[[nodiscard]] std::vector<std::uint64_t> host_pair_csr_checksums(
+[[nodiscard]] std::vector<std::uint64_t> host_row_checksums(
     std::span<const T> keys, std::span<const T> values,
     std::span<const std::uint64_t> offsets) {
     std::vector<std::uint64_t> out(offsets.empty() ? 0 : offsets.size() - 1);
     for (std::size_t r = 0; r < out.size(); ++r) {
         const std::size_t len = offsets[r + 1] - offsets[r];
-        out[r] = pair_row_checksum(keys.subspan(offsets[r], len),
-                                   values.subspan(offsets[r], len));
+        out[r] = row_checksum(keys.subspan(offsets[r], len),
+                              values.empty() ? values : values.subspan(offsets[r], len));
     }
     return out;
 }
@@ -182,10 +159,10 @@ struct RetryPolicy {
 }
 
 // ---------------------------------------------------------------------------
-// Device-side verify kernels.
+// Device-side verify kernel: the one device row checker.
 //
-// One thread per row, kRowsPerBlock rows per block.  The checksum baseline
-// they compare against comes from the host (see host_row_checksums above).
+// One thread per row, 256 rows per block.  The checksum baseline it
+// compares against comes from the host (see host_row_checksums above).
 // Verification is a real kernel launch with modeled cost, so enabling
 // Options::verify_output shows up honestly in modeled time (SortStats::verify)
 // — and so an injected corruption arriving *before* the verify launch is
@@ -203,18 +180,21 @@ struct VerifyCounts {
     [[nodiscard]] bool ok() const { return unsorted == 0 && mismatched == 0; }
 };
 
-namespace detail {
-
-inline constexpr unsigned kRowsPerBlock = 256;
-
-/// `row(r)` yields {keys, values} spans for row r (values empty when the
-/// workload is keys-only).
-template <typename T, typename RowFn>
-VerifyCounts verify_kernel(simt::Device& device, const char* name, std::size_t num_rows,
-                           RowFn row, SortOrder order,
-                           std::span<const std::uint64_t> expected,
-                           std::span<std::uint8_t> row_fail) {
+/// Post-sort verification of the CSR rows `offsets` (N+1 entries) cuts out
+/// of `keys` (and `values`, bound key-to-payload, when not empty): order per
+/// `order`, multiset checksum per row against `expected`.  Uniform rows are
+/// offsets[i] = i * n (uniform_offsets).  `name` is the launched kernel's
+/// name.  `row_fail` (optional) receives per row: bit 0 = unsorted, bit 1 =
+/// checksum mismatch.
+template <typename T>
+VerifyCounts verify_rows_on_device(simt::Device& device, const char* name,
+                                   std::span<const T> keys, std::span<const T> values,
+                                   std::span<const std::uint64_t> offsets, SortOrder order,
+                                   std::span<const std::uint64_t> expected,
+                                   std::span<std::uint8_t> row_fail = {}) {
+    constexpr unsigned kRowsPerBlock = 256;
     VerifyCounts counts;
+    const std::size_t num_rows = offsets.empty() ? 0 : offsets.size() - 1;
     counts.rows = num_rows;
     if (num_rows == 0) return counts;
     std::vector<std::uint8_t> local;
@@ -231,23 +211,20 @@ VerifyCounts verify_kernel(simt::Device& device, const char* name, std::size_t n
             const std::size_t r =
                 static_cast<std::size_t>(blk.block_idx()) * kRowsPerBlock + tc.tid();
             if (r >= num_rows) return;
-            const auto [keys, values] = row(r);
-            std::uint64_t sum = 0;
-            bool sorted = true;
-            for (std::size_t i = 0; i < keys.size(); ++i) {
-                sum += values.empty() ? elem_hash(keys[i]) : pair_hash(keys[i], values[i]);
-                if (i > 0) {
-                    sorted &= ascending ? !(keys[i] < keys[i - 1]) : !(keys[i - 1] < keys[i]);
-                }
-            }
+            const std::size_t len = offsets[r + 1] - offsets[r];
+            const auto row = keys.subspan(offsets[r], len);
+            const auto vals = values.empty() ? values : values.subspan(offsets[r], len);
+            const bool sorted = ascending ? std::is_sorted(row.begin(), row.end())
+                                          : std::is_sorted(row.begin(), row.end(),
+                                                           std::greater<>{});
             std::uint8_t flags = 0;
             if (!sorted) flags |= 1;
-            if (sum != expected[r]) flags |= 2;
+            if (row_checksum(row, vals) != expected[r]) flags |= 2;
             row_fail[r] = flags;
-            tc.ops(4ull * keys.size());
+            tc.ops(4ull * len);
             // A per-lane linear scan consumes every byte of every DRAM
             // segment it touches — streaming bandwidth, not scattered access.
-            tc.global_coalesced(keys.size_bytes() + values.size_bytes() +
+            tc.global_coalesced(row.size_bytes() + vals.size_bytes() +
                                 sizeof(std::uint64_t) + sizeof(std::uint8_t));
         };
         blk.for_each_warp([&](simt::WarpCtx& wc) { wc.for_lanes(verify_lane); });
@@ -259,83 +236,6 @@ VerifyCounts verify_kernel(simt::Device& device, const char* name, std::size_t n
         counts.mismatched += (row_fail[r] & 2) != 0 ? 1 : 0;
     }
     return counts;
-}
-
-template <typename T>
-struct UniformRows {
-    std::span<const T> data;
-    std::size_t row_size;
-    std::span<const T> values;  ///< empty for keys-only
-    auto operator()(std::size_t r) const {
-        return std::pair{data.subspan(r * row_size, row_size),
-                         values.empty() ? std::span<const T>{}
-                                        : values.subspan(r * row_size, row_size)};
-    }
-};
-
-template <typename T>
-struct CsrRows {
-    std::span<const T> data;
-    std::span<const std::uint64_t> offsets;
-    std::span<const T> values;  ///< empty for keys-only
-    auto operator()(std::size_t r) const {
-        const std::size_t begin = offsets[r];
-        const std::size_t len = offsets[r + 1] - begin;
-        return std::pair{data.subspan(begin, len),
-                         values.empty() ? std::span<const T>{} : values.subspan(begin, len)};
-    }
-};
-
-}  // namespace detail
-
-/// Post-sort verification of uniform rows: order per `order`, multiset
-/// checksum per row against `expected`.  `row_fail` (optional) receives per
-/// row: bit 0 = unsorted, bit 1 = checksum mismatch.
-template <typename T>
-VerifyCounts verify_rows_on_device(simt::Device& device, std::span<const T> data,
-                                   std::size_t num_rows, std::size_t row_size, SortOrder order,
-                                   std::span<const std::uint64_t> expected,
-                                   std::span<std::uint8_t> row_fail = {}) {
-    return detail::verify_kernel<T>(device, "gas.verify", num_rows,
-                                    detail::UniformRows<T>{data, row_size, {}}, order,
-                                    expected, row_fail);
-}
-
-/// CSR (ragged) variant: row i spans data[offsets[i], offsets[i+1]).
-template <typename T>
-VerifyCounts verify_csr_on_device(simt::Device& device, std::span<const T> data,
-                                  std::span<const std::uint64_t> offsets, SortOrder order,
-                                  std::span<const std::uint64_t> expected,
-                                  std::span<std::uint8_t> row_fail = {}) {
-    const std::size_t rows = offsets.empty() ? 0 : offsets.size() - 1;
-    return detail::verify_kernel<T>(device, "gas.verify_csr", rows,
-                                    detail::CsrRows<T>{data, offsets, {}}, order, expected,
-                                    row_fail);
-}
-
-/// Key/value variants: the checksum binds each key to its payload, so a
-/// payload that stops traveling with its key is detected, not just key loss.
-template <typename T>
-VerifyCounts verify_pair_rows_on_device(simt::Device& device, std::span<const T> keys,
-                                        std::span<const T> values, std::size_t num_rows,
-                                        std::size_t row_size, SortOrder order,
-                                        std::span<const std::uint64_t> expected,
-                                        std::span<std::uint8_t> row_fail = {}) {
-    return detail::verify_kernel<T>(device, "gas.verify_pairs", num_rows,
-                                    detail::UniformRows<T>{keys, row_size, values}, order,
-                                    expected, row_fail);
-}
-
-template <typename T>
-VerifyCounts verify_pair_csr_on_device(simt::Device& device, std::span<const T> keys,
-                                       std::span<const T> values,
-                                       std::span<const std::uint64_t> offsets, SortOrder order,
-                                       std::span<const std::uint64_t> expected,
-                                       std::span<std::uint8_t> row_fail = {}) {
-    const std::size_t rows = offsets.empty() ? 0 : offsets.size() - 1;
-    return detail::verify_kernel<T>(device, "gas.verify_pairs_csr", rows,
-                                    detail::CsrRows<T>{keys, offsets, values}, order,
-                                    expected, row_fail);
 }
 
 }  // namespace gas::resilient

@@ -77,15 +77,4 @@ SortStats pair_sort(simt::Device& device, std::span<T> host_keys, std::span<T> h
     });
 }
 
-/// gpu_ragged_pair_sort under the same harness.
-template <typename T>
-SortStats ragged_pair_sort(simt::Device& device, std::span<T> host_keys,
-                           std::span<T> host_values, std::span<const std::uint64_t> offsets,
-                           const Options& opts = {}, const RetryPolicy& retry = {},
-                           AttemptLog* log = nullptr) {
-    return detail::with_retries(retry, offsets.size(), log, [&] {
-        return gpu_ragged_pair_sort<T>(device, host_keys, host_values, offsets, opts);
-    });
-}
-
 }  // namespace gas::resilient

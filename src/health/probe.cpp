@@ -22,8 +22,9 @@ ProbeResult run_probe(simt::Device& device, std::uint64_t seed, std::size_t arra
         const std::uint64_t h = resilient::mix64(seed ^ (i + 1));
         data[i] = static_cast<float>((h >> 40) + 1) / static_cast<float>(1ull << 24);
     }
+    const auto offsets = resilient::uniform_offsets(r.arrays, r.array_size);
     const std::vector<std::uint64_t> before =
-        resilient::host_row_checksums(std::span<const float>(data), r.arrays, r.array_size);
+        resilient::host_row_checksums<float>(data, {}, offsets);
 
     try {
         Options opts;
@@ -36,7 +37,7 @@ ProbeResult run_probe(simt::Device& device, std::uint64_t seed, std::size_t arra
     }
 
     const std::vector<std::uint64_t> after =
-        resilient::host_row_checksums(std::span<const float>(data), r.arrays, r.array_size);
+        resilient::host_row_checksums<float>(data, {}, offsets);
     for (std::size_t a = 0; a < r.arrays; ++a) {
         const auto row = std::span<const float>(data).subspan(a * r.array_size, r.array_size);
         if (!std::is_sorted(row.begin(), row.end())) {

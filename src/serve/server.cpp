@@ -1045,13 +1045,11 @@ void Server::execute_batch(Shard& shard, std::vector<PendingPtr>& batch) {
             if (!verify) continue;
             for (std::size_t r = first_row[i]; r < first_row[i + 1]; ++r) {
                 const std::size_t at = src + (offsets[r] - dst);
-                const std::span<const float> row(job.values.data() + at,
-                                                 offsets[r + 1] - offsets[r]);
-                expected.push_back(planes == 2
-                                       ? resilient::pair_row_checksum(
-                                             row, std::span<const float>(
-                                                      job.payload.data() + at, row.size()))
-                                       : resilient::row_checksum(row));
+                const std::size_t row_len = offsets[r + 1] - offsets[r];
+                expected.push_back(resilient::row_checksum(
+                    std::span<const float>(job.values.data() + at, row_len),
+                    planes == 2 ? std::span<const float>(job.payload.data() + at, row_len)
+                                : std::span<const float>{}));
             }
         }
         const double h2d = device.transfer_ms(planes * bytes);
@@ -1129,24 +1127,14 @@ void Server::execute_batch(Shard& shard, std::vector<PendingPtr>& batch) {
         std::vector<std::uint8_t> row_fail;
         if (verify) {
             row_fail.assign(total_arrays, 0);
-            const std::span<const float> kspan(kdev, count);
-            resilient::VerifyCounts vc;
-            switch (head.kind) {
-                case JobKind::Uniform:
-                    vc = resilient::verify_rows_on_device<float>(
-                        device, kspan, total_arrays, n, opts.order, expected, row_fail);
-                    break;
-                case JobKind::Ragged:
-                    vc = resilient::verify_csr_on_device<float>(device, kspan, offsets,
-                                                                opts.order, expected, row_fail);
-                    break;
-                case JobKind::Pairs:
-                    vc = resilient::verify_pair_rows_on_device<float>(
-                        device, kspan, std::span<const float>(vdev, count), total_arrays, n,
-                        opts.order, expected, row_fail);
-                    break;
-            }
-            kernel_ms += vc.modeled_ms;
+            const char* const name = head.kind == JobKind::Uniform  ? "gas.verify"
+                                     : head.kind == JobKind::Ragged ? "gas.verify_csr"
+                                                                    : "gas.verify_pairs";
+            kernel_ms += resilient::verify_rows_on_device<float>(
+                             device, name, std::span<const float>(kdev, count),
+                             std::span<const float>(vdev, planes == 2 ? count : 0), offsets,
+                             opts.order, expected, row_fail)
+                             .modeled_ms;
         }
 
         // Copy back only verified requests; one with any failing row is

@@ -344,8 +344,18 @@ GraphStats Device::submit(Graph& graph) {
                 exec.stats.modeled_ms += n.stats.modeled_ms;
                 settle(id, Graph::State::Done);
             } else {
-                GraphCtx ctx(graph, id);
-                n.host(ctx);
+                // A host node that enqueues can reallocate nodes_, so `n`
+                // and the callable stored in it must not be used across the
+                // call: run a local, then put it back by index.
+                Graph::HostFn host = std::move(n.host);
+                try {
+                    GraphCtx ctx(graph, id);
+                    host(ctx);
+                } catch (...) {
+                    graph.nodes_[id].host = std::move(host);
+                    throw;
+                }
+                graph.nodes_[id].host = std::move(host);
                 ++exec.stats.host_nodes;
                 settle(id, Graph::State::Done);
             }

@@ -31,24 +31,15 @@ class TrackedRef {
     TrackedRef(const TrackedRef&) = default;
 
     [[nodiscard]] V load() const {
-        if (shadow_ != nullptr) {
-            if (oob_) {
-                shadow_->record_oob(space_, byte_off_, view_bytes_, /*write=*/false);
-                return V{};
-            }
-            record(/*write=*/false, /*atomic=*/false);
-        }
+        if (shadow_ != nullptr) return tracked_load();
         return *p_;
     }
 
     void store(V v) const {
         static_assert(!std::is_const_v<T>, "cannot write through a const tracked view");
         if (shadow_ != nullptr) {
-            if (oob_) {
-                shadow_->record_oob(space_, byte_off_, view_bytes_, /*write=*/true);
-                return;
-            }
-            record(/*write=*/true, /*atomic=*/false);
+            tracked_store(v);
+            return;
         }
         *p_ = v;
     }
@@ -85,6 +76,28 @@ class TrackedRef {
     }
 
   private:
+    // The recording paths stay out of line so that load() and store() are
+    // always small enough to inline into kernel loops: a compiler that runs
+    // out of inlining budget in a large translation unit would otherwise
+    // leave a call per element access on the sanitizer-off path.
+    [[gnu::noinline]] V tracked_load() const {
+        if (oob_) {
+            shadow_->record_oob(space_, byte_off_, view_bytes_, /*write=*/false);
+            return V{};
+        }
+        record(/*write=*/false, /*atomic=*/false);
+        return *p_;
+    }
+
+    [[gnu::noinline]] void tracked_store(V v) const {
+        if (oob_) {
+            shadow_->record_oob(space_, byte_off_, view_bytes_, /*write=*/true);
+            return;
+        }
+        record(/*write=*/true, /*atomic=*/false);
+        *p_ = v;
+    }
+
     void record(bool write, bool atomic) const {
         if (space_ == MemSpace::Shared) {
             shadow_->record_shared(byte_off_, sizeof(T), write, atomic);

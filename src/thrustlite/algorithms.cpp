@@ -54,22 +54,6 @@ void make_tags(simt::Device& device, std::span<std::uint32_t> tags, std::size_t 
                 [&](std::size_t i) { tags[i] = static_cast<std::uint32_t>(i / array_size); });
 }
 
-void to_ordered_keys(simt::Device& device, std::span<const float> src,
-                     device_vector<std::uint32_t>& dst) {
-    auto d = dst.span();
-    elementwise(device, "sta.to_ordered_keys", src.size(),
-                sizeof(float) + sizeof(std::uint32_t), 2,
-                [&](std::size_t i) { d[i] = float_to_ordered(src[i]); });
-}
-
-void from_ordered_keys(simt::Device& device, const device_vector<std::uint32_t>& src,
-                       std::span<float> dst) {
-    auto s = src.span();
-    elementwise(device, "sta.from_ordered_keys", s.size(),
-                sizeof(float) + sizeof(std::uint32_t), 2,
-                [&](std::size_t i) { dst[i] = ordered_to_float(s[i]); });
-}
-
 std::span<std::uint32_t> to_ordered_inplace(simt::Device& device, std::span<float> data) {
     // memcpy-based punning: every 4-byte slot is rewritten from float to its
     // ordered-u32 code without violating aliasing rules.
@@ -93,10 +77,6 @@ void from_ordered_inplace(simt::Device& device, std::span<float> data) {
                     const float f = ordered_to_float(u);
                     std::memcpy(bytes + 4 * i, &f, 4);
                 });
-}
-
-bool is_sorted_host(std::span<const std::uint32_t> v) {
-    return std::is_sorted(v.begin(), v.end());
 }
 
 }  // namespace thrustlite

@@ -16,18 +16,6 @@ void sequence(simt::Device& device, device_vector<std::uint32_t>& v);
 
 /// tags[i] = i / array_size — the STA tag array (Definition 6 of the paper).
 void make_tags(simt::Device& device, std::span<std::uint32_t> tags, std::size_t array_size);
-inline void make_tags(simt::Device& device, device_vector<std::uint32_t>& tags,
-                      std::size_t array_size) {
-    make_tags(device, tags.span(), array_size);
-}
-
-/// dst[i] = float_to_ordered(src[i]) — stage the merged data as radix keys.
-void to_ordered_keys(simt::Device& device, std::span<const float> src,
-                     device_vector<std::uint32_t>& dst);
-
-/// dst[i] = ordered_to_float(src[i]).
-void from_ordered_keys(simt::Device& device, const device_vector<std::uint32_t>& src,
-                       std::span<float> dst);
 
 /// In-place reinterpretation of a float buffer as radix-sortable ordered
 /// u32 keys (each 4-byte slot is rewritten; no extra memory, which is how
@@ -36,8 +24,5 @@ std::span<std::uint32_t> to_ordered_inplace(simt::Device& device, std::span<floa
 
 /// Inverse of to_ordered_inplace.
 void from_ordered_inplace(simt::Device& device, std::span<float> data);
-
-/// True iff v is ascending (host-side check helper for tests).
-[[nodiscard]] bool is_sorted_host(std::span<const std::uint32_t> v);
 
 }  // namespace thrustlite

@@ -9,7 +9,6 @@
 
 #include "simt/graph.hpp"
 #include "thrustlite/algorithms.hpp"
-#include "thrustlite/reduce_scan.hpp"
 
 namespace thrustlite {
 
@@ -260,6 +259,53 @@ simt::KernelSpec copy_back_spec(PassBuffers<K> buf, unsigned num_blocks) {
             tc.ops(n);
         };
         blk.for_each_warp([&](simt::WarpCtx& wc) { wc.for_lanes(copy_lane); });
+    };
+    return {cfg, std::move(body)};
+}
+
+/// Maximum radix key as a graph node: the pass-pruning probe, whose bit
+/// width bounds the highest significant digit.  Per-block tree reduction in
+/// shared memory; the per-block maxima land in `partials` (caller-owned, so
+/// the kernel can run as a graph node after the builder's frame is gone) and
+/// a downstream host node max-reduces them, so the radix graph plans its
+/// pass chain without a host round-trip per kernel.  Precondition: keys
+/// non-empty.
+template <typename K>
+simt::KernelSpec reduce_max_key_spec(std::span<const K> keys,
+                                     std::shared_ptr<std::vector<K>> partials) {
+    const std::size_t count = keys.size();
+    const auto blocks = static_cast<unsigned>((count + kTileSize - 1) / kTileSize);
+    const K identity = keys[0];
+    partials->assign(blocks, identity);
+
+    simt::LaunchConfig cfg{"thrustlite.reduce_max_key", blocks, kBlockThreads};
+    auto body = [=](simt::BlockCtx& blk) {
+        auto shared = blk.shared_alloc<K>(kBlockThreads);
+        const std::size_t tile_begin = static_cast<std::size_t>(blk.block_idx()) * kTileSize;
+        const std::size_t tile_end = std::min(tile_begin + kTileSize, count);
+
+        blk.for_each_thread([&](simt::ThreadCtx& tc) {
+            const std::size_t begin = tile_begin + tc.tid() * kChunk;
+            const std::size_t end = std::min(begin + kChunk, tile_end);
+            K acc = identity;
+            for (std::size_t i = begin; i < end; ++i) acc = std::max(acc, keys[i]);
+            shared[tc.tid()] = acc;
+            const auto n = begin < end ? static_cast<std::uint64_t>(end - begin) : 0;
+            tc.global_coalesced(n * sizeof(K));
+            tc.ops(n);
+            tc.shared(1);
+        });
+
+        blk.single_thread([&](simt::ThreadCtx& tc) {
+            K acc = identity;
+            for (unsigned t = 0; t < kBlockThreads; ++t) {
+                acc = std::max(acc, static_cast<K>(shared[t]));
+            }
+            (*partials)[blk.block_idx()] = acc;
+            tc.ops(kBlockThreads);
+            tc.shared(kBlockThreads);
+            tc.global_random(1);
+        });
     };
     return {cfg, std::move(body)};
 }

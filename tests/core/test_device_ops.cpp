@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "core/gpu_array_sort.hpp"
+#include "core/resilient.hpp"
 #include "core/validate.hpp"
 #include "simt/device_buffer.hpp"
 #include "workload/generators.hpp"
@@ -30,52 +31,20 @@ TEST(DeviceOps, NegateIsAnInvolution) {
     EXPECT_EQ(back, original);
 }
 
-TEST(DeviceOps, SortednessCheckAcceptsSortedRows) {
-    auto dev = make_device();
-    auto ds = workload::make_dataset(20, 333, workload::Distribution::Sorted, 2);
-    simt::DeviceBuffer<float> buf(dev, ds.values.size());
-    simt::copy_to_device(std::span<const float>(ds.values), buf);
-    EXPECT_TRUE(gas::is_sorted_on_device(dev, buf.span(), 20, 333));
-}
-
-TEST(DeviceOps, SortednessCheckCountsUnsortedRows) {
-    auto dev = make_device();
-    auto ds = workload::make_dataset(10, 100, workload::Distribution::Sorted, 3);
-    // Break rows 2 and 7.
-    ds.values[2 * 100 + 50] = -1.0f;
-    ds.values[7 * 100 + 99] = -1.0f;
-    simt::DeviceBuffer<float> buf(dev, ds.values.size());
-    simt::copy_to_device(std::span<const float>(ds.values), buf);
-    EXPECT_EQ(gas::count_unsorted_on_device(dev, buf.span(), 10, 100), 2u);
-}
-
-TEST(DeviceOps, SortednessCheckIsRowLocal) {
-    // Row boundaries must not leak: [5,6] | [1,2] is sorted per-row even
-    // though the flat sequence descends at the boundary.
-    auto dev = make_device();
-    std::vector<float> data = {5, 6, 1, 2};
-    simt::DeviceBuffer<float> buf(dev, data.size());
-    simt::copy_to_device(std::span<const float>(data), buf);
-    EXPECT_TRUE(gas::is_sorted_on_device(dev, buf.span(), 2, 2));
-}
-
-TEST(DeviceOps, SortednessCheckDegenerateSizes) {
-    auto dev = make_device();
-    std::vector<float> data = {3, 1, 2};
-    simt::DeviceBuffer<float> buf(dev, data.size());
-    simt::copy_to_device(std::span<const float>(data), buf);
-    EXPECT_EQ(gas::count_unsorted_on_device(dev, buf.span(), 3, 1), 0u);  // single elems
-    EXPECT_EQ(gas::count_unsorted_on_device(dev, buf.span(), 0, 100), 0u);
-}
-
 TEST(DeviceOps, ChecksSortResultsEndToEnd) {
     auto dev = make_device();
     auto ds = workload::make_dataset(30, 400, workload::Distribution::Uniform, 4);
     simt::DeviceBuffer<float> buf(dev, ds.values.size());
     simt::copy_to_device(std::span<const float>(ds.values), buf);
-    EXPECT_FALSE(gas::is_sorted_on_device(dev, buf.span(), 30, 400));
+    const auto offsets = gas::resilient::uniform_offsets(30, 400);
+    const auto expected = gas::resilient::host_row_checksums<float>(ds.values, {}, offsets);
+    const auto check = [&] {
+        return gas::resilient::verify_rows_on_device<float>(
+            dev, "gas.verify", buf.span(), {}, offsets, gas::SortOrder::Ascending, expected);
+    };
+    EXPECT_EQ(check().unsorted, 30u);
     gas::sort_arrays_on_device(dev, buf, 30, 400);
-    EXPECT_TRUE(gas::is_sorted_on_device(dev, buf.span(), 30, 400));
+    EXPECT_TRUE(check().ok());
 }
 
 TEST(Descending, UniformSortDescends) {

@@ -60,22 +60,22 @@ TEST(Checksum, InvariantUnderPermutationOnly) {
 TEST(Checksum, PairChecksumBindsKeyToPayload) {
     const std::vector<float> keys{1.0f, 2.0f, 3.0f};
     const std::vector<float> vals{10.0f, 20.0f, 30.0f};
-    const std::uint64_t bound = resilient::pair_row_checksum(
+    const std::uint64_t bound = resilient::row_checksum(
         std::span<const float>(keys), std::span<const float>(vals));
 
     // Same multisets of keys and of values, but payloads swapped between
     // keys: a plain per-plane checksum would miss this, the bound one must
     // not (the pair sorter's whole point is that payloads travel with keys).
     const std::vector<float> swapped{20.0f, 10.0f, 30.0f};
-    EXPECT_NE(resilient::pair_row_checksum(std::span<const float>(keys),
-                                           std::span<const float>(swapped)),
+    EXPECT_NE(resilient::row_checksum(std::span<const float>(keys),
+                                      std::span<const float>(swapped)),
               bound);
 
     // Reordering whole pairs together is a permutation: invariant.
     const std::vector<float> keys_r{3.0f, 1.0f, 2.0f};
     const std::vector<float> vals_r{30.0f, 10.0f, 20.0f};
-    EXPECT_EQ(resilient::pair_row_checksum(std::span<const float>(keys_r),
-                                           std::span<const float>(vals_r)),
+    EXPECT_EQ(resilient::row_checksum(std::span<const float>(keys_r),
+                                      std::span<const float>(vals_r)),
               bound);
 }
 
@@ -132,7 +132,8 @@ TEST(VerifyKernels, FlagsUnsortedAndMismatchedArmsIndependently) {
 
     std::vector<std::uint8_t> row_fail(4, 0);
     const auto counts = resilient::verify_rows_on_device<float>(
-        dev, sorted, 4, n, SortOrder::Ascending, expected, row_fail);
+        dev, "gas.verify", sorted, {}, resilient::uniform_offsets(4, n), SortOrder::Ascending,
+        expected, row_fail);
     EXPECT_EQ(counts.rows, 4u);
     EXPECT_EQ(counts.unsorted, 1u);
     EXPECT_EQ(counts.mismatched, 1u);
@@ -148,8 +149,7 @@ TEST(VerifyKernels, RespectsDescendingOrderAndCsrGeometry) {
     auto dev = make_device();
     const auto rag = workload::make_ragged_dataset(5, 3, 40, workload::Distribution::Uniform, 7);
     const std::vector<std::uint64_t> offsets(rag.offsets.begin(), rag.offsets.end());
-    const auto expected =
-        resilient::host_csr_checksums<float>(std::span<const float>(rag.values), offsets);
+    const auto expected = resilient::host_row_checksums<float>(rag.values, {}, offsets);
 
     auto desc = rag.values;
     for (std::size_t a = 0; a < rag.num_arrays(); ++a) {
@@ -157,13 +157,13 @@ TEST(VerifyKernels, RespectsDescendingOrderAndCsrGeometry) {
                   desc.begin() + static_cast<std::ptrdiff_t>(offsets[a + 1]),
                   std::greater<float>());
     }
-    EXPECT_TRUE(resilient::verify_csr_on_device<float>(dev, desc, offsets,
-                                                       SortOrder::Descending, expected)
+    EXPECT_TRUE(resilient::verify_rows_on_device<float>(dev, "gas.verify_csr", desc, {}, offsets,
+                                                        SortOrder::Descending, expected)
                     .ok());
     // The same bytes fail ascending verification (some row of length >= 2
     // with distinct values exists in a 5 x [3,40] uniform dataset).
-    EXPECT_GT(resilient::verify_csr_on_device<float>(dev, desc, offsets,
-                                                     SortOrder::Ascending, expected)
+    EXPECT_GT(resilient::verify_rows_on_device<float>(dev, "gas.verify_csr", desc, {}, offsets,
+                                                      SortOrder::Ascending, expected)
                   .unsorted,
               0u);
 }
@@ -175,8 +175,8 @@ TEST(VerifyKernels, PairVariantChecksPayloadBinding) {
     auto ds = workload::make_dataset(rows, n, workload::Distribution::Uniform, 8);
     std::vector<float> payload(rows * n);
     for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<float>(i);
-    const auto expected = resilient::host_pair_row_checksums<float>(
-        std::span<const float>(ds.values), std::span<const float>(payload), rows, n);
+    const auto offsets = resilient::uniform_offsets(rows, n);
+    const auto expected = resilient::host_row_checksums<float>(ds.values, payload, offsets);
 
     // Sort each row's pairs by key on the host (the reference permutation).
     std::vector<float> keys = ds.values;
@@ -192,15 +192,110 @@ TEST(VerifyKernels, PairVariantChecksPayloadBinding) {
             vals[a * n + i] = payload[a * n + idx[i]];
         }
     }
-    EXPECT_TRUE(resilient::verify_pair_rows_on_device<float>(
-                    dev, keys, vals, rows, n, SortOrder::Ascending, expected)
+    EXPECT_TRUE(resilient::verify_rows_on_device<float>(dev, "gas.verify_pairs", keys, vals,
+                                                        offsets, SortOrder::Ascending, expected)
                     .ok());
     // Detach one payload from its key: sortedness holds, binding breaks.
     std::swap(vals[0], vals[1]);
-    const auto counts = resilient::verify_pair_rows_on_device<float>(
-        dev, keys, vals, rows, n, SortOrder::Ascending, expected);
+    const auto counts = resilient::verify_rows_on_device<float>(
+        dev, "gas.verify_pairs", keys, vals, offsets, SortOrder::Ascending, expected);
     EXPECT_EQ(counts.unsorted, 0u);
     EXPECT_EQ(counts.mismatched, 1u);
+}
+
+// The one device row checker over CSR row tables: uniform rows
+// (offsets[i] = i * n), ragged rows with empty and 1-element rows, and
+// key/value rows.  `expected` is taken from keys/values before `mutate`
+// runs; `want` is the per-row row_fail (bit 0 unsorted, bit 1 mismatch).
+struct RowCheckCase {
+    const char* name;
+    std::vector<float> keys;
+    std::vector<float> values;  ///< empty = keys only
+    std::vector<std::uint64_t> offsets;
+    void (*mutate)(std::vector<float>& keys, std::vector<float>& values);
+    std::vector<std::uint8_t> want;
+};
+
+std::vector<float> sorted_dataset(std::size_t rows, std::size_t n, unsigned seed) {
+    return workload::make_dataset(rows, n, workload::Distribution::Sorted, seed).values;
+}
+
+TEST(VerifyKernels, OneCheckerOverUniformRaggedAndPairRows) {
+    const auto keep = [](std::vector<float>&, std::vector<float>&) {};
+    // Ragged rows: [] [5 6] [1 2] [] [9] [4] [3 7].  The flat sequence
+    // descends at three row boundaries; every row is sorted on its own.
+    const std::vector<float> ragged{5, 6, 1, 2, 9, 4, 3, 7};
+    const std::vector<std::uint64_t> ragged_offsets{0, 0, 2, 4, 4, 5, 6, 8};
+    std::vector<float> pair_values(ragged.size());
+    for (std::size_t i = 0; i < pair_values.size(); ++i) pair_values[i] = 100.0f + static_cast<float>(i);
+
+    std::vector<std::uint8_t> two_broken(10, 0);
+    two_broken[2] = two_broken[7] = 1;
+    const std::vector<RowCheckCase> cases{
+        {"uniform sorted", sorted_dataset(20, 333, 2), {},
+         resilient::uniform_offsets(20, 333), keep, std::vector<std::uint8_t>(20, 0)},
+        {"uniform two unsorted rows", sorted_dataset(10, 100, 3), {},
+         resilient::uniform_offsets(10, 100),
+         [](std::vector<float>& k, std::vector<float>&) {
+             // A swap keeps the multiset: only bit 0 may fire.
+             std::swap(k[2 * 100 + 50], k[2 * 100 + 51]);
+             std::swap(k[7 * 100 + 98], k[7 * 100 + 99]);
+         },
+         two_broken},
+        {"uniform row boundary descends", {5, 6, 1, 2}, {}, resilient::uniform_offsets(2, 2),
+         keep, {0, 0}},
+        {"uniform 1-element rows", {3, 1, 2}, {}, resilient::uniform_offsets(3, 1), keep,
+         {0, 0, 0}},
+        {"no rows", {}, {}, {0}, keep, {}},
+        {"ragged sorted", ragged, {}, ragged_offsets, keep, {0, 0, 0, 0, 0, 0, 0}},
+        {"ragged both arms",
+         ragged,
+         {},
+         ragged_offsets,
+         [](std::vector<float>& k, std::vector<float>&) {
+             std::swap(k[2], k[3]);  // row 2 [2 1]: unsorted, same multiset
+             k[7] = 8;               // row 6 [3 8]: sorted, checksum moved
+             k[0] = 7;               // row 1 [7 6]: unsorted and checksum moved
+         },
+         {0, 3, 1, 0, 0, 0, 2}},
+        {"pairs sorted", ragged, pair_values, ragged_offsets, keep, {0, 0, 0, 0, 0, 0, 0}},
+        {"pairs payload detached",
+         ragged,
+         pair_values,
+         ragged_offsets,
+         [](std::vector<float>&, std::vector<float>& v) { std::swap(v[2], v[3]); },
+         {0, 0, 2, 0, 0, 0, 0}},
+        {"pairs keys unsorted",
+         ragged,
+         pair_values,
+         ragged_offsets,
+         [](std::vector<float>& k, std::vector<float>& v) {
+             std::swap(k[0], k[1]);  // the pair travels together: bit 0 only
+             std::swap(v[0], v[1]);
+         },
+         {0, 1, 0, 0, 0, 0, 0}},
+    };
+    for (RowCheckCase c : cases) {
+        SCOPED_TRACE(c.name);
+        auto dev = make_device();
+        const auto expected = resilient::host_row_checksums<float>(c.keys, c.values, c.offsets);
+        c.mutate(c.keys, c.values);
+        std::vector<std::uint8_t> row_fail(c.want.size(), 0xff);
+        const auto counts = resilient::verify_rows_on_device<float>(
+            dev, "gas.verify_csr", c.keys, c.values, c.offsets, SortOrder::Ascending, expected,
+            row_fail);
+        EXPECT_EQ(row_fail, c.want);
+        std::size_t unsorted = 0;
+        std::size_t mismatched = 0;
+        for (const std::uint8_t f : c.want) {
+            unsorted += f & 1;
+            mismatched += (f >> 1) & 1;
+        }
+        EXPECT_EQ(counts.rows, c.want.size());
+        EXPECT_EQ(counts.unsorted, unsorted);
+        EXPECT_EQ(counts.mismatched, mismatched);
+        EXPECT_EQ(counts.ok(), unsorted + mismatched == 0);
+    }
 }
 
 TEST(VerifiedSort, VerifyOutputReproducesTodaysBytesWhenClean) {
@@ -391,14 +486,15 @@ TEST(VerifiedSort, RaggedAndPairWrappersVerifyAndRetry) {
         auto ds = workload::make_dataset(5, 80, workload::Distribution::Uniform, 14);
         std::vector<float> payload(ds.values.size());
         for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<float>(i);
-        const auto expected = resilient::host_pair_row_checksums<float>(
-            std::span<const float>(ds.values), std::span<const float>(payload), 5, 80);
+        const auto offsets = resilient::uniform_offsets(5, 80);
+        const auto expected = resilient::host_row_checksums<float>(ds.values, payload, offsets);
         Options opts;
         opts.verify_output = true;
         resilient::pair_sort<float>(dev, std::span<float>(ds.values),
                                     std::span<float>(payload), 5, 80, opts);
-        EXPECT_TRUE(resilient::verify_pair_rows_on_device<float>(
-                        dev, ds.values, payload, 5, 80, SortOrder::Ascending, expected)
+        EXPECT_TRUE(resilient::verify_rows_on_device<float>(dev, "gas.verify_pairs", ds.values,
+                                                            payload, offsets,
+                                                            SortOrder::Ascending, expected)
                         .ok());
     }
 }

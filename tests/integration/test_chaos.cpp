@@ -115,7 +115,7 @@ TEST(Chaos, PairSortIsCorrectOrTyped) {
         // correctness oracle for ties-unspecified pair output.
         std::vector<std::uint64_t> expected(rows);
         for (std::size_t a = 0; a < rows; ++a) {
-            expected[a] = resilient::pair_row_checksum(
+            expected[a] = resilient::row_checksum(
                 std::span<const float>(keys.data() + a * n, n),
                 std::span<const float>(payload.data() + a * n, n));
         }
@@ -129,7 +129,7 @@ TEST(Chaos, PairSortIsCorrectOrTyped) {
                 EXPECT_TRUE(std::is_sorted(keys.begin() + static_cast<std::ptrdiff_t>(a * n),
                                            keys.begin() + static_cast<std::ptrdiff_t>((a + 1) * n)))
                     << "seed " << seed << " row " << a;
-                EXPECT_EQ(resilient::pair_row_checksum(
+                EXPECT_EQ(resilient::row_checksum(
                               std::span<const float>(keys.data() + a * n, n),
                               std::span<const float>(payload.data() + a * n, n)),
                           expected[a])

@@ -17,7 +17,6 @@
 #include "msdata/synth.hpp"
 #include "ooc/out_of_core.hpp"
 #include "thrustlite/radix_sort.hpp"
-#include "thrustlite/reduce_scan.hpp"
 #include "workload/generators.hpp"
 
 namespace {
@@ -88,12 +87,6 @@ TEST(MemoryContracts, ThrustliteAlgorithmsReleaseScratch) {
 
     thrustlite::stable_sort_by_key(dev, keys.span(), vals.span());
     EXPECT_EQ(dev.memory().bytes_in_use(), baseline_bytes) << "radix scratch leaked";
-
-    simt::DeviceBuffer<float> data(dev, 10000);
-    const std::size_t with_data = dev.memory().bytes_in_use();
-    (void)thrustlite::reduce_sum(dev, data.span());
-    (void)thrustlite::count_less_equal(dev, data.span(), 0.5f);
-    EXPECT_EQ(dev.memory().bytes_in_use(), with_data) << "reduction leaked";
 }
 
 TEST(MemoryContracts, PeakNeverExceedsFootprintModel) {

@@ -21,19 +21,9 @@ TEST(Algorithms, MakeTagsMatchesDefinition6) {
     const std::size_t n = 37;   // deliberately not a tile multiple
     const std::size_t N = 113;
     thrustlite::device_vector<std::uint32_t> tags(dev, N * n);
-    thrustlite::make_tags(dev, tags, n);
+    thrustlite::make_tags(dev, tags.span(), n);
     const auto host = tags.to_host();
     for (std::size_t i = 0; i < host.size(); ++i) ASSERT_EQ(host[i], i / n) << i;
-}
-
-TEST(Algorithms, OrderedKeysRoundTripThroughDevice) {
-    auto dev = make_device();
-    const auto values = workload::make_values(5000, workload::Distribution::Uniform, 3);
-    thrustlite::device_vector<std::uint32_t> keys(dev, values.size());
-    thrustlite::to_ordered_keys(dev, values, keys);
-    std::vector<float> back(values.size());
-    thrustlite::from_ordered_keys(dev, keys, back);
-    EXPECT_EQ(values, back);
 }
 
 TEST(Algorithms, InplaceConversionRoundTrips) {

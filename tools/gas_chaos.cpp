@@ -191,7 +191,7 @@ WorkloadResult run_pairs(const CliOptions& cli, simt::Device& device) {
     // order is unspecified on the device, so bytes are not comparable).
     std::vector<std::uint64_t> want(cli.arrays);
     for (std::size_t a = 0; a < cli.arrays; ++a) {
-        want[a] = gas::resilient::pair_row_checksum(
+        want[a] = gas::resilient::row_checksum(
             std::span<const float>(keys.data() + a * cli.size, cli.size),
             std::span<const float>(vals.data() + a * cli.size, cli.size));
     }
@@ -209,7 +209,7 @@ WorkloadResult run_pairs(const CliOptions& cli, simt::Device& device) {
         for (std::size_t a = 0; a < cli.arrays; ++a) {
             const auto* row = keys.data() + a * cli.size;
             const bool sorted = std::is_sorted(row, row + cli.size);
-            const std::uint64_t sum = gas::resilient::pair_row_checksum(
+            const std::uint64_t sum = gas::resilient::row_checksum(
                 std::span<const float>(row, cli.size),
                 std::span<const float>(vals.data() + a * cli.size, cli.size));
             if (!sorted || sum != want[a]) ++res.mismatches;
