@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <array>
 
 #include "core/phases.hpp"
 #include "core/warp_bucket.hpp"
@@ -86,6 +85,12 @@ KernelSpec bucket_phase_spec(std::span<T> data, std::size_t num_arrays,
             staged = blk.global_view(scratch.subspan((blk.slot() % scratch_rows) * n, n));
         }
 
+        // One lane per bucket, warp mode and no sanitizer: phase 2 runs
+        // once per block on the host (warp_bucket.hpp) and each warp only
+        // charges its lanes.  Every other shape runs the lane bodies.
+        const bool one_pass = blk.exec_mode() == simt::ExecMode::Warp &&
+                              blk.sanitizer() == nullptr && tpb == 1;
+
         const std::size_t a = blk.block_idx();
         auto array = blk.global_view(data.subspan(a * n, n));
         auto sp_global = blk.global_view(splitters.subspan(a * spa, spa));
@@ -152,15 +157,14 @@ KernelSpec bucket_phase_spec(std::span<T> data, std::size_t num_arrays,
                 tc.shared(2 + 1);
                 charge_scan(tc, seg.end - seg.begin, use_shared, sizeof(T));
             };
+            if (one_pass) {
+                bucket_block(staged.data(), n, sh_splitters.data(), p, counts.data());
+            }
             blk.for_each_warp([&](simt::WarpCtx& wc) {
-                // The element-major path needs every lane of the warp to
-                // scan the same segment: tpb == 1 (the tuned default).
-                if (wc.tracked() || tpb != 1) {
+                if (!one_pass) {
                     wc.for_lanes(count_lane);
                     return;
                 }
-                warp_count_buckets(staged.data(), n, sh_splitters.data(), wc.lane_begin(),
-                                   wc.width(), counts.data());
                 wc.shared_uniform(2 + 1);
                 charge_warp_scan(wc, n, use_shared, sizeof(T));
             });
@@ -241,26 +245,22 @@ KernelSpec bucket_phase_spec(std::span<T> data, std::size_t num_arrays,
                 tc.shared(2 + 1);
                 charge_scan(tc, seg.end - seg.begin, use_shared, sizeof(T));
             };
+            if (one_pass) {
+                T* out = array.data();
+                const T* s = staged.data();
+                scatter_block(n, starts.data(), p,
+                              [&](std::uint32_t dst, std::size_t i) { out[dst] = s[i]; });
+            }
             blk.for_each_warp([&](simt::WarpCtx& wc) {
-                if (wc.tracked() || tpb != 1) {
+                if (!one_pass) {
                     wc.for_lanes(scatter_lane);
                     return;
                 }
-                const unsigned wb = wc.lane_begin();
-                const unsigned w = wc.width();
-                // Private per-lane cursors seeded from the exclusive scan;
-                // monotone splitters give each element a unique bucket, so
-                // the element-major pass emits exactly the scalar sequence.
-                std::array<std::uint32_t, simt::kMaxWarpLanes> cur;
-                for (unsigned k = 0; k < w; ++k) cur[k] = starts[wb + k];
-                T* out = array.data();
-                const T* s = staged.data();
-                warp_scatter_buckets(s, n, sh_splitters.data(), p, wb, w, cur.data(),
-                                     [&](std::uint32_t dst, std::size_t i) { out[dst] = s[i]; });
-                for (unsigned k = 0; k < w; ++k) {
-                    const std::uint64_t written = cur[k] - starts[wb + k];
-                    wc.coalesced_lane(wb + k, written * sizeof(T));
-                    wc.random_lane(wb + k, written > 0 ? 1 : 0);
+                // Lane j wrote its whole bucket as one contiguous run.
+                const std::uint32_t* written = counts.data();
+                for (unsigned l = wc.lane_begin(); l < wc.lane_end(); ++l) {
+                    wc.coalesced_lane(l, std::uint64_t{written[l]} * sizeof(T));
+                    wc.random_lane(l, written[l] > 0 ? 1 : 0);
                 }
                 wc.shared_uniform(2 + 1);
                 charge_warp_scan(wc, n, use_shared, sizeof(T));

@@ -1,7 +1,6 @@
 #include "core/pair_sort.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -136,18 +135,20 @@ simt::KernelStats fused_sort(simt::Device& device, std::span<T> keys, std::span<
             tc.shared(n + 3);
             tc.ops(n * 3);
         };
+        // Warp mode without the sanitizer buckets the row once per block
+        // (warp_bucket.hpp); each warp then only charges its active lanes.
+        const bool one_pass =
+            blk.exec_mode() == simt::ExecMode::Warp && blk.sanitizer() == nullptr;
+        if (one_pass) bucket_block(staged_k.data(), n, sh_splitters.data(), p, counts.data());
+        const auto active = static_cast<unsigned>(p);  // lanes >= p idle on short rows
         blk.for_each_warp([&](simt::WarpCtx& wc) {
-            if (wc.tracked()) {
+            if (!one_pass) {
                 wc.for_lanes(count_lane);
                 return;
             }
-            const unsigned wb = wc.lane_begin();
-            if (wb >= p) return;  // fully idle warp on short rows
-            const auto w = static_cast<unsigned>(std::min<std::size_t>(wc.lane_end(), p)) - wb;
-            warp_count_buckets(staged_k.data(), n, sh_splitters.data(), wb, w, counts.data());
-            for (unsigned k2 = 0; k2 < w; ++k2) {
-                wc.shared_lane(wb + k2, n + 3);
-                wc.ops_lane(wb + k2, n * 3);
+            for (unsigned l = wc.lane_begin(); l < std::min(wc.lane_end(), active); ++l) {
+                wc.shared_lane(l, n + 3);
+                wc.ops_lane(l, n * 3);
             }
         });
         std::uint32_t k_max = 0;
@@ -193,29 +194,25 @@ simt::KernelStats fused_sort(simt::Device& device, std::span<T> keys, std::span<
             tc.global_coalesced(kPlanes * written * sizeof(T));
             tc.global_random(written > 0 ? kPlanes : 0);  // one run start per plane
         };
+        if (one_pass) {
+            const T* sk = staged_k.data();
+            const T* sv = kPairs ? staged_v.data() : nullptr;
+            scatter_block(n, starts.data(), p, [&](std::uint32_t dst, std::size_t i) {
+                key_row[dst] = sk[i];
+                if constexpr (kPairs) val_row[dst] = sv[i];
+            });
+        }
         blk.for_each_warp([&](simt::WarpCtx& wc) {
-            if (wc.tracked()) {
+            if (!one_pass) {
                 wc.for_lanes(scatter_lane);
                 return;
             }
-            const unsigned wb = wc.lane_begin();
-            if (wb >= p) return;
-            const auto w = static_cast<unsigned>(std::min<std::size_t>(wc.lane_end(), p)) - wb;
-            std::array<std::uint32_t, simt::kMaxWarpLanes> cur;
-            for (unsigned k2 = 0; k2 < w; ++k2) cur[k2] = starts[wb + k2];
-            const T* sk = staged_k.data();
-            const T* sv = kPairs ? staged_v.data() : nullptr;
-            warp_scatter_buckets(sk, n, sh_splitters.data(), p, wb, w, cur.data(),
-                                 [&](std::uint32_t dst, std::size_t i) {
-                                     key_row[dst] = sk[i];
-                                     if constexpr (kPairs) val_row[dst] = sv[i];
-                                 });
-            for (unsigned k2 = 0; k2 < w; ++k2) {
-                const std::uint64_t written = cur[k2] - starts[wb + k2];
-                wc.shared_lane(wb + k2, kPlanes * n + 2);
-                wc.ops_lane(wb + k2, n * 3);
-                wc.coalesced_lane(wb + k2, kPlanes * written * sizeof(T));
-                wc.random_lane(wb + k2, written > 0 ? kPlanes : 0);
+            const std::uint32_t* written = counts.data();
+            for (unsigned l = wc.lane_begin(); l < std::min(wc.lane_end(), active); ++l) {
+                wc.shared_lane(l, kPlanes * n + 2);
+                wc.ops_lane(l, n * 3);
+                wc.coalesced_lane(l, kPlanes * written[l] * sizeof(T));
+                wc.random_lane(l, written[l] > 0 ? kPlanes : 0);
             }
         });
 

@@ -46,9 +46,10 @@ class Device {
     [[nodiscard]] ThreadOrder thread_order() const { return thread_order_; }
 
     /// Interpreter execution mode for subsequent launches.  Defaults from
-    /// the SIMT_EXEC environment variable (normally: Scalar, the reference
-    /// interpreter); Warp batches for_each_warp regions a lane group at a
-    /// time with bit-identical output bytes and KernelStats.
+    /// the SIMT_EXEC environment variable (unset: Warp, the fast path, which
+    /// batches for_each_warp regions a lane group at a time); Scalar is the
+    /// reference interpreter, with bit-identical output bytes and
+    /// KernelStats.
     void set_exec_mode(ExecMode mode) { exec_mode_ = mode; }
     [[nodiscard]] ExecMode exec_mode() const { return exec_mode_; }
 

@@ -27,10 +27,11 @@ enum class ThreadOrder { Forward, Reverse };
 /// How the interpreter walks a block's lanes.
 ///
 ///  * Scalar — the reference interpreter: one lane at a time, exactly the
-///    pre-warp behavior.  This is the default.
-///  * Warp — the fast path: `for_each_warp` regions receive a whole
-///    warp-sized lane group per call, so migrated kernels amortize lambda
-///    dispatch and run SIMD-friendly element-major inner loops.
+///    pre-warp behavior.
+///  * Warp — the fast path and the default: `for_each_warp` regions
+///    receive a whole warp-sized lane group per call, so migrated kernels
+///    amortize lambda dispatch and run their bodies once per warp or once
+///    per block.
 ///
 /// The two modes are contractually bit-identical: same output bytes, same
 /// KernelStats (asserted by the execution-mode equivalence sweep).  Warp
@@ -43,15 +44,13 @@ enum class ExecMode { Scalar, Warp };
     return mode == ExecMode::Warp ? "warp" : "scalar";
 }
 
-/// Execution mode from the SIMT_EXEC environment variable: "warp" selects
-/// the fast path, "scalar"/empty/unset the reference interpreter.  Any
-/// other value is a loud configuration error, not a silent fallback.
+/// Execution mode from the SIMT_EXEC environment variable: "scalar" selects
+/// the reference interpreter, "warp"/empty/unset the fast path.  Any other
+/// value is a loud configuration error, not a silent fallback.
 [[nodiscard]] inline ExecMode exec_mode_from_env() {
     const char* v = std::getenv("SIMT_EXEC");
-    if (v == nullptr || *v == '\0' || std::string_view(v) == "scalar") {
-        return ExecMode::Scalar;
-    }
-    if (std::string_view(v) == "warp") return ExecMode::Warp;
+    if (v == nullptr || *v == '\0' || std::string_view(v) == "warp") return ExecMode::Warp;
+    if (std::string_view(v) == "scalar") return ExecMode::Scalar;
     throw DeviceError(std::string("SIMT_EXEC: unknown execution mode '") + v +
                       "' (expected scalar|warp)");
 }

@@ -156,16 +156,9 @@ class TrackedSpan {
     [[nodiscard]] std::size_t size_bytes() const { return span_.size_bytes(); }
     [[nodiscard]] bool empty() const { return span_.empty(); }
 
-    [[nodiscard]] TrackedRef<T> operator[](std::size_t i) const {
-        if (shadow_ == nullptr) {
-            return {span_.data() + i, nullptr, space_, 0, 0, false};
-        }
-        if (i >= span_.size()) {
-            return {span_.data(), shadow_, space_, i * sizeof(T), span_.size_bytes(),
-                    /*oob=*/true};
-        }
-        return {span_.data() + i, shadow_, space_, base_byte_ + i * sizeof(T),
-                span_.size_bytes(), /*oob=*/false};
+    [[nodiscard, gnu::always_inline]] TrackedRef<T> operator[](std::size_t i) const {
+        if (shadow_ == nullptr) return {span_.data() + i, nullptr, space_, 0, 0, false};
+        return tracked_ref(span_, shadow_, space_, base_byte_, i);
     }
 
     /// Atomic read-modify-write (atomicAdd analog): recorded as an atomic
@@ -207,6 +200,19 @@ class TrackedSpan {
     [[nodiscard]] std::size_t base_byte() const { return base_byte_; }
 
   private:
+    // Out of line, like TrackedRef's recording paths, so the sanitizer-off
+    // index above stays small enough to force inline into kernel loops.
+    // Static, taking the fields by value: the view's address never escapes.
+    [[gnu::noinline]] static TrackedRef<T> tracked_ref(std::span<T> s, SlotShadow* shadow,
+                                                       MemSpace space, std::size_t base_byte,
+                                                       std::size_t i) {
+        if (i >= s.size()) {
+            return {s.data(), shadow, space, i * sizeof(T), s.size_bytes(), /*oob=*/true};
+        }
+        return {s.data() + i, shadow, space, base_byte + i * sizeof(T), s.size_bytes(),
+                /*oob=*/false};
+    }
+
     std::span<T> span_;
     SlotShadow* shadow_ = nullptr;
     std::size_t base_byte_ = 0;

@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -97,7 +98,11 @@ void exec_sweep(F fn) {
                          (sanitized ? " sanitized" : " unsanitized"));
             const auto scalar = run(simt::ExecMode::Scalar);
             const auto warp = run(simt::ExecMode::Warp);
-            EXPECT_EQ(scalar.first, warp.first);
+            // Bytes, not values: NaN payloads never compare equal.
+            ASSERT_EQ(scalar.first.size(), warp.first.size());
+            EXPECT_EQ(std::memcmp(scalar.first.data(), warp.first.data(),
+                                  scalar.first.size() * sizeof(scalar.first[0])),
+                      0);
             expect_logs_equal(scalar.second, warp.second);
         }
     }
@@ -317,6 +322,72 @@ std::vector<float> wl_hybrid_skew_pair(simt::Device& dev) {
     return out;
 }
 
+// --- one-pass phase 2 edge cases (ExecEquivalence only) -------------------
+
+std::vector<float> wl_array_sort_nan(simt::Device& dev) {
+    // NaN keys belong to no bucket: both modes must drop them identically.
+    // They sit off the phase-1 sampling stride (n / sample = 10 here), so
+    // the splitters stay monotone.
+    auto ds = workload::make_dataset(6, 500, workload::Distribution::Uniform, 13);
+    for (std::size_t a = 0; a < ds.num_arrays; a += 2) {
+        for (std::size_t i = 3; i < ds.array_size; i += 70) {
+            ds.values[a * ds.array_size + i] = std::numeric_limits<float>::quiet_NaN();
+        }
+    }
+    gas::Options opts;
+    opts.validate = false;  // the lost NaNs would fail validation
+    gas::gpu_array_sort(dev, ds.values, ds.num_arrays, ds.array_size, opts);
+    return ds.values;
+}
+
+std::vector<float> wl_array_sort_few_distinct(simt::Device& dev) {
+    // Eight distinct values: most keys equal a splitter.
+    auto ds = workload::make_dataset(6, 700, workload::Distribution::FewDistinct, 17);
+    gas::gpu_array_sort(dev, ds.values, ds.num_arrays, ds.array_size, gas::Options{});
+    return ds.values;
+}
+
+std::vector<float> wl_ragged_sort_few_distinct(simt::Device& dev) {
+    auto ds =
+        workload::make_ragged_dataset(10, 32, 1500, workload::Distribution::FewDistinct, 19);
+    std::vector<std::uint64_t> offsets(ds.offsets.begin(), ds.offsets.end());
+    gas::gpu_ragged_sort(dev, ds.values, offsets, gas::Options{});
+    return ds.values;
+}
+
+std::vector<float> wl_array_sort_partial_warp(simt::Device& dev) {
+    // n = 1340 gives p = 67 buckets: two full warps and one of 3 lanes.
+    auto ds = workload::make_dataset(4, 1340, workload::Distribution::Uniform, 23);
+    gas::gpu_array_sort(dev, ds.values, ds.num_arrays, ds.array_size, gas::Options{});
+    return ds.values;
+}
+
+/// Rows of very different lengths: the block is sized for the longest row
+/// (p = 100, four warps), so short rows leave whole warps idle.
+std::vector<std::uint64_t> mixed_row_offsets() {
+    const std::size_t lengths[] = {2000, 5, 40, 0, 700, 1, 1300, 33, 650, 64};
+    std::vector<std::uint64_t> offsets{0};
+    for (const std::size_t n : lengths) offsets.push_back(offsets.back() + n);
+    return offsets;
+}
+
+std::vector<float> wl_ragged_sort_idle_warps(simt::Device& dev) {
+    const auto offsets = mixed_row_offsets();
+    auto keys = workload::make_values(offsets.back(), workload::Distribution::Uniform, 29);
+    gas::gpu_ragged_sort(dev, keys, offsets, gas::Options{});
+    return keys;
+}
+
+std::vector<float> wl_ragged_pair_sort_idle_warps(simt::Device& dev) {
+    const auto offsets = mixed_row_offsets();
+    auto keys = workload::make_values(offsets.back(), workload::Distribution::Normal, 31);
+    auto vals = workload::make_values(offsets.back(), workload::Distribution::Uniform, 37);
+    gas::gpu_ragged_pair_sort(dev, std::span<float>(keys), std::span<float>(vals), offsets,
+                              gas::Options{});
+    keys.insert(keys.end(), vals.begin(), vals.end());
+    return keys;
+}
+
 std::vector<std::uint32_t> pseudo_u32(std::size_t count, std::uint64_t seed) {
     std::vector<std::uint32_t> v(count);
     std::uint64_t state = seed * 0x9e3779b97f4a7c15ull + 1;
@@ -373,6 +444,12 @@ TEST(ExecEquivalence, RaggedPairSortDoubleDescending) {
 TEST(ExecEquivalence, HybridSkewArraySort) { exec_sweep(wl_hybrid_skew_array); }
 TEST(ExecEquivalence, HybridSkewRaggedSort) { exec_sweep(wl_hybrid_skew_ragged); }
 TEST(ExecEquivalence, HybridSkewPairSort) { exec_sweep(wl_hybrid_skew_pair); }
+TEST(ExecEquivalence, ArraySortNaNKeysDropped) { exec_sweep(wl_array_sort_nan); }
+TEST(ExecEquivalence, ArraySortFewDistinct) { exec_sweep(wl_array_sort_few_distinct); }
+TEST(ExecEquivalence, RaggedSortFewDistinct) { exec_sweep(wl_ragged_sort_few_distinct); }
+TEST(ExecEquivalence, ArraySortPartialLastWarp) { exec_sweep(wl_array_sort_partial_warp); }
+TEST(ExecEquivalence, RaggedSortIdleWarps) { exec_sweep(wl_ragged_sort_idle_warps); }
+TEST(ExecEquivalence, RaggedPairSortIdleWarps) { exec_sweep(wl_ragged_pair_sort_idle_warps); }
 TEST(ExecEquivalence, RadixSortU32) {
     exec_sweep(wl_radix_u32<false>);
     exec_sweep(wl_radix_u32<true>);

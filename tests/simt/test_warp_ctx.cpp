@@ -44,9 +44,9 @@ TEST(ExecMode, ToString) {
 TEST(ExecMode, FromEnvParsesBothModesAndDefaults) {
     ScopedExecEnv guard;
     ::unsetenv("SIMT_EXEC");
-    EXPECT_EQ(simt::exec_mode_from_env(), simt::ExecMode::Scalar);
+    EXPECT_EQ(simt::exec_mode_from_env(), simt::ExecMode::Warp);
     ::setenv("SIMT_EXEC", "", 1);
-    EXPECT_EQ(simt::exec_mode_from_env(), simt::ExecMode::Scalar);
+    EXPECT_EQ(simt::exec_mode_from_env(), simt::ExecMode::Warp);
     ::setenv("SIMT_EXEC", "scalar", 1);
     EXPECT_EQ(simt::exec_mode_from_env(), simt::ExecMode::Scalar);
     ::setenv("SIMT_EXEC", "warp", 1);
@@ -61,11 +61,13 @@ TEST(ExecMode, FromEnvRejectsUnknownValue) {
 
 TEST(ExecMode, DeviceDefaultsToEnvAndIsSwitchable) {
     ScopedExecEnv guard;
-    ::setenv("SIMT_EXEC", "warp", 1);
+    ::setenv("SIMT_EXEC", "scalar", 1);
     simt::Device dev(simt::tiny_device(1 << 20));
-    EXPECT_EQ(dev.exec_mode(), simt::ExecMode::Warp);
-    dev.set_exec_mode(simt::ExecMode::Scalar);
     EXPECT_EQ(dev.exec_mode(), simt::ExecMode::Scalar);
+    dev.set_exec_mode(simt::ExecMode::Warp);
+    EXPECT_EQ(dev.exec_mode(), simt::ExecMode::Warp);
+    ::unsetenv("SIMT_EXEC");
+    EXPECT_EQ(simt::Device(simt::tiny_device(1 << 20)).exec_mode(), simt::ExecMode::Warp);
 }
 
 /// Runs one for_each_warp region over `block_dim` lanes and returns the

@@ -47,7 +47,7 @@ int usage() {
                  "  --size n       elements per array (default: 1000)\n"
                  "  --checks C     comma list of race,mem,init,bank or 'all' (default)\n"
                  "  --exec M       interpreter execution mode: scalar|warp (default:\n"
-                 "                 the SIMT_EXEC environment variable, else scalar)\n"
+                 "                 the SIMT_EXEC environment variable, else warp)\n"
                  "  --tune on|off  adaptive autotuning for the sort workload: on runs\n"
                  "                 it through gas::tune (sketch -> plan -> sort) so the\n"
                  "                 tuned plan's kernels face the checker (default: on)\n"

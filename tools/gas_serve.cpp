@@ -16,7 +16,7 @@
 //     --policy P       fleet routing policy: least-loaded | consistent-hash
 //                      | key-range (default least-loaded)
 //     --exec M         interpreter execution mode: scalar|warp (default:
-//                      the SIMT_EXEC environment variable, else scalar)
+//                      the SIMT_EXEC environment variable, else warp)
 //     --tune on|off    adaptive autotuning (gas::tune controller inside the
 //                      server; default on.  off pins submitted options)
 //     --health on|off  closed-loop health subsystem (gas::health: watchdog,
