@@ -4,7 +4,10 @@
 //
 // A 4-array request occupies 4 of the K40c's 15 SMs and still pays the full
 // per-kernel launch overhead three times; fusing 64 such requests into one
-// 256-array launch amortizes both.  The bench emits BENCH_serve.json with two
+// 256-array launch amortizes both.  The server runs that launch on the fused
+// row kernel (gas.ragged_fused) while the baseline runs the paper's
+// three-phase pipeline per request, so the speedup counts both the batching
+// and the kernel.  The bench emits BENCH_serve.json with two
 // asserted acceptance gates:
 //   * modeled throughput speedup (serial per-request total over the server's
 //     pipelined makespan) >= 2x on >= 1000 small requests, and

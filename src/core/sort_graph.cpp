@@ -15,16 +15,6 @@ namespace {
 
 PhaseStats to_phase_stats(const simt::KernelStats& k) { return {k.modeled_ms, k.wall_ms}; }
 
-/// The sort-shaping options the built graph depends on.
-bool same_opts(const Options& a, const Options& b) {
-    return a.bucket_target == b.bucket_target && a.sampling_rate == b.sampling_rate &&
-           a.strategy == b.strategy && a.order == b.order &&
-           a.threads_per_bucket == b.threads_per_bucket &&
-           a.hybrid_phase3 == b.hybrid_phase3 &&
-           a.phase3_small_cutoff == b.phase3_small_cutoff &&
-           a.phase3_bitonic_cutoff == b.phase3_bitonic_cutoff;
-}
-
 /// Argument checks, then the N x n prefix of `data` the pipeline sorts.
 template <typename T>
 std::span<T> batch_span(std::span<T> data, std::size_t num_arrays, std::size_t array_size,
@@ -185,15 +175,6 @@ SortStats UniformSortGraph<T>::run() {
     stats.max_bucket = *mx;
     stats.avg_bucket = static_cast<double>(sum) / static_cast<double>(z.size());
     return stats;
-}
-
-template <typename T>
-bool UniformSortGraph<T>::matches(const simt::Device& device, std::span<const T> data,
-                                  std::size_t num_arrays, std::size_t array_size,
-                                  const Options& opts) const {
-    return device_ == &device && span_.data() == data.data() &&
-           num_arrays_ == num_arrays && array_size_ == array_size &&
-           data.size() >= num_arrays * array_size && same_opts(opts_, opts);
 }
 
 template class UniformSortGraph<float>;

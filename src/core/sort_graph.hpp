@@ -14,8 +14,8 @@ namespace gas {
 
 /// The uniform GPU-ArraySort pipeline as one built-once, submit-many
 /// simt::Graph (DESIGN.md section 13).  This is the only description of
-/// the pipeline: sort_arrays_on_device builds one and runs it once, and the
-/// serve graph cache keeps one per shard and resubmits it per batch.
+/// the pipeline: sort_arrays_on_device builds one and runs it once.  A
+/// holder can also be kept and resubmitted over new contents of its span.
 ///
 /// The graph is (negate) -> phase1 -> phase2 -> dispatch -> phase3
 /// (-> negate); the dispatch host node enqueues phase 3 only after phase 2's
@@ -50,13 +50,6 @@ class UniformSortGraph {
     /// Submits the graph over the current contents of the data span.  Fills
     /// every SortStats field except bucket_sizes and verify.
     SortStats run();
-
-    /// True when this holder was built for exactly this shape: same device
-    /// span (data pointer AND size), geometry and sort-shaping options — the
-    /// serve cache-hit predicate.
-    [[nodiscard]] bool matches(const simt::Device& device, std::span<const T> data,
-                               std::size_t num_arrays, std::size_t array_size,
-                               const Options& opts) const;
 
     [[nodiscard]] const SortPlan& plan() const { return plan_; }
     [[nodiscard]] std::size_t runs() const { return runs_; }

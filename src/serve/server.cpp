@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/gpu_array_sort.hpp"
 #include "core/pair_sort.hpp"
 #include "core/ragged_sort.hpp"
 #include "health/probe.hpp"
@@ -21,21 +20,20 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
     return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-/// Two jobs can share a fused batch: same kind, same uniform geometry, and
-/// the same sort-shaping options (anything that changes splitters, bucketing
-/// or phase-3 behaviour).  validate/collect_bucket_sizes are server-owned
-/// and deliberately excluded.  auto_tune IS included: the controller retunes
-/// a whole batch at once, so a request that opted out must never ride a
-/// batch whose effective options the controller may reshape.
+/// Two jobs can share a fused batch: same kind, same row length for uniform
+/// and pair jobs, and the same options the fused kernel reads (anything that
+/// changes splitters, bucketing or the in-bucket sort).  validate and
+/// collect_bucket_sizes are server-owned and deliberately excluded.
+/// auto_tune IS included: the controller retunes a whole batch at once, so a
+/// request that opted out must never ride a batch whose effective options
+/// the controller may reshape.
 bool compatible(const Job& a, const Job& b) {
     if (a.kind != b.kind) return false;
     if (a.kind != JobKind::Ragged && a.array_size != b.array_size) return false;
     const Options& x = a.opts;
     const Options& y = b.opts;
     return x.bucket_target == y.bucket_target && x.sampling_rate == y.sampling_rate &&
-           x.strategy == y.strategy && x.order == y.order &&
-           x.threads_per_bucket == y.threads_per_bucket &&
-           x.hybrid_phase3 == y.hybrid_phase3 &&
+           x.order == y.order && x.hybrid_phase3 == y.hybrid_phase3 &&
            x.phase3_small_cutoff == y.phase3_small_cutoff &&
            x.phase3_bitonic_cutoff == y.phase3_bitonic_cutoff &&
            x.auto_tune == y.auto_tune;
@@ -97,16 +95,10 @@ std::size_t host_base(const Job& job) {
     return job.kind == JobKind::Ragged ? static_cast<std::size_t>(job.offsets.front()) : 0;
 }
 
-/// Device bytes a fused batch of `head`'s kind occupies with `arrays` rows
-/// and `elements` values in all: the uniform pipeline adds its temporaries
-/// (S, Z, oversized-array scratch) from the capacity model; ragged and pair
-/// kernels keep everything in shared memory and need only their data planes.
-std::size_t batch_bytes(const Job& head, std::size_t arrays, std::size_t elements,
-                        const simt::DeviceProperties& props) {
-    if (head.kind == JobKind::Uniform) {
-        return device_footprint_bytes(arrays, head.array_size, head.opts, props,
-                                      sizeof(float));
-    }
+/// Device bytes a fused batch of `head`'s kind occupies with `elements`
+/// values in all: the fused kernel keeps splitters, counts and offsets in
+/// shared memory, so a batch needs only its pooled data planes.
+std::size_t batch_bytes(const Job& head, std::size_t elements) {
     return job_planes(head) * BufferPool::class_bytes(elements * sizeof(float));
 }
 
@@ -769,9 +761,8 @@ std::vector<Server::PendingPtr> Server::take_batch(Shard& shard,
     std::size_t total_arrays = batch.front()->arrays;
     std::size_t total_elements = batch.front()->elements;
 
-    auto fits_memory = [&](std::size_t arrays, std::size_t elements) {
-        return batch_bytes(head, arrays, elements, shard.device->props()) <=
-               shard.memory_budget;
+    auto fits_memory = [&](std::size_t elements) {
+        return batch_bytes(head, elements) <= shard.memory_budget;
     };
 
     for (auto& q : shard.queue) {
@@ -798,7 +789,7 @@ std::vector<Server::PendingPtr> Server::take_batch(Shard& shard,
             }
             if (!compatible(head, cand.job) || needs_cpu_fallback(shard, cand.job) ||
                 total_arrays + cand.arrays > cfg_.max_batch_arrays ||
-                !fits_memory(total_arrays + cand.arrays, total_elements + cand.elements)) {
+                !fits_memory(total_elements + cand.elements)) {
                 ++it;  // stays queued; will head its own batch later
                 continue;
             }
@@ -819,18 +810,13 @@ std::vector<Server::PendingPtr> Server::take_batch(Shard& shard,
 
 bool Server::needs_cpu_fallback(const Shard& shard, const Job& job) const {
     const auto& props = shard.device->props();
-    if (batch_bytes(job, job_arrays(job), job_elements(job), props) > shard.memory_budget) {
-        return true;
+    if (batch_bytes(job, job_elements(job)) > shard.memory_budget) return true;
+    if (job.kind != JobKind::Ragged) {
+        return !ragged_row_fits_shared(job.array_size, props, job_planes(job));
     }
-    switch (job.kind) {
-        case JobKind::Uniform: return false;
-        case JobKind::Ragged:
-            for (std::size_t i = 1; i < job.offsets.size(); ++i) {
-                const auto n = static_cast<std::size_t>(job.offsets[i] - job.offsets[i - 1]);
-                if (!ragged_row_fits_shared(n, props)) return true;
-            }
-            return false;
-        case JobKind::Pairs: return !ragged_row_fits_shared(job.array_size, props, 2);
+    for (std::size_t i = 1; i < job.offsets.size(); ++i) {
+        const auto n = static_cast<std::size_t>(job.offsets[i] - job.offsets[i - 1]);
+        if (!ragged_row_fits_shared(n, props)) return true;
     }
     return false;
 }
@@ -845,9 +831,6 @@ BufferPool::Lease Server::acquire_or_trim(Shard& shard, std::size_t bytes) {
             return shard.pool.acquire(bytes);
         } catch (const simt::DeviceBadAlloc&) {
             if (attempt >= max_attempts) throw;
-            // The held reuse graph pins splitter/scratch buffers; drop it so
-            // the trim below can actually return memory to the arena.
-            shard.graph_cache.reset();
             shard.pool.trim();
             std::lock_guard lk(mutex_);
             ++stats_.alloc_retries;
@@ -1090,33 +1073,9 @@ void Server::execute_batch(Shard& shard, std::vector<PendingPtr>& batch) {
             }
         }
 
-        SortStats s;
-        switch (head.kind) {
-            case JobKind::Uniform:
-                if (shard.graph_cache &&
-                    shard.graph_cache->matches(device, keys.span(), total_arrays, n, opts)) {
-                    // Graph reuse cache: a consecutive batch with the same
-                    // fingerprint (device span, geometry, effective options)
-                    // resubmits the shard's held graph.
-                    s = shard.graph_cache->run();
-                    std::lock_guard lk(mutex_);
-                    ++stats_.graph_cache_hits;
-                } else {
-                    const bool evicted = shard.graph_cache != nullptr;
-                    shard.graph_cache.reset();  // free held temporaries first
-                    shard.graph_cache = std::make_unique<UniformSortGraph<float>>(
-                        device, keys.span(), total_arrays, n, opts);
-                    s = shard.graph_cache->run();
-                    std::lock_guard lk(mutex_);
-                    ++stats_.graph_cache_misses;
-                    if (evicted) ++stats_.graph_cache_evictions;
-                }
-                break;
-            case JobKind::Ragged: s = sort_ragged_on_device(device, keys, offsets, opts); break;
-            case JobKind::Pairs:
-                s = sort_pairs_on_device(device, keys, vals, total_arrays, n, opts);
-                break;
-        }
+        const SortStats s = planes == 2
+                                ? sort_ragged_pairs_on_device(device, keys, vals, offsets, opts)
+                                : sort_ragged_on_device(device, keys, offsets, opts);
         double kernel_ms = s.modeled_kernel_ms();
         if (tuned) {
             std::lock_guard lk(mutex_);
@@ -1127,11 +1086,8 @@ void Server::execute_batch(Shard& shard, std::vector<PendingPtr>& batch) {
         std::vector<std::uint8_t> row_fail;
         if (verify) {
             row_fail.assign(total_arrays, 0);
-            const char* const name = head.kind == JobKind::Uniform  ? "gas.verify"
-                                     : head.kind == JobKind::Ragged ? "gas.verify_csr"
-                                                                    : "gas.verify_pairs";
             kernel_ms += resilient::verify_rows_on_device<float>(
-                             device, name, std::span<const float>(kdev, count),
+                             device, "gas.verify", std::span<const float>(kdev, count),
                              std::span<const float>(vdev, planes == 2 ? count : 0), offsets,
                              opts.order, expected, row_fail)
                              .modeled_ms;
@@ -1385,13 +1341,6 @@ ServerStats Server::stats() const {
         h2d_busy += shard.timeline.h2d_busy_ms();
         compute_busy += shard.timeline.compute_busy_ms();
         d2h_busy += shard.timeline.d2h_busy_ms();
-        const simt::Device::GraphTelemetry& gt = shard.device->graph_telemetry();
-        s.graphs += gt.graphs;
-        s.graph_nodes += gt.nodes;
-        s.graph_kernel_nodes += gt.kernel_nodes;
-        s.graph_host_nodes += gt.host_nodes;
-        s.graph_device_enqueued += gt.device_enqueued;
-        s.graph_pruned += gt.pruned;
         const BufferPool::Stats ps = shard.pool.stats();
         pool.acquires += ps.acquires;
         pool.reuse_hits += ps.reuse_hits;
@@ -1543,7 +1492,6 @@ void Server::run_probe_cycle(Shard& shard) {
     // Owning-thread context: the quarantined shard's scheduler (async) or
     // the pump() caller (manual).  Free held device state first so the probe
     // allocation cannot collide with leftovers of the failed batch.
-    shard.graph_cache.reset();
     shard.pool.trim();
     const std::uint64_t seed = 0x9e3779b97f4a7c15ull ^
                                (static_cast<std::uint64_t>(shard.index) << 32) ^

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/resilient.hpp"
-#include "core/sort_graph.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/router.hpp"
 #include "health/brownout.hpp"
@@ -119,9 +118,11 @@ struct ServerConfig {
 /// loaded, consistent hash on a content fingerprint, or key-range sharding)
 /// and lands in that shard's queue.  Each shard runs one scheduler thread —
 /// the only toucher of its simt::Device, whose launch path is single-caller
-/// by contract — which coalesces compatible neighbours (same job kind,
-/// geometry and sort options) into fused micro-batches, each run by one
-/// execute path that calls the core sorters directly, with data staged in
+/// by contract — which coalesces compatible neighbours (same job kind, the
+/// same row length n for uniform and pair jobs, and the same options the
+/// fused kernel reads) into fused micro-batches.  Every batch is one row
+/// table sorted by one call of the fused CSR kernel (sort_ragged_on_device,
+/// or sort_ragged_pairs_on_device for two planes), with data staged in
 /// pooled device buffers (serve::BufferPool, one per shard) and modeled H2D/compute/D2H
 /// overlap tracked on a per-shard multi-stream simt::Timeline.  An idle
 /// shard steals bounded runs of queued requests from its most loaded peer,
@@ -151,14 +152,17 @@ struct ServerConfig {
 /// batchmates are served normally.  ServerStats counts retries, quarantines,
 /// steals, re-routes and device losses, with a per-device breakdown.
 ///
-/// Fusion preserves results.  Every kernel in the repo processes one array
-/// per block (or per packed lane) with no inter-array coupling: splitters,
-/// bucket counts and phase-3 work never cross array boundaries.  K
-/// compatible requests concatenated into one (sum N x n) launch therefore
-/// give each request exactly the bytes a direct gas::gpu_array_sort /
-/// gpu_ragged_sort / gpu_pair_sort of it would have given, on any device of
-/// the fleet, while paying one launch sequence instead of K.
-/// tests/serve/test_batch.cpp and the tune-off kernel-log identity test
+/// Fusion preserves results.  The fused kernel (detail::fused_sort) sorts
+/// one row per block with no inter-row coupling: splitters, bucket counts
+/// and bucket offsets stay in that block's shared memory.  K compatible
+/// requests concatenated into one row table therefore give each request
+/// exactly the bytes a direct gpu_ragged_sort / gpu_ragged_pair_sort of it
+/// would have given, on any device of the fleet, while paying one launch
+/// instead of K.  A sorted key row has one byte pattern (short of -0.0 and
+/// +0.0 in one row), so uniform requests also get the bytes of a direct
+/// gas::gpu_array_sort.
+/// tests/serve/test_batch.cpp, the uniform table test in
+/// tests/serve/test_server.cpp and the tune-off kernel-log identity test
 /// assert it.
 class Server {
   public:
@@ -290,11 +294,6 @@ class Server {
         std::size_t in_flight = 0;
         bool quarantined = false;
         DeviceBreakdown breakdown;
-        /// Graph reuse cache (core/sort_graph.hpp): one held pipeline per
-        /// shard, keyed by the last uniform batch's fingerprint (device
-        /// span, geometry, effective options).  Touched only by the owning
-        /// scheduler; the hit/miss/evict counters live in stats_ (mutex_).
-        std::unique_ptr<UniformSortGraph<float>> graph_cache;
 
         // gas::health wiring (all inert with health.enabled off).
         gas::health::Machine health;  ///< per-device state machine (mutex_)

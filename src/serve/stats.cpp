@@ -62,14 +62,7 @@ std::string ServerStats::to_json() const {
         j.field("overlap_ms", d.modeled_overlap_ms);
         j.field("compute_utilization", d.compute_utilization).end_object();
     }
-    j.end_array().end_object().object("graph");
-    j.field("graphs", graphs).field("nodes", graph_nodes);
-    j.field("kernel_nodes", graph_kernel_nodes).field("host_nodes", graph_host_nodes);
-    j.field("device_enqueued", graph_device_enqueued).field("pruned", graph_pruned);
-    j.field("cache_hits", graph_cache_hits).field("cache_misses", graph_cache_misses);
-    j.field("cache_evictions", graph_cache_evictions);
-    j.field("cache_hit_rate", graph_cache_hit_rate());
-    j.end_object().object("tune");
+    j.end_array().end_object().object("tune");
     j.field("enabled", tune_enabled).field("decisions", tune_decisions);
     j.field("plan_switches", tune_plan_switches).field("tuned_batches", tuned_batches);
     j.field("sketch_ms", tune_sketch_ms).array("cells");

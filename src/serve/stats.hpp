@@ -156,29 +156,11 @@ struct ServerStats {
     /// from the fleet-level aggregate sketch.
     std::vector<double> key_bands;
 
-    // Graph launches (Device::submit telemetry summed over the fleet).  Every
-    // fused uniform batch executes as one submitted work graph — phase chain
-    // plus dispatch nodes — so `graphs` tracks batches + quarantined solo
-    // re-sorts, and `device_enqueued` counts the nodes emitted by decision
-    // nodes (e.g. phase-3 dispatch) rather than recorded statically.
-    std::uint64_t graphs = 0;                 ///< Device::submit calls
-    std::uint64_t graph_nodes = 0;            ///< nodes executed (kernel + host)
-    std::uint64_t graph_kernel_nodes = 0;
-    std::uint64_t graph_host_nodes = 0;
-    std::uint64_t graph_device_enqueued = 0;  ///< nodes enqueued during execution
-    std::uint64_t graph_pruned = 0;           ///< degenerate work skipped in-graph
-    // Graph reuse cache (core/sort_graph.hpp): consecutive uniform batches
-    // with an identical fingerprint (device span, geometry, effective
-    // options) resubmit one held graph instead of rebuilding it.
-    std::uint64_t graph_cache_hits = 0;       ///< batches served by a held graph
-    std::uint64_t graph_cache_misses = 0;     ///< batches that (re)built one
-    std::uint64_t graph_cache_evictions = 0;  ///< rebuilds that replaced a held graph
-    [[nodiscard]] double graph_cache_hit_rate() const {
-        const auto total = graph_cache_hits + graph_cache_misses;
-        return total > 0 ? static_cast<double>(graph_cache_hits) /
-                               static_cast<double>(total)
-                         : 0.0;
-    }
+    // Always 0: every serve batch is one fused-kernel launch, and serve
+    // holds no graph cache.  Kept because ledger/src/serve_load.cpp still
+    // reads both fields for its serve.graph_cache_hit_rate layer metric.
+    std::uint64_t graph_cache_hits = 0;
+    std::uint64_t graph_cache_misses = 0;
 
     // Modeled device cost (sums over batches).
     double modeled_kernel_ms = 0.0;

@@ -11,7 +11,7 @@
 //
 // 3. UniformSortGraph: one held pipeline, run, restaged with the same input
 //    and run again, must match a fresh gpu_array_sort call each time — the
-//    serve graph cache's contract.
+//    contract of a kept, resubmitted holder.
 //
 // Both sweeps cross both ThreadOrders and sanitizer off/strict, so the warp
 // fast paths' tracked fallbacks, the analytic counter charges, and the

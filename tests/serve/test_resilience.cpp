@@ -55,7 +55,7 @@ std::vector<float> sorted_rows(std::vector<float> values, std::size_t num_arrays
 TEST(ServerResilience, TransientLaunchFaultRetriesTheFusedBatch) {
     auto dev = make_device();
     simt::faults::FaultPlan plan;
-    plan.launch_fail_at = {2};  // refuse one launch of the first attempt
+    plan.launch_fail_at = {1};  // refuse the first attempt's sort launch
     dev.set_fault_plan(plan);
     Server server(dev, manual_config());
 
@@ -230,7 +230,7 @@ TEST(ServerResilience, VerifyOffReproducesTodaysBytes) {
 TEST(ServerResilience, StatsJsonReportsTheResilienceBlock) {
     auto dev = make_device();
     simt::faults::FaultPlan plan;
-    plan.launch_fail_at = {2};
+    plan.launch_fail_at = {1};
     dev.set_fault_plan(plan);
     Server server(dev, manual_config());
     auto t = server.submit(uniform_job(4, 64, 3));

@@ -11,8 +11,8 @@
 // 4. auto_tune=off bit-identity: with the flag off (at either level) the
 //    direct path, tuned_sort, and the server must reproduce the pre-tune
 //    bytes AND kernel log bit-for-bit, across the 15 equivalence workloads.
-// 5. Serve integration: graph reuse cache hit/miss/evict accounting, tuned
-//    server correctness, the "tune" stats block, and fleet key bands.
+// 5. Serve integration: tuned server correctness, the "tune" stats block,
+//    and fleet key bands.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,7 @@
 #include "core/gpu_array_sort.hpp"
 #include "core/pair_sort.hpp"
 #include "core/ragged_sort.hpp"
+#include "core/resilient.hpp"
 #include "fleet/fleet.hpp"
 #include "serve/server.hpp"
 #include "simt/device.hpp"
@@ -623,8 +624,8 @@ gas::serve::Job identity_job(gas::serve::JobKind kind, std::uint64_t r) {
 
 TEST(ServeTune, AutoTuneOffServerReproducesTheDirectKernelLog) {
     // The strongest seed pin available in-tree: with tuning off, a batch
-    // through the server (graph reuse cache and all) must emit exactly the
-    // kernel log of one direct core sort of the same concatenated rows —
+    // through the server must emit exactly the kernel log of one direct
+    // call of the fused kernel over the same concatenated rows —
     // bytes, names, shapes, modeled stats — for every job kind, alone and
     // fused with batchmates, in every order the kind accepts.
     using gas::serve::JobKind;
@@ -666,7 +667,8 @@ TEST(ServeTune, AutoTuneOffServerReproducesTheDirectKernelLog) {
                 }
                 switch (kind) {
                     case JobKind::Uniform:
-                        gas::sort_arrays_on_device(direct_dev, kbuf, rows, 500, opts);
+                        gas::sort_ragged_on_device(
+                            direct_dev, kbuf, gas::resilient::uniform_offsets(rows, 500), opts);
                         break;
                     case JobKind::Ragged:
                         gas::sort_ragged_on_device(direct_dev, kbuf, offsets, opts);
@@ -715,42 +717,6 @@ TEST(ServeTune, AutoTuneOffServerReproducesTheDirectKernelLog) {
             }
         }
     }
-}
-
-TEST(ServeTune, GraphReuseCacheCountsHitsMissesAndEvictions) {
-    simt::Device dev(simt::tiny_device(256 << 20));
-    gas::serve::ServerConfig cfg;
-    cfg.manual_pump = true;
-    cfg.auto_tune = false;  // pin the plan so the fingerprint is stationary
-    gas::serve::Server server(dev, cfg);
-    const auto wave = [&](std::size_t n, std::uint64_t seed) {
-        std::vector<gas::serve::Server::Ticket> tickets;
-        for (std::uint64_t r = 0; r < 3; ++r) {
-            tickets.push_back(
-                server.submit(uniform_job(2, n, Distribution::Uniform, seed * 16 + r)));
-        }
-        server.pump();
-        for (auto& t : tickets) {
-            const auto resp = t.result.get();
-            ASSERT_TRUE(resp.ok());
-            EXPECT_TRUE(rows_sorted(resp.values, 2, n));
-        }
-    };
-    wave(300, 1);
-    wave(300, 2);
-    wave(300, 3);
-    auto st = server.stats();
-    EXPECT_EQ(st.graph_cache_misses, 1u);
-    EXPECT_EQ(st.graph_cache_hits, 2u);
-    EXPECT_EQ(st.graph_cache_evictions, 0u);
-    EXPECT_GT(st.graph_cache_hit_rate(), 0.5);
-    EXPECT_NE(st.to_json().find("\"cache_hit_rate\""), std::string::npos);
-
-    wave(400, 4);  // shape change: evicts and rebuilds
-    st = server.stats();
-    EXPECT_EQ(st.graph_cache_misses, 2u);
-    EXPECT_EQ(st.graph_cache_evictions, 1u);
-    server.stop();
 }
 
 TEST(ServeTune, TunedServerServesEveryRegimeCorrectly) {

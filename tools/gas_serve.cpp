@@ -191,13 +191,11 @@ int cmd_run(const CliOptions& cli) {
                 stats.modeled_throughput_rps());
     std::printf("latency (wall ms): p50 %.3f  p95 %.3f  p99 %.3f  max %.3f\n",
                 stats.wall_ms.p50, stats.wall_ms.p95, stats.wall_ms.p99, stats.wall_ms.max);
-    std::printf("tune: %s, %llu decisions, %llu plan switches, %llu tuned batches, "
-                "graph cache %.0f%% hit\n",
+    std::printf("tune: %s, %llu decisions, %llu plan switches, %llu tuned batches\n",
                 stats.tune_enabled ? "on" : "off",
                 static_cast<unsigned long long>(stats.tune_decisions),
                 static_cast<unsigned long long>(stats.tune_plan_switches),
-                static_cast<unsigned long long>(stats.tuned_batches),
-                stats.graph_cache_hit_rate() * 100.0);
+                static_cast<unsigned long long>(stats.tuned_batches));
     std::printf("health: %s, %llu shed (%llu overflow / %llu brownout / %llu sojourn), "
                 "brownout L%d, %llu hangs, %llu hedges (%llu mismatches)\n",
                 stats.health.enabled ? "on" : "off",
