@@ -1,9 +1,12 @@
 // Chaos-recovery bench: the serving layer under a hostile device.
 //
 // 1000 small sort requests ride fused micro-batches while simt::faults
-// injects roughly one allocation failure per 50 allocations and one silent
-// (undetected) memory corruption per 200 launches.  BENCH_chaos.json asserts
-// three acceptance gates:
+// fails the first device allocation, refuses roughly one launch in 50 and
+// silently corrupts memory at roughly one launch in 200.  A serve batch
+// allocates only its pooled planes, so a rate-based allocation plan would
+// rarely fire; the explicit first allocation always does.  The run must
+// exercise both an allocation retry and a batch retry, and BENCH_chaos.json
+// asserts three acceptance gates:
 //   * termination: every request completes with Status::Ok — retries,
 //     quarantines and host fallbacks absorb every injected fault,
 //   * integrity: zero byte mismatches against the same requests served on a
@@ -116,11 +119,12 @@ int main(int argc, char** argv) {
     // when nothing is wrong.
     const RunResult verified = run_requests(inputs, /*verify=*/true, nullptr);
 
-    // The chaos run: allocation faults and silent corruption, verification
-    // on (the only defense against undetected flips).
+    // The chaos run: allocation and launch faults and silent corruption,
+    // verification on (the only defense against undetected flips).
     simt::faults::FaultPlan plan;
     plan.seed = 7;
-    plan.alloc_fail_every = 50;
+    plan.alloc_fail_at = {1};
+    plan.launch_fail_every = 50;
     plan.corrupt_every = 200;
     plan.detected = false;  // silent: only response verification can catch it
     const RunResult chaos = run_requests(inputs, /*verify=*/true, &plan);
@@ -135,10 +139,11 @@ int main(int argc, char** argv) {
     std::printf("fault-free verified:  %10.2f ms modeled kernel time\n",
                 verified.stats.modeled_kernel_ms);
     std::printf("chaos run: %llu fault(s) fired (%llu corruption(s), %llu alloc "
-                "failure(s)), %llu suppressed\n",
+                "failure(s), %llu launch failure(s)), %llu suppressed\n",
                 static_cast<unsigned long long>(chaos.faults.fired()),
                 static_cast<unsigned long long>(chaos.faults.corruptions),
                 static_cast<unsigned long long>(chaos.faults.alloc_failures),
+                static_cast<unsigned long long>(chaos.faults.launch_failures),
                 static_cast<unsigned long long>(chaos.faults.suppressed));
     std::printf("  recovery: %llu batch retries, %llu alloc retries, %llu quarantined, "
                 "%llu verify failures, %.3f ms modeled backoff\n",
@@ -209,12 +214,18 @@ int main(int argc, char** argv) {
     const bool integrity_pass = mismatches == 0;
     const bool overhead_pass = overhead <= 0.10;
     const bool soak_pass = soak_requests == 0 || (soak_served >= soak_requests && soak_bad == 0);
+    // A plan that fires nothing proves nothing about recovery.
+    const bool coverage_pass = chaos.faults.alloc_failures > 0 && chaos.stats.retries > 0;
     std::printf("gate: unrecovered requests %zu of %zu (need 0) .......... %s\n",
                 chaos.not_ok, requests, termination_pass ? "PASS" : "FAIL");
     std::printf("gate: bytes vs fault-free run, %zu mismatch(es) (need 0)  %s\n", mismatches,
                 integrity_pass ? "PASS" : "FAIL");
     std::printf("gate: fault-free verification overhead %.2f%% (<= 10%%) .. %s\n",
                 overhead * 100.0, overhead_pass ? "PASS" : "FAIL");
+    std::printf("gate: chaos run, %llu alloc fault(s), %llu batch retries (need >= 1 each) %s\n",
+                static_cast<unsigned long long>(chaos.faults.alloc_failures),
+                static_cast<unsigned long long>(chaos.stats.retries),
+                coverage_pass ? "PASS" : "FAIL");
     if (soak_requests > 0) {
         std::printf("gate: soak %zu served, %zu bad (need >= %zu, 0 bad) ... %s\n",
                     soak_served, soak_bad, soak_requests, soak_pass ? "PASS" : "FAIL");
@@ -223,11 +234,14 @@ int main(int argc, char** argv) {
     obs::Json j;
     j.begin_object().field("bench", "chaos_recovery").field("requests", requests);
     j.field("arrays_per_request", kArraysPerRequest).field("array_size", kArraySize);
-    j.object("plan").field("seed", plan.seed).field("alloc_fail_every", plan.alloc_fail_every);
+    j.object("plan").field("seed", plan.seed).array("alloc_fail_at");
+    for (const std::uint64_t at : plan.alloc_fail_at) j.value(at);
+    j.end_array().field("launch_fail_every", plan.launch_fail_every);
     j.field("corrupt_every", plan.corrupt_every).field("detected", plan.detected);
     j.end_object().object("faults").field("fired", chaos.faults.fired());
     j.field("corruptions", chaos.faults.corruptions);
     j.field("alloc_failures", chaos.faults.alloc_failures);
+    j.field("launch_failures", chaos.faults.launch_failures);
     j.field("suppressed", chaos.faults.suppressed).end_object();
     const gas::serve::ServerStats& cs = chaos.stats;
     j.object("recovery").field("retries", cs.retries).field("alloc_retries", cs.alloc_retries);
@@ -242,6 +256,8 @@ int main(int argc, char** argv) {
     j.field("pass", integrity_pass).end_object();
     j.object("verify_overhead").field("fraction", overhead).field("max", 0.10);
     j.field("pass", overhead_pass).end_object();
+    j.object("coverage").field("alloc_failures", chaos.faults.alloc_failures);
+    j.field("retries", cs.retries).field("min", 1).field("pass", coverage_pass).end_object();
     j.object("soak").field("served", soak_served).field("bad", soak_bad);
     j.field("faults_fired", soak_faults).field("ran", soak_requests > 0);
     j.field("pass", soak_pass).end_object().end_object().end_object();
@@ -269,6 +285,8 @@ int main(int argc, char** argv) {
         for (auto& t : ts) t.result.get();
     });
 
-    return (termination_pass && integrity_pass && overhead_pass && soak_pass && inert) ? 0
-                                                                                       : 1;
+    return (termination_pass && integrity_pass && overhead_pass && coverage_pass && soak_pass &&
+            inert)
+               ? 0
+               : 1;
 }

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -283,18 +284,14 @@ Server::Ticket Server::submit(Job job) {
     Ticket ticket;
     ticket.result = pending->promise.get_future();
 
-    auto respond = [&](Status status, const char* why) {
-        Response r;
-        r.status = status;
-        r.error = why;
-        r.backpressure = pending->backpressure;
-        r.values = std::move(pending->job.values);
-        r.payload = std::move(pending->job.payload);
-        pending->promise.set_value(std::move(r));
-    };
-
     PendingPtr shed_victim;  ///< overflow-shed casualty, completed after unlock
     std::unique_lock lk(mutex_);
+    // Completes the newcomer without queueing it.
+    auto respond = [&](Status status, const char* why) {
+        lk.unlock();
+        finish_unserved(*pending, status, why);
+        return std::move(ticket);
+    };
     pending->id = next_id_++;
     ticket.id = pending->id;
     ++stats_.submitted;
@@ -305,28 +302,20 @@ Server::Ticket Server::submit(Job job) {
 
     if (stopping_) {
         ++stats_.rejected;
-        lk.unlock();
-        respond(Status::Rejected, "server stopped");
-        return ticket;
+        return respond(Status::Rejected, "server stopped");
     }
     if (expired(pending->job, now)) {
         ++stats_.timed_out;
-        lk.unlock();
-        respond(Status::TimedOut, "deadline expired at submit");
-        return ticket;
+        return respond(Status::TimedOut, "deadline expired at submit");
     }
     if (pending->elements == 0) {  // nothing to sort: complete right away
         ++stats_.accepted;
         ++stats_.completed;
-        lk.unlock();
-        respond(Status::Ok, "");
-        return ticket;
+        return respond(Status::Ok, "");
     }
     if (cfg_.queue_capacity == 0) {
         ++stats_.rejected;
-        lk.unlock();
-        respond(Status::Rejected, "queue capacity is 0");
-        return ticket;
+        return respond(Status::Rejected, "queue capacity is 0");
     }
     // Brownout L3: incoming low-priority work sheds immediately — a typed
     // rejection the caller can back off on, instead of queueing work the
@@ -335,9 +324,7 @@ Server::Ticket Server::submit(Job job) {
         pending->job.priority == Priority::Low) {
         ++stats_.shed;
         ++hstats_.shed_brownout;
-        lk.unlock();
-        respond(Status::Shed, "shed: brownout (low priority)");
-        return ticket;
+        return respond(Status::Shed, "shed: brownout (low priority)");
     }
     if (queued_ >= cfg_.queue_capacity) {
         if (cfg_.health.enabled && cfg_.health.shed_enabled) {
@@ -345,28 +332,20 @@ Server::Ticket Server::submit(Job job) {
             // queued request of the least important class at or below the
             // newcomer's priority.  When everything queued outranks the
             // newcomer, the newcomer itself is the drop.
-            if (!shed_for_admission_locked(pending->job.priority, shed_victim)) {
-                ++stats_.shed;
-                ++hstats_.shed_overflow;
-                lk.unlock();
-                respond(Status::Shed, "shed: queue full");
-                return ticket;
-            }
             ++stats_.shed;
             ++hstats_.shed_overflow;
+            if (!shed_for_admission_locked(pending->job.priority, shed_victim)) {
+                return respond(Status::Shed, "shed: queue full");
+            }
         } else if (cfg_.policy == AdmitPolicy::Reject || cfg_.manual_pump) {
             ++stats_.rejected;
-            lk.unlock();
-            respond(Status::Rejected, "queue full");
-            return ticket;
+            return respond(Status::Rejected, "queue full");
         } else {
             space_cv_.wait(lk,
                            [&] { return queued_ < cfg_.queue_capacity || stopping_; });
             if (stopping_) {
                 ++stats_.rejected;
-                lk.unlock();
-                respond(Status::Rejected, "server stopped");
-                return ticket;
+                return respond(Status::Rejected, "server stopped");
             }
         }
     }
@@ -375,16 +354,14 @@ Server::Ticket Server::submit(Job job) {
     stats_.tune_sketch_ms += pending->sketch_ms;
     Shard& shard = *shards_[route_locked(*pending)];
     ++shard.breakdown.routed;
-    ++shard.queued;
-    shard.queued_elements += pending->elements;
-    shard.queue[static_cast<std::size_t>(pending->job.priority)].push_back(
-        std::move(pending));
-    ++queued_;
+    enqueue_locked(shard, std::move(pending));
     sample_load_locked(shard);
     update_brownout_locked();
     stats_.queue_peak = std::max(stats_.queue_peak, queued_);
     lk.unlock();
-    if (shed_victim) finish_shed(std::move(shed_victim), "shed: displaced under overload");
+    if (shed_victim) {
+        finish_unserved(*shed_victim, Status::Shed, "shed: displaced under overload");
+    }
     // All shard schedulers share one cv; wake them all so the routed (or a
     // steal-capable) one runs.
     queue_cv_.notify_all();
@@ -450,15 +427,10 @@ std::size_t Server::steal_into_locked(Shard& thief) {
             auto& q = victim->queue[pr];
             while (!q.empty() && moved < cfg_.max_steal_requests &&
                    !needs_cpu_fallback(thief, q.back()->job)) {
-                PendingPtr p = std::move(q.back());
-                q.pop_back();
-                --victim->queued;
-                victim->queued_elements -= p->elements;
+                auto last = std::prev(q.end());
+                enqueue_locked(thief, unqueue_locked(*victim, q, last));
                 ++victim->breakdown.steals_out;
-                ++thief.queued;
-                thief.queued_elements += p->elements;
                 ++thief.breakdown.steals_in;
-                thief.queue[pr].push_back(std::move(p));
                 ++stats_.steals;
                 ++moved;
             }
@@ -476,11 +448,7 @@ bool Server::cancel(std::uint64_t id) {
             for (auto& q : sp->queue) {
                 for (auto it = q.begin(); it != q.end(); ++it) {
                     if ((*it)->id == id) {
-                        victim = std::move(*it);
-                        q.erase(it);
-                        --sp->queued;
-                        sp->queued_elements -= victim->elements;
-                        --queued_;
+                        victim = unqueue_locked(*sp, q, it);
                         ++stats_.cancelled;
                         break;
                     }
@@ -493,13 +461,7 @@ bool Server::cancel(std::uint64_t id) {
     }
     if (!victim) return false;
     space_cv_.notify_one();
-    Response r;
-    r.status = Status::Cancelled;
-    r.error = "cancelled";
-    r.backpressure = victim->backpressure;
-    r.values = std::move(victim->job.values);
-    r.payload = std::move(victim->job.payload);
-    resolve(*victim, std::move(r));
+    finish_unserved(*victim, Status::Cancelled, "cancelled");
     return true;
 }
 
@@ -542,26 +504,14 @@ void Server::stop(bool cancel_pending) {
     {
         std::lock_guard lk(mutex_);
         for (auto& sp : shards_) {
-            for (auto& q : sp->queue) {
-                for (auto& p : q) leftovers.push_back(std::move(p));
-                q.clear();
-            }
-            sp->queued = 0;
-            sp->queued_elements = 0;
+            for (auto& p : drain_queues_locked(*sp)) leftovers.push_back(std::move(p));
         }
-        queued_ = 0;
         for (const auto& p : leftovers) {
             if (!p->is_hedge) ++stats_.cancelled;
         }
     }
     for (auto& p : leftovers) {
-        Response r;
-        r.status = Status::Cancelled;
-        r.error = "server stopped with request still queued";
-        r.backpressure = p->backpressure;
-        r.values = std::move(p->job.values);
-        r.payload = std::move(p->job.payload);
-        resolve(*p, std::move(r));
+        finish_unserved(*p, Status::Cancelled, "server stopped with request still queued");
     }
     if (cfg_.health.enabled) {
         // The handlers capture `this`; drop them before the server goes away
@@ -589,41 +539,16 @@ std::size_t Server::pump() {
             if (probe) run_probe_cycle(*sp);
         }
     }
+    // One step per shard per pass mirrors the scheduler-thread cadence:
+    // shards drain their own queues in lockstep (overlapping in the model),
+    // and an empty shard steals before stepping.
+    std::unique_lock lk(mutex_);
     std::size_t retired = 0;
     for (;;) {
-        // One batch per shard per pass mirrors the scheduler-thread cadence:
-        // shards drain their own queues in lockstep (overlapping in the
-        // model), and an empty shard steals before going idle.
         std::size_t pass = 0;
         for (auto& sp : shards_) {
-            Shard& shard = *sp;
-            std::vector<PendingPtr> timed_out;
-            std::vector<PendingPtr> sojourn_shed;
-            std::vector<PendingPtr> batch;
-            {
-                std::lock_guard lk(mutex_);
-                if (shard.queued == 0) steal_into_locked(shard);
-                batch = take_batch(shard, timed_out, sojourn_shed);
-            }
-            if (batch.empty() && timed_out.empty() && sojourn_shed.empty()) continue;
-            pass += batch.size() + timed_out.size() + sojourn_shed.size();
-            for (auto& p : timed_out) {
-                Response r;
-                r.status = Status::TimedOut;
-                r.error = "deadline expired in queue";
-                r.backpressure = p->backpressure;
-                r.values = std::move(p->job.values);
-                r.payload = std::move(p->job.payload);
-                {
-                    std::lock_guard lk(mutex_);
-                    if (!p->is_hedge) ++stats_.timed_out;
-                }
-                resolve(*p, std::move(r));
-            }
-            for (auto& p : sojourn_shed) {
-                finish_shed(std::move(p), "shed: queue sojourn over bound");
-            }
-            if (!batch.empty()) serve_batch(shard, std::move(batch));
+            steal_into_locked(*sp);
+            pass += step(*sp, lk);
         }
         if (pass == 0) break;
         retired += pass;
@@ -671,40 +596,64 @@ void Server::scheduler_main(Shard& shard) {
             // the coalescing window, serve what is here now.
             queue_cv_.wait_for(lk, std::chrono::duration<double, std::micro>(cfg_.linger_us));
         }
-        std::vector<PendingPtr> timed_out;
-        std::vector<PendingPtr> sojourn_shed;
-        auto batch = take_batch(shard, timed_out, sojourn_shed);
-        shard.in_flight = batch.size();
-        in_flight_ += batch.size();
-        lk.unlock();
-        space_cv_.notify_all();
-
-        for (auto& p : timed_out) {
-            Response r;
-            r.status = Status::TimedOut;
-            r.error = "deadline expired in queue";
-            r.backpressure = p->backpressure;
-            r.values = std::move(p->job.values);
-            r.payload = std::move(p->job.payload);
-            {
-                std::lock_guard slk(mutex_);
-                if (!p->is_hedge) ++stats_.timed_out;
-            }
-            resolve(*p, std::move(r));
-        }
-        for (auto& p : sojourn_shed) {
-            finish_shed(std::move(p), "shed: queue sojourn over bound");
-        }
-        if (!batch.empty()) serve_batch(shard, std::move(batch));
-
-        lk.lock();
-        in_flight_ -= shard.in_flight;
-        shard.in_flight = 0;
-        if (queued_ == 0 && in_flight_ == 0) idle_cv_.notify_all();
+        step(shard, lk);
         // Wake peers blocked on the stop predicate once the last queued or
         // in-flight request retires (no other notify would come).
         if (finished()) queue_cv_.notify_all();
     }
+}
+
+std::size_t Server::step(Shard& shard, std::unique_lock<std::mutex>& lk) {
+    std::vector<PendingPtr> timed_out;
+    std::vector<PendingPtr> sojourn_shed;
+    auto batch = take_batch(shard, timed_out, sojourn_shed);
+    for (const auto& p : timed_out) {
+        if (!p->is_hedge) ++stats_.timed_out;
+    }
+    shard.in_flight = batch.size();
+    in_flight_ += batch.size();
+    lk.unlock();
+    space_cv_.notify_all();
+
+    const std::size_t retired = batch.size() + timed_out.size() + sojourn_shed.size();
+    for (auto& p : timed_out) {
+        finish_unserved(*p, Status::TimedOut, "deadline expired in queue");
+    }
+    for (auto& p : sojourn_shed) {
+        finish_unserved(*p, Status::Shed, "shed: queue sojourn over bound");
+    }
+    if (!batch.empty()) serve_batch(shard, std::move(batch));
+
+    lk.lock();
+    in_flight_ -= shard.in_flight;
+    shard.in_flight = 0;
+    if (queued_ == 0 && in_flight_ == 0) idle_cv_.notify_all();
+    return retired;
+}
+
+void Server::enqueue_locked(Shard& shard, PendingPtr p) {
+    ++shard.queued;
+    shard.queued_elements += p->elements;
+    ++queued_;
+    shard.queue[static_cast<std::size_t>(p->job.priority)].push_back(std::move(p));
+}
+
+Server::PendingPtr Server::unqueue_locked(Shard& shard, std::deque<PendingPtr>& q,
+                                          std::deque<PendingPtr>::iterator& it) {
+    PendingPtr p = std::move(*it);
+    it = q.erase(it);
+    --shard.queued;
+    shard.queued_elements -= p->elements;
+    --queued_;
+    return p;
+}
+
+std::vector<Server::PendingPtr> Server::drain_queues_locked(Shard& shard) {
+    std::vector<PendingPtr> all;
+    for (auto& q : shard.queue) {
+        for (auto it = q.begin(); it != q.end();) all.push_back(unqueue_locked(shard, q, it));
+    }
+    return all;
 }
 
 std::vector<Server::PendingPtr> Server::take_batch(Shard& shard,
@@ -731,11 +680,8 @@ std::vector<Server::PendingPtr> Server::take_batch(Shard& shard,
     // Head: first live request in priority order.
     for (auto& q : shard.queue) {
         while (!q.empty() && batch.empty()) {
-            PendingPtr head = std::move(q.front());
-            q.pop_front();
-            --shard.queued;
-            shard.queued_elements -= head->elements;
-            --queued_;
+            auto front = q.begin();
+            PendingPtr head = unqueue_locked(shard, q, front);
             if (expired(head->job, now)) {
                 timed_out.push_back(std::move(head));
             } else if (over_sojourn(*head)) {
@@ -770,21 +716,13 @@ std::vector<Server::PendingPtr> Server::take_batch(Shard& shard,
         while (it != q.end() && batch.size() < max_requests) {
             Pending& cand = **it;
             if (expired(cand.job, now)) {
-                timed_out.push_back(std::move(*it));
-                it = q.erase(it);
-                --shard.queued;
-                shard.queued_elements -= timed_out.back()->elements;
-                --queued_;
+                timed_out.push_back(unqueue_locked(shard, q, it));
                 continue;
             }
             if (over_sojourn(cand)) {
                 if (!cand.is_hedge) ++stats_.shed;
                 ++hstats_.shed_sojourn;
-                shed.push_back(std::move(*it));
-                it = q.erase(it);
-                --shard.queued;
-                shard.queued_elements -= shed.back()->elements;
-                --queued_;
+                shed.push_back(unqueue_locked(shard, q, it));
                 continue;
             }
             if (!compatible(head, cand.job) || needs_cpu_fallback(shard, cand.job) ||
@@ -795,11 +733,7 @@ std::vector<Server::PendingPtr> Server::take_batch(Shard& shard,
             }
             total_arrays += cand.arrays;
             total_elements += cand.elements;
-            batch.push_back(std::move(*it));
-            it = q.erase(it);
-            --shard.queued;
-            shard.queued_elements -= batch.back()->elements;
-            --queued_;
+            batch.push_back(unqueue_locked(shard, q, it));
         }
         if (batch.size() >= max_requests) break;
     }
@@ -920,13 +854,7 @@ void Server::quarantine_and_reroute(Shard& shard, std::vector<PendingPtr>& batch
             if (cfg_.health.enabled && shard.health.on_quarantine()) {
                 ++hstats_.quarantines;
             }
-            for (auto& q : shard.queue) {
-                for (auto& p : q) rehome.push_back(std::move(p));
-                q.clear();
-            }
-            queued_ -= rehome.size();
-            shard.queued = 0;
-            shard.queued_elements = 0;
+            rehome = drain_queues_locked(shard);
         }
     }
     if (!survivors) {
@@ -941,16 +869,11 @@ void Server::quarantine_and_reroute(Shard& shard, std::vector<PendingPtr>& batch
     {
         std::lock_guard lk(mutex_);
         for (auto& p : rehome) {
-            const std::size_t elements = p->elements;
             Shard& target = *shards_[route_locked(*p)];
             ++target.breakdown.reroutes_in;
             ++shard.breakdown.reroutes_out;
             ++stats_.reroutes;
-            ++target.queued;
-            target.queued_elements += elements;
-            target.queue[static_cast<std::size_t>(p->job.priority)].push_back(
-                std::move(p));
-            ++queued_;
+            enqueue_locked(target, std::move(p));
         }
         stats_.queue_peak = std::max(stats_.queue_peak, queued_);
     }
@@ -1213,15 +1136,17 @@ void Server::fail_batch(std::vector<PendingPtr>& batch, const std::string& why) 
             if (!p->is_hedge) ++stats_.failed;
         }
     }
-    for (auto& p : batch) {
-        Response r;
-        r.status = Status::Failed;
-        r.error = why;
-        r.backpressure = p->backpressure;
-        r.values = std::move(p->job.values);
-        r.payload = std::move(p->job.payload);
-        resolve(*p, std::move(r));
-    }
+    for (auto& p : batch) finish_unserved(*p, Status::Failed, why);
+}
+
+void Server::finish_unserved(Pending& p, Status status, const std::string& why) {
+    Response r;
+    r.status = status;
+    r.error = why;
+    r.backpressure = p.backpressure;
+    r.values = std::move(p.job.values);
+    r.payload = std::move(p.job.payload);
+    resolve(p, std::move(r));
 }
 
 void Server::finish_batch(Shard& shard, std::vector<PendingPtr>& batch, double h2d_ms,
@@ -1467,25 +1392,11 @@ bool Server::shed_for_admission_locked(Priority incoming, PendingPtr& victim) {
         }
         if (owner == nullptr) continue;
         auto& q = owner->queue[pr];
-        victim = std::move(q.front());
-        q.pop_front();
-        --owner->queued;
-        owner->queued_elements -= victim->elements;
-        --queued_;
+        auto front = q.begin();
+        victim = unqueue_locked(*owner, q, front);
         return true;
     }
     return false;  // everything queued outranks the newcomer
-}
-
-void Server::finish_shed(PendingPtr p, const char* why) {
-    Response r;
-    r.status = Status::Shed;
-    r.error = why;
-    r.backpressure = p->backpressure;
-    r.values = std::move(p->job.values);
-    r.payload = std::move(p->job.payload);
-    resolve(*p, std::move(r));
-    space_cv_.notify_one();
 }
 
 void Server::run_probe_cycle(Shard& shard) {
@@ -1628,11 +1539,7 @@ void Server::launch_hedges_locked(Clock::time_point now) {
             clone->rinfo = make_route_info(clone->job, clone->elements);
             clone->is_hedge = true;
             clone->hedge = inf.states[i];
-            ++target->queued;
-            target->queued_elements += clone->elements;
-            target->queue[static_cast<std::size_t>(clone->job.priority)].push_back(
-                std::move(clone));
-            ++queued_;  // may briefly exceed capacity, like a reroute
+            enqueue_locked(*target, std::move(clone));  // may exceed capacity, like a reroute
         }
         queue_cv_.notify_all();
     }

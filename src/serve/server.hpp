@@ -205,11 +205,10 @@ class Server {
     void stop(bool cancel_pending = false);
 
     /// Manual-pump mode: serve queued requests now; returns requests
-    /// retired.  Round-robins the shards, each serving one batch per pass
-    /// (forming batches exactly as its scheduler thread would, including
-    /// work stealing when its own queue is empty), until every queue is
-    /// drained.  Throws std::logic_error when the server runs scheduler
-    /// threads.
+    /// retired.  Round-robins the shards, each stealing when its own queue
+    /// is empty and then taking one step() per pass — the same step a
+    /// scheduler thread takes — until every queue is drained.  Throws
+    /// std::logic_error when the server runs scheduler threads.
     std::size_t pump();
 
     [[nodiscard]] ServerStats stats() const;
@@ -276,9 +275,11 @@ class Server {
 
     /// One device's slice of the server: queue, pool, overlap timeline and
     /// (async mode) scheduler thread.  Queue fields and `breakdown` are
-    /// guarded by the server-wide mutex_; pool and timeline are touched by
-    /// the owning scheduler (timeline mutations happen under mutex_ so
-    /// stats() can fold all shards).
+    /// guarded by the server-wide mutex_; `queued` and `queued_elements`
+    /// (and the fleet-wide queued_) change only through the queue ledger
+    /// (enqueue_locked, unqueue_locked, drain_queues_locked).  Pool and
+    /// timeline are touched by the owning scheduler (timeline mutations
+    /// happen under mutex_ so stats() can fold all shards).
     struct Shard {
         Shard(std::size_t idx, simt::Device& dev, unsigned streams,
               double safety_factor);
@@ -317,6 +318,23 @@ class Server {
            std::unique_ptr<gas::fleet::DeviceFleet> owned);
 
     void scheduler_main(Shard& shard);
+    /// One scheduling step on `shard`: take a batch, finish the requests
+    /// that timed out or were sojourn-shed on the way, and serve the batch
+    /// (marked in flight while it runs).  Called with `lk` (on mutex_) held;
+    /// releases it for the work and returns with it held again.  Returns
+    /// the requests retired.  pump() and scheduler_main() decide only when
+    /// to step.
+    std::size_t step(Shard& shard, std::unique_lock<std::mutex>& lk);
+    /// The queue ledger (lock held): the only writers of Shard::queued,
+    /// Shard::queued_elements and queued_.  enqueue_locked appends to the
+    /// shard's queue for the request's priority; unqueue_locked removes `*it`
+    /// from `q` (one of the shard's queues), moves `it` to the next element
+    /// and returns the request; drain_queues_locked empties every queue of
+    /// the shard in priority order.
+    void enqueue_locked(Shard& shard, PendingPtr p);
+    PendingPtr unqueue_locked(Shard& shard, std::deque<PendingPtr>& q,
+                              std::deque<PendingPtr>::iterator& it);
+    std::vector<PendingPtr> drain_queues_locked(Shard& shard);
     /// Routes a job to a shard index (lock held).  Falls back to
     /// fingerprint % N when nothing is live (all-devices-lost host path).
     [[nodiscard]] std::size_t route_locked(const Pending& p) const;
@@ -335,6 +353,11 @@ class Server {
     /// sort, verify, copy back or quarantine each request, release.
     void execute_batch(Shard& shard, std::vector<PendingPtr>& batch);
     void run_cpu_fallback(Pending& p, bool quarantined = false);
+    /// Completes a request without serving it (rejected, timed out,
+    /// cancelled, shed, failed, or empty): its input goes back as submitted
+    /// with `status` and `why`.  Never call with mutex_ held; counters are
+    /// the call sites' job.
+    void finish_unserved(Pending& p, Status status, const std::string& why);
     /// Completes verification-failed requests as solo host re-sorts (the
     /// suspect device bytes are never copied back).
     void quarantine_failed(std::vector<PendingPtr>& victims);
@@ -363,9 +386,6 @@ class Server {
     /// everything queued outranks the newcomer — the newcomer itself sheds.
     /// Lock held.
     bool shed_for_admission_locked(Priority incoming, PendingPtr& victim);
-    /// Completes a shed request with Status::Shed.  Never call with mutex_
-    /// held; counters are the call sites' job (under mutex_).
-    void finish_shed(PendingPtr p, const char* why);
     /// One probe-sort cycle against a quarantined shard's device.  Must run
     /// on the device-owning thread (scheduler, or the pump caller); takes
     /// mutex_ internally for the state-machine transition.

@@ -1,14 +1,16 @@
 // gas::serve::Server over a DeviceFleet: routing policies end to end, idle
 // work stealing, device-loss quarantine + byte-identical re-routing, the
-// last-device-standing host fallback, heterogeneous eligibility, and the
-// concurrent (scheduler-thread) fleet path.
+// queue-depth ledger, the last-device-standing host fallback, heterogeneous
+// eligibility, and the concurrent (scheduler-thread) fleet path.
 
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -251,6 +253,75 @@ TEST(FleetServer, DeviceLossReroutesBitIdentically) {
     const auto after = server.stats();
     EXPECT_EQ(after.devices[0].routed, stats.devices[0].routed);
     EXPECT_EQ(after.devices[1].completed, 7u);
+}
+
+TEST(FleetServer, QueueLedgerBalancesThroughEveryQueueChange) {
+    DeviceFleet fleet(2, simt::tiny_device(256 << 20));
+    // Identical content hashes to one home shard, so the other shard has to
+    // steal; device 1 refuses every launch, so whichever batch it takes
+    // exhausts its retries and re-routes to device 0.
+    fleet.device(1).set_fault_plan(kill_plan());
+    auto cfg = manual_config(RoutePolicy::ConsistentHash);
+    cfg.queue_capacity = 8;
+    cfg.max_batch_requests = 2;
+    cfg.max_steal_requests = 2;
+    cfg.health.enabled = true;  // queue-full admission sheds instead of rejecting
+    Server server(fleet, cfg);
+
+    // The fleet-wide depth must equal the sum of the per-device depths.
+    const auto depth = [&server] {
+        const auto s = server.stats();
+        std::size_t sum = 0;
+        for (const auto& d : s.devices) sum += d.queue_depth;
+        EXPECT_EQ(s.queue_depth, sum);
+        return s.queue_depth;
+    };
+
+    std::vector<Server::Ticket> tickets;
+    for (unsigned i = 0; i < 6; ++i) {
+        tickets.push_back(server.submit(uniform_job(4, 64, /*seed=*/9)));
+        EXPECT_EQ(depth(), i + 1);
+    }
+    ASSERT_TRUE(server.cancel(tickets[1].id));
+    EXPECT_EQ(depth(), 5u);
+
+    auto doomed = uniform_job(4, 64, /*seed=*/9).with_deadline_ms(50.0);
+    const auto deadline = *doomed.deadline;
+    tickets.push_back(server.submit(std::move(doomed)));
+    EXPECT_EQ(depth(), 6u);
+    for (unsigned i = 0; i < 2; ++i) {
+        tickets.push_back(server.submit(uniform_job(4, 64, /*seed=*/9)));
+    }
+    EXPECT_EQ(depth(), 8u);
+    // Queue full: the oldest queued request (tickets[0]) makes room.
+    tickets.push_back(server.submit(uniform_job(4, 64, /*seed=*/9)));
+    EXPECT_EQ(depth(), 8u);
+
+    std::this_thread::sleep_until(deadline);
+    server.pump();
+    EXPECT_EQ(depth(), 0u);
+    for (const auto& d : server.stats().devices) EXPECT_EQ(d.queue_depth, 0u) << d.name;
+
+    const auto expected = sorted_rows(uniform_job(4, 64, /*seed=*/9).values, 4, 64);
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+        auto& fut = tickets[i].result;
+        ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)), std::future_status::ready)
+            << "request " << i << " never resolved";
+        const Response r = fut.get();
+        const Status want = i == 0   ? Status::Shed
+                            : i == 1 ? Status::Cancelled
+                            : i == 6 ? Status::TimedOut
+                                     : Status::Ok;
+        EXPECT_EQ(r.status, want) << "request " << i << ": " << r.error;
+        if (want == Status::Ok) {
+            EXPECT_EQ(r.values, expected) << "request " << i;
+        }
+    }
+    const auto stats = server.stats();
+    EXPECT_GT(stats.steals, 0u);
+    EXPECT_GT(stats.reroutes, 0u);
+    EXPECT_TRUE(stats.devices[1].quarantined);
+    EXPECT_EQ(stats.completed, 7u);
 }
 
 TEST(FleetServer, LastDeviceStandingQuarantinesToHostNotFleet) {

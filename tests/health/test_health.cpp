@@ -390,6 +390,9 @@ TEST(HealthServe, AsyncHangIsDetectedAndServiceSurvives) {
     ServerConfig cfg;
     cfg.health.enabled = true;
     cfg.retry.seed = 23;
+    // Ties route the first request to device 0, and with no stealing
+    // device 0 must launch it, so the hang is always reached.
+    cfg.max_steal_requests = 0;
     Server server(fleet, cfg);
 
     std::vector<Server::Ticket> tickets;
