@@ -10,7 +10,7 @@ constexpr unsigned kThreads = 256;
 }  // namespace
 
 template <typename T>
-detail::KernelSpec negate_spec(std::span<T> data) {
+simt::KernelStats negate_on_device(simt::Device& device, std::span<T> data) {
     static_assert(std::is_floating_point_v<T>,
                   "negation only reverses the total order of floating-point types");
     const std::size_t count = data.size();
@@ -32,18 +32,10 @@ detail::KernelSpec negate_spec(std::span<T> data) {
         };
         blk.for_each_warp([&](simt::WarpCtx& wc) { wc.for_lanes(negate_lane); });
     };
-    return {cfg, std::move(body)};
-}
-
-template <typename T>
-simt::KernelStats negate_on_device(simt::Device& device, std::span<T> data) {
-    detail::KernelSpec spec = negate_spec(data);
-    return device.launch(spec.cfg, spec.body);
+    return device.launch(cfg, body);
 }
 
 template simt::KernelStats negate_on_device<float>(simt::Device&, std::span<float>);
 template simt::KernelStats negate_on_device<double>(simt::Device&, std::span<double>);
-template detail::KernelSpec negate_spec<float>(std::span<float>);
-template detail::KernelSpec negate_spec<double>(std::span<double>);
 
 }  // namespace gas

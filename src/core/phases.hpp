@@ -9,16 +9,13 @@
 #include "core/options.hpp"
 #include "core/plan.hpp"
 #include "simt/device.hpp"
-#include "simt/graph.hpp"
 
 namespace gas::detail {
 
-/// A kernel launch described but not yet executed: exactly what
-/// Device::launch takes, packaged so UniformSortGraph can add it as a
-/// simt::Graph node (tests launch one directly with
-/// device.launch(spec.cfg, spec.body)).  Spec bodies capture all state by
-/// value — spans, plan scalars, a copy of the options — so a spec safely
-/// outlives the builder's stack frame, which graph execution requires.
+/// A kernel launch described but not yet executed: sort_arrays_on_device
+/// (and the phase tests) run one with device.launch(spec.cfg, spec.body).
+/// Spec bodies capture all state by value — spans, plan scalars, a copy of
+/// the options — so a spec does not depend on the builder's stack frame.
 using KernelSpec = simt::KernelSpec;
 
 /// Sentinel splitters of Definition 5's overlap fix: a value at-or-below
@@ -82,8 +79,8 @@ KernelSpec bucket_phase_spec(std::span<T> data, std::size_t num_arrays,
 /// bitonic — see hybrid_phase3.hpp); with it off the kernel is the paper's
 /// one-lane-per-bucket insertion sort, bit-for-bit.
 ///
-/// Takes the device properties by value (the hybrid dispatch consults SM
-/// limits) since the body may run long after the builder's frame is gone.
+/// Takes the device properties by value: the body captures them (the
+/// hybrid dispatch consults SM limits).
 template <typename T>
 KernelSpec sort_phase_spec(simt::DeviceProperties props, std::span<T> data,
                            std::size_t num_arrays, const SortPlan& plan,

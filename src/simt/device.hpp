@@ -17,8 +17,6 @@
 
 namespace simt {
 
-class Graph;
-struct GraphStats;
 namespace detail {
 struct BlockRecord;
 }
@@ -66,34 +64,18 @@ class Device {
     /// device's kernel log.
     KernelStats launch(const LaunchConfig& cfg, const std::function<void(BlockCtx&)>& body);
 
-    /// Executes a whole work graph (simt/graph.hpp) in one scheduling
-    /// round-trip: the worker pool is woken once and stays resident while
-    /// every node — including dynamically enqueued ones — drains.  Each
-    /// kernel node goes through the same validation, fault hooks, per-block
-    /// execution, and block-order aggregation as launch(), so its
-    /// KernelStats (and the kernel log) are bit-identical to the
-    /// equivalent loop of launches.  Defined in graph.cpp.
-    GraphStats submit(Graph& graph);
-
     /// Times the worker pool has been woken: one per launch() that fans out
-    /// to more than one worker, one per submit() on a multi-worker device,
-    /// none for inline (1-worker) execution; 0 before the first launch.
+    /// to more than one worker, none for inline (1-worker) execution; 0
+    /// before the first launch.
     [[nodiscard]] std::uint64_t pool_wakes() const { return pool_ ? pool_->wakes() : 0; }
 
-    /// Cumulative counters over every submit() on this device, consumed by
-    /// the serve layer's observability ("graph" stats block).
+    /// Work-graph counters.  The device runs kernels only through launch(),
+    /// so `nodes` is always 0; the struct stays because the benchmark in
+    /// ledger/ still reads it for its simt.graph_nodes layer metric.
     struct GraphTelemetry {
-        std::uint64_t graphs = 0;           ///< graphs submitted
-        std::uint64_t nodes = 0;            ///< nodes executed (kernel + host)
-        std::uint64_t kernel_nodes = 0;     ///< kernel nodes executed
-        std::uint64_t host_nodes = 0;       ///< host decision nodes executed
-        std::uint64_t device_enqueued = 0;  ///< nodes enqueued mid-execution
-        std::uint64_t pruned = 0;           ///< nodes skipped (gate or prune)
+        std::uint64_t nodes = 0;
     };
-    [[nodiscard]] const GraphTelemetry& graph_telemetry() const {
-        return graph_telemetry_;
-    }
-    void clear_graph_telemetry() { graph_telemetry_ = {}; }
+    [[nodiscard]] GraphTelemetry graph_telemetry() const { return {}; }
 
     [[nodiscard]] const std::vector<KernelStats>& kernel_log() const { return kernel_log_; }
     void clear_kernel_log() { kernel_log_.clear(); }
@@ -141,10 +123,9 @@ class Device {
     }
 
     /// Heartbeat: a monotonically increasing tick, bumped at every launch
-    /// entry and completion (and at each graph node as it settles).  A
-    /// watchdog on another thread can poll this — the only Device member
-    /// safe to read off the owning thread — to distinguish a device that is
-    /// making progress from one that is hung.
+    /// entry and completion.  A watchdog on another thread can poll this —
+    /// the only Device member safe to read off the owning thread — to
+    /// distinguish a device that is making progress from one that is hung.
     [[nodiscard]] std::uint64_t progress_ticks() const {
         return progress_ticks_.load(std::memory_order_relaxed);
     }
@@ -182,13 +163,13 @@ class Device {
         return *pool_;
     }
 
-    /// Pre-launch gate shared by launch() and submit(): configuration
-    /// validation plus the fault-injection hooks, in that order, so a
-    /// kernel refused by either never runs a block or logs stats.
+    /// Pre-launch gate: configuration validation plus the fault-injection
+    /// hooks, in that order, so a kernel refused by either never runs a
+    /// block or logs stats.
     void check_launch(const LaunchConfig& cfg);
-    /// Post-execution core shared by launch() and submit(): block-order
-    /// aggregation of the per-block records, cost-model finalization, the
-    /// kernel-log append, and the sanitize merge (strict mode throws).
+    /// Post-execution core: block-order aggregation of the per-block
+    /// records, cost-model finalization, the kernel-log append, and the
+    /// sanitize merge (strict mode throws).
     KernelStats finish_launch(const LaunchConfig& cfg,
                               std::vector<detail::BlockRecord>& records,
                               double wall_ms);
@@ -201,7 +182,6 @@ class Device {
     unsigned host_workers_ = 1;
     std::unique_ptr<ThreadPool> pool_;
     std::vector<KernelStats> kernel_log_;
-    GraphTelemetry graph_telemetry_;
     sanitize::SanitizeOptions sanitize_options_;
     sanitize::SanitizeReport sanitize_report_;
     std::unique_ptr<faults::FaultInjector> faults_;
@@ -209,7 +189,6 @@ class Device {
     std::function<HangAction()> hang_handler_;
 
     void bump_progress() { progress_ticks_.fetch_add(1, std::memory_order_relaxed); }
-    friend class Graph;  // graph executor publishes node-granular heartbeats
 };
 
 }  // namespace simt

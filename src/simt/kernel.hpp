@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -409,6 +410,14 @@ class BlockCtx {
     std::vector<LaneCounters> lanes_;
     sanitize::SlotShadow* shadow_ = nullptr;  ///< null = sanitizer off (default)
     std::unique_ptr<sanitize::SlotShadow> shadow_store_;
+};
+
+/// A kernel launch described but not yet executed: exactly the
+/// (LaunchConfig, body) pair Device::launch takes, so a builder can return
+/// it and the caller launches it with device.launch(spec.cfg, spec.body).
+struct KernelSpec {
+    LaunchConfig cfg;
+    std::function<void(BlockCtx&)> body;
 };
 
 }  // namespace simt

@@ -3,9 +3,47 @@
 #include <thread>
 
 #include "simt/device.hpp"
-#include "simt/launch_detail.hpp"
+#include "simt/sanitize/shadow.hpp"
 
 namespace simt {
+
+namespace detail {
+
+/// Per-block cost record, indexed by block id so aggregation order (and
+/// therefore the modeled time) is identical for any worker count.  The
+/// sanitizer's per-block result rides along for the same reason: findings
+/// are merged in block order no matter which worker ran the block.
+struct BlockRecord {
+    double cycles = 0.0;
+    double traffic = 0.0;
+    double warp_max_cycles = 0.0;
+    double warp_mean_cycles = 0.0;
+    LaneCounters totals;
+    std::size_t shared_high_water = 0;
+    sanitize::SlotShadow::BlockResult san;
+};
+
+namespace {
+
+void run_block(const std::function<void(BlockCtx&)>& body, BlockCtx& ctx,
+               const CostModel& model, unsigned block, BlockRecord& rec) {
+    ctx.begin_block(block);
+    body(ctx);
+    const BlockCost cost = model.block_cost(ctx.lanes());
+    rec.cycles = cost.cycles;
+    rec.traffic = cost.traffic_bytes;
+    rec.warp_max_cycles = cost.warp_max_cycles;
+    rec.warp_mean_cycles = cost.warp_mean_cycles;
+    for (const LaneCounters& lane : ctx.lanes()) rec.totals += lane;
+    rec.shared_high_water = ctx.shared_high_water();
+    if (sanitize::SlotShadow* shadow = ctx.sanitizer()) {
+        shadow->end_block();
+        rec.san = shadow->take_block_result();
+    }
+}
+
+}  // namespace
+}  // namespace detail
 
 void Device::check_launch(const LaunchConfig& cfg) {
     bump_progress();  // heartbeat: a launch reached the device

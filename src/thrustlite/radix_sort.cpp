@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <functional>
-#include <memory>
 #include <vector>
 
-#include "simt/graph.hpp"
 #include "thrustlite/algorithms.hpp"
 
 namespace thrustlite {
@@ -263,20 +260,17 @@ simt::KernelSpec copy_back_spec(PassBuffers<K> buf, unsigned num_blocks) {
     return {cfg, std::move(body)};
 }
 
-/// Maximum radix key as a graph node: the pass-pruning probe, whose bit
-/// width bounds the highest significant digit.  Per-block tree reduction in
-/// shared memory; the per-block maxima land in `partials` (caller-owned, so
-/// the kernel can run as a graph node after the builder's frame is gone) and
-/// a downstream host node max-reduces them, so the radix graph plans its
-/// pass chain without a host round-trip per kernel.  Precondition: keys
-/// non-empty.
+/// Maximum radix key: the pass-pruning probe, whose bit width bounds the
+/// highest significant digit.  Per-block tree reduction in shared memory;
+/// the per-block maxima land in `partials` (resized here), which the host
+/// max-reduces to plan the pass loop.  Precondition: keys non-empty.
 template <typename K>
-simt::KernelSpec reduce_max_key_spec(std::span<const K> keys,
-                                     std::shared_ptr<std::vector<K>> partials) {
+simt::KernelSpec reduce_max_key_spec(std::span<const K> keys, std::vector<K>& partials) {
     const std::size_t count = keys.size();
     const auto blocks = static_cast<unsigned>((count + kTileSize - 1) / kTileSize);
     const K identity = keys[0];
-    partials->assign(blocks, identity);
+    partials.assign(blocks, identity);
+    const std::span<K> out(partials);
 
     simt::LaunchConfig cfg{"thrustlite.reduce_max_key", blocks, kBlockThreads};
     auto body = [=](simt::BlockCtx& blk) {
@@ -301,7 +295,7 @@ simt::KernelSpec reduce_max_key_spec(std::span<const K> keys,
             for (unsigned t = 0; t < kBlockThreads; ++t) {
                 acc = std::max(acc, static_cast<K>(shared[t]));
             }
-            (*partials)[blk.block_idx()] = acc;
+            out[blk.block_idx()] = acc;
             tc.ops(kBlockThreads);
             tc.shared(kBlockThreads);
             tc.global_random(1);
@@ -344,77 +338,41 @@ RadixStats sort_impl(simt::Device& device, std::span<K> keys,
     // the alternate buffer: one copy-back restores parity.
     static_assert(passes_for<K>() % 2 == 0);
 
-    // One work graph for the whole sort: the max-key reduction node is the
-    // root; a planning host node bounds the pass count from its partials;
-    // each pass's histogram node feeds a decision node that either enqueues
-    // that pass's offsets + scatter records or prunes the degenerate pass —
-    // the PassRecord-style dynamic chain, never returning to a per-launch
-    // host round-trip.
-    //
-    // State lives on this frame and the host lambdas capture it by
-    // reference: Device::submit is synchronous, so everything outlives the
-    // run; only *kernel* bodies need by-value captures.
-    unsigned src = 0;  // which buffer currently holds the data
+    const auto launch = [&](const simt::KernelSpec& spec) {
+        device.launch(spec.cfg, spec.body);
+    };
+
+    // The max-key reduction bounds the pass count: every pass above the
+    // highest significant digit is skipped without running any kernel.
     unsigned needed = total_passes;
-
-    std::function<void(simt::GraphCtx&, unsigned)> enqueue_pass =
-        [&](simt::GraphCtx& ctx, unsigned pass) {
-            if (pass == needed) {
-                if (src == 1) {
-                    ctx.enqueue_kernel(copy_back_spec<K>(
-                        PassBuffers<K>{kb[1], kb[0], vb[1], vb[0]}, num_blocks));
-                    stats.copy_back = true;
-                }
-                return;
-            }
-            const unsigned shift = pass * kRadixBits;
-            const PassBuffers<K> buf{kb[src], kb[1 - src], vb[src], vb[1 - src]};
-            const auto h =
-                ctx.enqueue_kernel(histogram_spec<K>(buf.keys_in, shift, hspan, num_blocks));
-            ctx.enqueue_host(
-                "radix.pass_decision",
-                [&, buf, shift, pass](simt::GraphCtx& c) {
-                    if (prune && histogram_is_single_digit(hspan, num_blocks, count)) {
-                        // Degenerate pass: every key shares this digit, a
-                        // scatter would be a stable identity permutation.
-                        // No parity flip; chain straight to the next pass.
-                        ++stats.passes_skipped;
-                        c.prune();
-                        enqueue_pass(c, pass + 1);
-                        return;
-                    }
-                    const auto o = c.enqueue_kernel(offsets_spec(hspan, num_blocks));
-                    const auto s =
-                        c.enqueue_kernel(scatter_spec<K>(buf, shift, hspan, num_blocks), {o});
-                    ++stats.passes;
-                    src = 1 - src;
-                    c.enqueue_host(
-                        "radix.pass_chain",
-                        [&, pass](simt::GraphCtx& c2) { enqueue_pass(c2, pass + 1); }, {s});
-                },
-                {h});
-        };
-
-    simt::Graph g;
     if (prune) {
-        auto partials = std::make_shared<std::vector<K>>();
-        const auto r = g.add_kernel(reduce_max_key_spec(std::span<const K>(keys), partials));
-        g.add_host(
-            "radix.plan",
-            [&, partials](simt::GraphCtx& ctx) {
-                const K max_key = *std::max_element(partials->begin(), partials->end());
-                needed = std::min(total_passes, passes_needed(max_key));
-                // Every pass above the highest significant digit is skipped
-                // without running any kernel.
-                if (needed < total_passes) ctx.prune(total_passes - needed);
-                enqueue_pass(ctx, 0);
-            },
-            {r});
-    } else {
-        g.add_host("radix.plan", [&](simt::GraphCtx& ctx) { enqueue_pass(ctx, 0); });
+        std::vector<K> partials;
+        launch(reduce_max_key_spec(std::span<const K>(keys), partials));
+        const K max_key = *std::max_element(partials.begin(), partials.end());
+        needed = std::min(total_passes, passes_needed(max_key));
     }
-    device.submit(g);
-    stats.passes_skipped += total_passes - needed;
+    stats.passes_skipped = total_passes - needed;
+
+    unsigned src = 0;  // which buffer currently holds the data
+    for (unsigned pass = 0; pass < needed; ++pass) {
+        const unsigned shift = pass * kRadixBits;
+        const PassBuffers<K> buf{kb[src], kb[1 - src], vb[src], vb[1 - src]};
+        launch(histogram_spec<K>(buf.keys_in, shift, hspan, num_blocks));
+        if (prune && histogram_is_single_digit(hspan, num_blocks, count)) {
+            // Degenerate pass: every key shares this digit, so a scatter
+            // would be a stable identity permutation.  No parity flip.
+            ++stats.passes_skipped;
+            continue;
+        }
+        launch(offsets_spec(hspan, num_blocks));
+        launch(scatter_spec<K>(buf, shift, hspan, num_blocks));
+        ++stats.passes;
+        src = 1 - src;
+    }
+    if (src == 1) {
+        launch(copy_back_spec<K>(PassBuffers<K>{kb[1], kb[0], vb[1], vb[0]}, num_blocks));
+        stats.copy_back = true;
+    }
 
     const auto t1 = std::chrono::steady_clock::now();
     stats.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();

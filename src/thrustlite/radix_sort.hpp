@@ -36,10 +36,9 @@ struct RadixStats {
 /// 4-bit digits (8 passes), the classic GPU formulation:
 /// per-pass histogram kernel -> offset scan kernel -> rank-and-scatter
 /// kernel, double-buffered (this is the O(N) scratch the paper charges
-/// against the STA technique).  The sort runs as one simt::Graph submit:
-/// the max-key reduction is the root node, a planning host node bounds the
-/// pass count, and each pass's histogram feeds a decision node that
-/// enqueues that pass's offsets + scatter kernels (or prunes the pass).
+/// against the STA technique).  With pruning, a max-key reduction runs
+/// first and bounds the pass count, and the host reads each pass's
+/// histogram to skip a pass whose keys all share one digit.
 ///
 /// This is the repo's stand-in for thrust::stable_sort_by_key, which the
 /// paper's STA baseline is built from.  The spans must view device-resident

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <stdexcept>
 
 #include "core/validate.hpp"
 #include "workload/generators.hpp"
@@ -183,6 +185,19 @@ TEST(GpuArraySort, RepeatedSortIsIdempotent) {
     const auto once = ds.values;
     gpu_array_sort(dev, ds.values, ds.num_arrays, ds.array_size);
     EXPECT_EQ(ds.values, once);
+}
+
+TEST(SortArraysOnDevice, RejectsDescendingIntegralAndShortBuffers) {
+    auto dev = make_device();
+    simt::DeviceBuffer<std::int32_t> data(dev, 100);
+    Options descending;
+    descending.order = gas::SortOrder::Descending;
+    EXPECT_THROW(gas::sort_arrays_on_device(dev, data, 2, 50, descending),
+                 std::invalid_argument);
+    EXPECT_THROW(gas::sort_arrays_on_device(dev, data, 3, 50), std::invalid_argument);
+    // An empty batch is a no-op: nothing is allocated or launched.
+    EXPECT_NO_THROW(gas::sort_arrays_on_device(dev, data, 0, 50));
+    EXPECT_TRUE(dev.kernel_log().empty());
 }
 
 }  // namespace

@@ -357,9 +357,11 @@ TEST(Server, DeadlineExpiredAtSubmitIsTimedOut) {
 TEST(Server, DeadlineExpiringInQueueIsTimedOut) {
     auto dev = make_device();
     Server server(dev, manual_config());
-    auto doomed = server.submit(uniform_job(2, 32, 1).with_deadline_ms(1.0));
+    // The deadline clock starts before submit, which sketches the job before
+    // it reads the clock, so the margin must cover a slow submit under load.
+    auto doomed = server.submit(uniform_job(2, 32, 1).with_deadline_ms(20.0));
     auto healthy = server.submit(uniform_job(2, 32, 2));
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
     EXPECT_EQ(server.pump(), 2u);  // both retired: one served, one timed out
     EXPECT_EQ(doomed.result.get().status, Status::TimedOut);
     EXPECT_TRUE(healthy.result.get().ok());

@@ -156,4 +156,31 @@ TEST(Launch, MoreWorkMeansMoreModeledTime) {
     EXPECT_GT(big.modeled_ms, small.modeled_ms);
 }
 
+void one_op(BlockCtx& blk) {
+    blk.for_each_thread([&](ThreadCtx& tc) { tc.ops(1); });
+}
+
+TEST(Launch, WakesThePoolOncePerMultiBlockLaunch) {
+    // A launch that fans out to more than one worker wakes the pool once;
+    // a 1-block launch runs inline and wakes nobody.
+    constexpr unsigned kChain = 6;
+    for (const unsigned grid : {2u, 4u, 9u}) {
+        Device dev(simt::tiny_device(1 << 20));
+        dev.set_host_workers(4);
+        EXPECT_EQ(dev.pool_wakes(), 0u);
+        for (unsigned k = 0; k < kChain; ++k) dev.launch({"link", grid, 32}, one_op);
+        EXPECT_EQ(dev.pool_wakes(), kChain) << "grid " << grid;
+        dev.launch({"inline", 1, 32}, one_op);
+        EXPECT_EQ(dev.pool_wakes(), kChain) << "grid " << grid;
+    }
+}
+
+TEST(Launch, SingleWorkerDeviceNeverWakesThePool) {
+    Device dev(simt::tiny_device(1 << 20));
+    dev.set_host_workers(1);
+    for (unsigned k = 0; k < 6; ++k) dev.launch({"link", 4, 32}, one_op);
+    EXPECT_EQ(dev.kernel_log().size(), 6u);
+    EXPECT_EQ(dev.pool_wakes(), 0u);
+}
+
 }  // namespace

@@ -1,7 +1,7 @@
 // gas_check — run GPU-ArraySort workloads under the simt::sanitize checker
 // (the repo's compute-sanitizer analog) and report findings.
 //
-//   gas_check [--workload sort|small|pairs|ragged|radix|bitonic|graph|all]
+//   gas_check [--workload sort|small|pairs|ragged|radix|bitonic|all]
 //             [--arrays N] [--size n]
 //             [--checks race,mem,init,bank | all]
 //             [--json PATH] [--strict] [--demo-bugs]
@@ -9,9 +9,7 @@
 // Exit status: 0 = all workloads clean, 2 = findings were reported,
 // 1 = usage / runtime error.  --demo-bugs instead runs the sanitizer's
 // seeded-bug selftest (four deliberately broken kernels, one per finding
-// kind, plus a clean control) followed by the seeded structural graph bugs
-// (a dependency cycle and a missing edge, both expected to surface as
-// GraphError), and exits 0 iff every bug was caught.
+// kind, plus a clean control) and exits 0 iff every bug was caught.
 
 #include <cstdio>
 #include <cstdlib>
@@ -19,7 +17,6 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/gpu_array_sort.hpp"
@@ -28,8 +25,6 @@
 #include "core/validate.hpp"
 #include "tune/planner.hpp"
 #include "simt/device.hpp"
-#include "simt/device_buffer.hpp"
-#include "simt/graph.hpp"
 #include "simt/report.hpp"
 #include "simt/sanitize/selftest.hpp"
 #include "thrustlite/device_vector.hpp"
@@ -41,7 +36,7 @@ namespace {
 int usage() {
     std::fprintf(stderr,
                  "usage: gas_check [options]\n"
-                 "  --workload W   sort|small|pairs|ragged|radix|bitonic|graph|all\n"
+                 "  --workload W   sort|small|pairs|ragged|radix|bitonic|all\n"
                  "                 (default: all)\n"
                  "  --arrays N     number of arrays (default: 64)\n"
                  "  --size n       elements per array (default: 1000)\n"
@@ -154,62 +149,6 @@ void run_bitonic(simt::Device& device, std::size_t arrays, std::size_t size) {
     }
 }
 
-void run_graph(simt::Device& device, std::size_t arrays, std::size_t size) {
-    // The full sort pipeline through Device::submit — phase1 -> phase2 ->
-    // phase3 as one work graph — with every launch under the checker.
-    auto ds = workload::make_dataset(arrays, size, workload::Distribution::ZipfHot, 17);
-    gas::gpu_array_sort(device, ds.values, ds.num_arrays, ds.array_size);
-    if (!gas::all_arrays_sorted(ds.values, ds.num_arrays, ds.array_size)) {
-        throw std::runtime_error("graph workload produced unsorted output");
-    }
-
-    // The radix chain as a dynamic sub-graph: a host node enqueues only the
-    // non-degenerate scatter passes.
-    std::vector<std::uint32_t> host(arrays * size);
-    std::uint64_t state = 0x2545f4914f6cdd1dull;
-    for (auto& x : host) {
-        state = state * 6364136223846793005ull + 1442695040888963407ull;
-        x = static_cast<std::uint32_t>(state >> 40);  // narrow range: passes prune
-    }
-    thrustlite::device_vector<std::uint32_t> keys(device, host);
-    thrustlite::stable_sort(keys);
-
-    // A hand-assembled graph exercising the remaining node kinds under the
-    // checker: a conditional node whose gate prunes, and a host node that
-    // device-enqueues a dependent chain over real device memory.
-    simt::DeviceBuffer<std::uint32_t> buf(device, 64);
-    const auto s = buf.span();
-    simt::Graph g;
-    const auto fill = g.add_kernel({"graph_fill", 1, 64}, [s](simt::BlockCtx& blk) {
-        blk.for_each_thread([&](simt::ThreadCtx& tc) {
-            s[tc.tid()] = static_cast<std::uint32_t>(63 - tc.tid());
-        });
-    });
-    g.add_kernel_if(
-        {"graph_gated", 1, 64},
-        [s](simt::BlockCtx& blk) {
-            blk.for_each_thread([&](simt::ThreadCtx& tc) { s[tc.tid()] = 0u; });
-        },
-        [] { return false; }, {fill});
-    g.add_host(
-        "graph_enqueuer",
-        [s](simt::GraphCtx& ctx) {
-            ctx.enqueue_kernel({"graph_reverse", 1, 64}, [s](simt::BlockCtx& blk) {
-                blk.for_each_thread([&](simt::ThreadCtx& tc) {
-                    if (tc.tid() < 32) std::swap(s[tc.tid()], s[63 - tc.tid()]);
-                });
-            });
-        },
-        {fill});
-    const auto stats = device.submit(g);
-    if (stats.device_enqueued != 1 || stats.pruned != 1) {
-        throw std::runtime_error("graph workload: unexpected GraphStats");
-    }
-    for (std::uint32_t i = 0; i < 64; ++i) {
-        if (s[i] != i) throw std::runtime_error("graph workload: wrong graph output");
-    }
-}
-
 void run_radix(simt::Device& device, std::size_t count) {
     std::vector<std::uint32_t> host(count);
     std::uint64_t state = 0x9e3779b97f4a7c15ull;
@@ -219,55 +158,22 @@ void run_radix(simt::Device& device, std::size_t count) {
     }
     thrustlite::device_vector<std::uint32_t> keys(device, host);
     thrustlite::stable_sort(keys);
-}
 
-/// Seeded structural graph bugs: a dependency cycle and a missing edge
-/// (dependency on an unknown node id) must both surface as GraphError with
-/// a diagnostic naming the problem.  Returns true iff both were caught.
-bool run_graph_bug_demo() {
-    bool ok = true;
-    {
-        simt::Graph g;
-        const auto a = g.add_kernel({"alpha", 1, 1}, [](simt::BlockCtx&) {});
-        const auto b = g.add_kernel({"beta", 1, 1}, [](simt::BlockCtx&) {}, {a});
-        g.add_edge(b, a);  // closes the cycle alpha -> beta -> alpha
-        try {
-            g.validate();
-            std::printf("graph cycle:        NOT DETECTED\n");
-            ok = false;
-        } catch (const simt::GraphError& e) {
-            const std::string what = e.what();
-            const bool named = what.find("cycle") != std::string::npos;
-            std::printf("graph cycle:        %s (%s)\n",
-                        named ? "detected" : "WRONG DIAGNOSTIC", e.what());
-            ok = ok && named;
-        }
+    // Narrow-range keys: the max-key bound and the degenerate-histogram
+    // check skip passes, and an odd executed count runs the copy-back.
+    for (auto& x : host) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        x = static_cast<std::uint32_t>(state >> 40);
     }
-    {
-        simt::Graph g;
-        const auto a = g.add_kernel({"alpha", 1, 1}, [](simt::BlockCtx&) {});
-        try {
-            g.add_kernel({"beta", 1, 1}, [](simt::BlockCtx&) {}, {a + 7});
-            std::printf("graph missing edge: NOT DETECTED\n");
-            ok = false;
-        } catch (const simt::GraphError& e) {
-            const std::string what = e.what();
-            const bool named = what.find("unknown node") != std::string::npos;
-            std::printf("graph missing edge: %s (%s)\n",
-                        named ? "detected" : "WRONG DIAGNOSTIC", e.what());
-            ok = ok && named;
-        }
-    }
-    return ok;
+    thrustlite::device_vector<std::uint32_t> narrow(device, host);
+    thrustlite::stable_sort(narrow);
 }
 
 int run_demo_bugs(simt::Device& device) {
     const auto self = simt::sanitize::run_selftest(device);
     std::fputs(self.log.c_str(), stdout);
-    const bool graph_ok = run_graph_bug_demo();
-    const bool ok = self.ok && graph_ok;
-    std::printf("selftest: %s\n", ok ? "all seeded bugs detected" : "FAILED");
-    return ok ? 0 : 1;
+    std::printf("selftest: %s\n", self.ok ? "all seeded bugs detected" : "FAILED");
+    return self.ok ? 0 : 1;
 }
 
 }  // namespace
@@ -341,8 +247,6 @@ int main(int argc, char** argv) {
         if (want("radix")) run_radix(device, args.arrays * args.size);
         if (want("bitonic"))
             run_bitonic(device, args.arrays, std::min<std::size_t>(args.size, 2048));
-        if (want("graph"))
-            run_graph(device, args.arrays, std::min<std::size_t>(args.size, 2048));
         if (!matched) {
             std::fprintf(stderr, "gas_check: unknown workload %s\n", args.workload.c_str());
             return usage();

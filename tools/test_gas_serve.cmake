@@ -22,6 +22,24 @@ function(expect_json json expected)
   endif()
 endfunction()
 
+# Each run writes its JSON into a directory of its own under WORK_DIR, so
+# two ctest runs over one build tree never read each other's half-written
+# files.  The run owns the first slot whose lock it can take; the lock is
+# held until this process exits.
+foreach(slot RANGE 63)
+  file(LOCK ${WORK_DIR}/gas_serve_run_${slot}.lock GUARD PROCESS TIMEOUT 0
+       RESULT_VARIABLE lock_rc)
+  if(lock_rc EQUAL 0)
+    set(RUN_DIR ${WORK_DIR}/gas_serve_run_${slot})
+    break()
+  endif()
+endforeach()
+if(NOT RUN_DIR)
+  message(FATAL_ERROR "no free run directory under ${WORK_DIR}: ${lock_rc}")
+endif()
+file(REMOVE_RECURSE ${RUN_DIR})
+file(MAKE_DIRECTORY ${RUN_DIR})
+
 foreach(mode scalar warp)
   run(${GAS_SERVE} run --requests 64 --arrays 4 --size 64 --exec ${mode})
   if(NOT last_out MATCHES "64 ok \\(0 cpu fallbacks\\), 0 not-ok, 0 unsorted")
@@ -32,7 +50,7 @@ foreach(mode scalar warp)
   run(${GAS_SERVE} run --requests 24 --kind pairs --arrays 3 --size 50 --exec ${mode})
 endforeach()
 
-set(STATS ${WORK_DIR}/serve_stats.json)
+set(STATS ${RUN_DIR}/serve_stats.json)
 run(${GAS_SERVE} run --requests 96 --async --streams 2 --json ${STATS})
 if(NOT EXISTS ${STATS})
   message(FATAL_ERROR "async run did not write ${STATS}")
@@ -43,7 +61,7 @@ expect_json("${stats_json}" 96 requests completed)
 # Fleet path: every routing policy across 3 devices must serve the full
 # stream, and the stats JSON must carry the per-device fleet block.
 foreach(policy least-loaded consistent-hash key-range)
-  set(FLEET_STATS ${WORK_DIR}/serve_fleet_${policy}.json)
+  set(FLEET_STATS ${RUN_DIR}/serve_fleet_${policy}.json)
   run(${GAS_SERVE} run --requests 48 --devices 3 --policy ${policy}
       --json ${FLEET_STATS})
   if(NOT last_out MATCHES "48 ok \\(0 cpu fallbacks\\), 0 not-ok, 0 unsorted")
@@ -61,7 +79,7 @@ endif()
 # Health subsystem: a --health on run must serve everything (fault-free means
 # nothing is shed or hedged), report the health summary line, and emit the
 # "health" block in the stats JSON with its correctness gate at zero.
-set(HEALTH_STATS ${WORK_DIR}/serve_health.json)
+set(HEALTH_STATS ${RUN_DIR}/serve_health.json)
 run(${GAS_SERVE} run --requests 48 --devices 2 --health on --json ${HEALTH_STATS})
 if(NOT last_out MATCHES "48 ok \\(0 cpu fallbacks\\), 0 not-ok, 0 unsorted")
   message(FATAL_ERROR "health-enabled run not fully served:\n${last_out}")
@@ -78,3 +96,5 @@ expect_json("${health_json}" healthy fleet per_device 1 health_state)
 run(${GAS_SERVE} run --requests 16 --health off --json ${HEALTH_STATS})
 file(READ ${HEALTH_STATS} health_json)
 expect_json("${health_json}" OFF health enabled)
+
+file(REMOVE_RECURSE ${RUN_DIR})
