@@ -73,16 +73,6 @@ struct Options {
     /// single serialized lane for every block width.
     std::size_t phase3_bitonic_cutoff = 240;
 
-    /// Opt the request into adaptive autotuning (gas::tune).  The core
-    /// sorters never read this knob — gpu_array_sort with any Options is
-    /// bit-identical whether it is true or false.  Layers that can see the
-    /// host data before launching (gas::tune::auto_tuned_options, the
-    /// gas::serve controller) honour it: on (the default) lets them reshape
-    /// the sampling rate, bucket target and phase-3 cutoffs from a
-    /// distribution sketch; off pins the options exactly as submitted, which
-    /// reproduces the pre-tune behaviour bit-for-bit.
-    bool auto_tune = true;
-
     /// Verify output (sortedness + per-array permutation) before returning.
     /// Host-side and exhaustive: throws std::logic_error on failure.  A
     /// debugging tool — prefer verify_output for production resilience.

@@ -108,22 +108,6 @@ std::size_t Router::ring_walk(std::uint64_t key, std::span<const ShardLoad> load
     return devices_;
 }
 
-void Router::set_key_bands(std::vector<double> bands) {
-    if (bands.empty()) {
-        bands_.clear();
-        return;
-    }
-    if (bands.size() != devices_) {
-        throw std::invalid_argument("fleet::Router::set_key_bands: need one band per device");
-    }
-    for (std::size_t i = 1; i < bands.size(); ++i) {
-        if (bands[i] < bands[i - 1]) {
-            throw std::invalid_argument("fleet::Router::set_key_bands: bands not ascending");
-        }
-    }
-    bands_ = std::move(bands);
-}
-
 std::size_t Router::key_range(double hint, std::span<const ShardLoad> loads,
                               bool need_eligible) const {
     std::vector<std::size_t> owners;
@@ -132,15 +116,6 @@ std::size_t Router::key_range(double hint, std::span<const ShardLoad> loads,
         if (acceptable(loads[i], need_eligible)) owners.push_back(i);
     }
     if (owners.empty()) return devices_;
-    if (!bands_.empty()) {
-        // Data-driven bands: the first acceptable owner whose upper bound
-        // covers the hint (a quarantined owner's slice falls to the next
-        // live one); past the last band, the last owner.
-        for (const std::size_t d : owners) {
-            if (hint <= bands_[d]) return d;
-        }
-        return owners.back();
-    }
     double frac = hint / key_space_;
     frac = std::clamp(frac, 0.0, 1.0);
     std::size_t rank = static_cast<std::size_t>(frac * static_cast<double>(owners.size()));

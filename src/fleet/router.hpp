@@ -19,7 +19,7 @@ namespace gas::fleet {
 ///                   always lands on the same device, and losing a device
 ///                   only remaps the keys that lived on it — the classic
 ///                   cache-affinity trade.
-///  KeyRange       — each live device owns a contiguous slice of the key
+///  KeyRange       — each live device owns an equal-width slice of the key
 ///                   space; a request routes by its sampled key hint.  The
 ///                   splitter-based decomposition of GPU Sample Sort lifted
 ///                   one level up: arrays with nearby keys share a device,
@@ -68,8 +68,8 @@ struct ShardLoad {
     bool eligible = true;  ///< live AND the request fits this device's budget
 };
 
-/// Pluggable request-to-device placement.  Stateless per decision: every
-/// route() call gets the current per-device loads, so the same Router
+/// Pluggable request-to-device placement.  Immutable after construction:
+/// every route() call gets the current per-device loads, so the same Router
 /// serves concurrent schedulers without synchronization.
 class Router {
   public:
@@ -90,16 +90,6 @@ class Router {
     [[nodiscard]] std::size_t route(const RouteInfo& info,
                                     std::span<const ShardLoad> loads) const;
 
-    /// Installs data-driven KeyRange bands: `bands[i]` is the inclusive
-    /// upper key bound of the i-th live owner's slice (ascending, one entry
-    /// per device, typically the equal-mass boundaries of an observed key
-    /// histogram — gas::tune::Controller::key_bands).  Empty restores the
-    /// default equal-width split.  Throws std::invalid_argument on a size
-    /// mismatch or a non-ascending sequence.  Callers synchronize: route()
-    /// reads the bands without locking.
-    void set_key_bands(std::vector<double> bands);
-    [[nodiscard]] const std::vector<double>& key_bands() const { return bands_; }
-
   private:
     [[nodiscard]] std::size_t least_loaded(std::span<const ShardLoad> loads,
                                            bool need_eligible) const;
@@ -113,8 +103,6 @@ class Router {
     double key_space_;
     /// Consistent-hash ring: (point, device) sorted by point.
     std::vector<std::pair<std::uint64_t, std::uint32_t>> ring_;
-    /// KeyRange bands (per-device upper key bounds); empty = equal split.
-    std::vector<double> bands_;
 };
 
 }  // namespace gas::fleet

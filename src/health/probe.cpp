@@ -29,7 +29,6 @@ ProbeResult run_probe(simt::Device& device, std::uint64_t seed, std::size_t arra
     try {
         Options opts;
         opts.verify_output = false;  // the probe verifies on the host instead
-        opts.auto_tune = false;
         gpu_array_sort(device, std::span<float>(data), r.arrays, r.array_size, opts);
     } catch (const std::exception& e) {
         r.error = e.what();

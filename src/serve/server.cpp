@@ -12,6 +12,7 @@
 #include "core/ragged_sort.hpp"
 #include "health/probe.hpp"
 #include "tune/ewma.hpp"
+#include "tune/planner.hpp"
 
 namespace gas::serve {
 
@@ -25,9 +26,6 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
 /// and pair jobs, and the same options the fused kernel reads (anything that
 /// changes splitters, bucketing or the in-bucket sort).  validate and
 /// collect_bucket_sizes are server-owned and deliberately excluded.
-/// auto_tune IS included: the controller retunes a whole batch at once, so a
-/// request that opted out must never ride a batch whose effective options
-/// the controller may reshape.
 bool compatible(const Job& a, const Job& b) {
     if (a.kind != b.kind) return false;
     if (a.kind != JobKind::Ragged && a.array_size != b.array_size) return false;
@@ -36,8 +34,7 @@ bool compatible(const Job& a, const Job& b) {
     return x.bucket_target == y.bucket_target && x.sampling_rate == y.sampling_rate &&
            x.order == y.order && x.hybrid_phase3 == y.hybrid_phase3 &&
            x.phase3_small_cutoff == y.phase3_small_cutoff &&
-           x.phase3_bitonic_cutoff == y.phase3_bitonic_cutoff &&
-           x.auto_tune == y.auto_tune;
+           x.phase3_bitonic_cutoff == y.phase3_bitonic_cutoff;
 }
 
 /// Queue-depth EWMA update (DeviceBreakdown::queue_depth_ewma), sampled at
@@ -198,8 +195,7 @@ Server::Server(ServerConfig cfg, gas::fleet::DeviceFleet* f,
     : owned_fleet_(std::move(owned)),
       fleet_(f != nullptr ? f : owned_fleet_.get()),
       cfg_(cfg),
-      router_(cfg.route_policy, fleet_->size(), cfg.key_space_max),
-      controller_(gas::tune::Controller::Config{cfg.auto_tune}) {
+      router_(cfg.route_policy, fleet_->size(), cfg.key_space_max) {
     if (cfg_.num_streams == 0) {
         throw std::invalid_argument("serve::Server: 0 streams");
     }
@@ -263,23 +259,6 @@ Server::Ticket Server::submit(Job job) {
     pending->arrays = job_arrays(pending->job);
     pending->elements = job_elements(pending->job);
     pending->rinfo = make_route_info(pending->job, pending->elements);
-    // Distribution sketch, taken outside the lock on the host copy.  Pair
-    // jobs are never sketched: their key-equal payload order is
-    // plan-dependent, so the controller must not reshape them.
-    if (cfg_.auto_tune && pending->job.opts.auto_tune && pending->elements > 0 &&
-        pending->job.kind != JobKind::Pairs) {
-        if (pending->job.kind == JobKind::Ragged) {
-            pending->sketch = tune::sketch_ragged(pending->job.values,
-                                                  pending->job.offsets,
-                                                  cfg_.key_space_max);
-        } else {
-            pending->sketch =
-                tune::sketch_values(pending->job.values, pending->job.num_arrays,
-                                    pending->job.array_size, cfg_.key_space_max);
-        }
-        pending->sketch_ms =
-            tune::modeled_sketch_ms(pending->sketch, fleet_->device(0).props());
-    }
 
     Ticket ticket;
     ticket.result = pending->promise.get_future();
@@ -351,7 +330,6 @@ Server::Ticket Server::submit(Job job) {
     }
 
     ++stats_.accepted;
-    stats_.tune_sketch_ms += pending->sketch_ms;
     Shard& shard = *shards_[route_locked(*pending)];
     ++shard.breakdown.routed;
     enqueue_locked(shard, std::move(pending));
@@ -964,47 +942,15 @@ void Server::execute_batch(Shard& shard, std::vector<PendingPtr>& batch) {
         opts.validate = false;
         opts.collect_bucket_sizes = false;
         opts.verify_output = false;  // the server verifies per request below
-
-        // Adaptive tuning: merge the batch members' submit-time sketches and
-        // let the controller reshape the sort-shaping knobs.  The server-
-        // owned knobs above stay pinned; with no sketch (auto_tune off at
-        // either level, or a pair batch) the submitted options run untouched.
-        // The mean row length stands in for array_size (it is n for uniform
-        // batches).
-        tune::Plan plan;
-        bool tuned = false;
-        {
-            tune::Sketch merged;
-            for (const auto& p : batch) merged.merge(p->sketch);
-            if (!merged.empty()) {
-                std::lock_guard lk(mutex_);
-                plan = controller_.choose(merged, count / total_arrays, opts, device.props());
-                tuned = true;
-                opts = plan.opts;
-                if (plan.candidate != "paper-default") ++stats_.tuned_batches;
-                if (cfg_.route_policy == gas::fleet::RoutePolicy::KeyRange &&
-                    shards_.size() > 1) {
-                    // Fleet-level aggregate sketch -> equal-mass KeyRange
-                    // bands (the controller returns the interior splits; the
-                    // domain bound closes the last device's band).
-                    auto bands = controller_.key_bands(shards_.size());
-                    if (!bands.empty()) {
-                        bands.push_back(cfg_.key_space_max);
-                        router_.set_key_bands(std::move(bands));
-                    }
-                }
-            }
-        }
+        // Keys-only rows take the lean sample (one key per bucket); pairs keep
+        // their submitted rate, as key-equal payload order follows the
+        // splitters.
+        if (planes == 1) opts.sampling_rate = tune::kLeanSampleRate;
 
         const SortStats s = planes == 2
                                 ? sort_ragged_pairs_on_device(device, keys, vals, offsets, opts)
                                 : sort_ragged_on_device(device, keys, offsets, opts);
         double kernel_ms = s.modeled_kernel_ms();
-        if (tuned) {
-            std::lock_guard lk(mutex_);
-            controller_.observe(plan.regime, plan.candidate, kernel_ms, count,
-                                device.props());
-        }
 
         std::vector<std::uint8_t> row_fail;
         if (verify) {
@@ -1275,21 +1221,6 @@ ServerStats Server::stats() const {
         pool.bytes_leased += ps.bytes_leased;
         pool.peak_leased += ps.peak_leased;
         s.devices.push_back(std::move(d));
-    }
-    s.tune_enabled = cfg_.auto_tune;
-    s.tune_decisions = controller_.decisions();
-    s.tune_plan_switches = controller_.plan_switches();
-    s.key_bands = router_.key_bands();
-    s.tune_cells.clear();
-    for (const auto& c : controller_.cells()) {
-        ServerStats::TuneCell tc;
-        tc.regime = tune::to_string(c.regime);
-        tc.candidate = c.candidate;
-        tc.predicted = c.predicted;
-        tc.observed = c.observed_ewma;
-        tc.observations = c.observations;
-        tc.incumbent = c.incumbent;
-        s.tune_cells.push_back(std::move(tc));
     }
     s.modeled_overlap_ms = overlap;
     s.modeled_serial_ms = serial;

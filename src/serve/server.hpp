@@ -22,7 +22,6 @@
 #include "serve/stats.hpp"
 #include "simt/device.hpp"
 #include "simt/stream.hpp"
-#include "tune/controller.hpp"
 
 namespace gas::serve {
 
@@ -91,16 +90,6 @@ struct ServerConfig {
     /// normalized by it).  The default is the paper's [0, 2^31) domain.
     double key_space_max = gas::fleet::Router::kDefaultKeySpace;
 
-    /// Adaptive autotuning (gas::tune): sketch each float request's key
-    /// distribution at submit and let a closed-loop controller reshape the
-    /// sort-shaping options (sampling rate, bucket target, phase-2 strategy,
-    /// phase-3 cutoffs) per fused batch, learning from observed modeled
-    /// cost.  Pair batches are never tuned (their key-equal payload order is
-    /// plan-dependent); a request with Options::auto_tune off is never tuned
-    /// either.  Off pins every batch to its submitted options bit-for-bit —
-    /// bytes, kernel log and KernelStats identical to the pre-tune server.
-    bool auto_tune = true;
-
     /// Closed-loop health subsystem (gas::health): per-shard watchdog + hang
     /// handler, the Healthy/Degraded/Quarantined/Probation state machine
     /// with probe-sort re-admission, overload shedding with the brownout
@@ -124,7 +113,12 @@ struct ServerConfig {
 /// table sorted by one call of the fused CSR kernel (sort_ragged_on_device,
 /// or sort_ragged_pairs_on_device for two planes), with data staged in
 /// pooled device buffers (serve::BufferPool, one per shard) and modeled H2D/compute/D2H
-/// overlap tracked on a per-shard multi-stream simt::Timeline.  An idle
+/// overlap tracked on a per-shard multi-stream simt::Timeline.  Keys-only
+/// batches (uniform and ragged) sort with tune::kLeanSampleRate in place of
+/// the submitted sampling rate: the fused kernel sorts its regular sample in
+/// one serial lane, which a 10% sample makes the long pole on long rows.  Pair
+/// batches keep their submitted options, since key-equal payload order
+/// depends on the splitters.  An idle
 /// shard steals bounded runs of queued requests from its most loaded peer,
 /// so a burst routed to one device spreads across the fleet.  Constructing
 /// from a single simt::Device& is the N=1 degenerate fleet: identical
@@ -157,13 +151,13 @@ struct ServerConfig {
 /// and bucket offsets stay in that block's shared memory.  K compatible
 /// requests concatenated into one row table therefore give each request
 /// exactly the bytes a direct gpu_ragged_sort / gpu_ragged_pair_sort of it
-/// would have given, on any device of the fleet, while paying one launch
-/// instead of K.  A sorted key row has one byte pattern (short of -0.0 and
-/// +0.0 in one row), so uniform requests also get the bytes of a direct
-/// gas::gpu_array_sort.
+/// (with the batch's effective options) would have given, on any device of
+/// the fleet, while paying one launch instead of K.  A sorted key row has
+/// one byte pattern (short of -0.0 and +0.0 in one row), so uniform
+/// requests also get the bytes of a direct gas::gpu_array_sort.
 /// tests/serve/test_batch.cpp, the uniform table test in
-/// tests/serve/test_server.cpp and the tune-off kernel-log identity test
-/// assert it.
+/// tests/serve/test_server.cpp and the served-vs-direct kernel-log test in
+/// tests/tune/test_tune.cpp assert it.
 class Server {
   public:
     struct Ticket {
@@ -243,11 +237,6 @@ class Server {
         std::size_t arrays = 0;    ///< fused-array count this job contributes
         std::size_t elements = 0;  ///< total values (cost-share weight)
         gas::fleet::RouteInfo rinfo;  ///< computed once; re-routes are cheap
-        /// Distribution sketch taken at submit (auto_tune only; empty for
-        /// pair jobs and opted-out requests).  Batch members' sketches merge
-        /// into the controller's per-batch view.
-        gas::tune::Sketch sketch;
-        double sketch_ms = 0.0;  ///< modeled cost of taking the sketch
         /// Queue occupancy observed at admission (backpressure signal,
         /// copied into the Response on every completion path).
         double backpressure = 0.0;
@@ -349,8 +338,8 @@ class Server {
     std::vector<PendingPtr> take_batch(Shard& shard, std::vector<PendingPtr>& expired,
                                        std::vector<PendingPtr>& shed);
     void serve_batch(Shard& shard, std::vector<PendingPtr> batch);
-    /// Runs one fused batch of any kind over its row table: stage, tune,
-    /// sort, verify, copy back or quarantine each request, release.
+    /// Runs one fused batch of any kind over its row table: stage, sort,
+    /// verify, copy back or quarantine each request, release.
     void execute_batch(Shard& shard, std::vector<PendingPtr>& batch);
     void run_cpu_fallback(Pending& p, bool quarantined = false);
     /// Completes a request without serving it (rejected, timed out,
@@ -435,10 +424,6 @@ class Server {
     LatencyDigest queue_wait_digest_;
     LatencyDigest wall_digest_;
     LatencyDigest modeled_digest_;
-    /// One controller for the whole fleet (guarded by mutex_): every
-    /// shard's observations land in the same cells and every shard's next
-    /// batch reads them — the cross-shard broadcast.
-    gas::tune::Controller controller_;
 };
 
 }  // namespace gas::serve

@@ -48,9 +48,7 @@ std::string ServerStats::to_json() const {
     j.field("retry_backoff_ms", retry_backoff_ms);
     j.end_object().object("fleet");
     j.field("devices", devices.size()).field("steals", steals).field("reroutes", reroutes);
-    j.field("devices_quarantined", devices_quarantined).array("key_bands");
-    for (const double band : key_bands) j.value(band);
-    j.end_array().array("per_device");
+    j.field("devices_quarantined", devices_quarantined).array("per_device");
     for (const DeviceBreakdown& d : devices) {
         j.begin_object().field("name", d.name).field("quarantined", d.quarantined);
         j.field("routed", d.routed).field("completed", d.completed);
@@ -61,16 +59,6 @@ std::string ServerStats::to_json() const {
         j.field("health_state", d.health_state).field("kernel_ms", d.modeled_kernel_ms);
         j.field("overlap_ms", d.modeled_overlap_ms);
         j.field("compute_utilization", d.compute_utilization).end_object();
-    }
-    j.end_array().end_object().object("tune");
-    j.field("enabled", tune_enabled).field("decisions", tune_decisions);
-    j.field("plan_switches", tune_plan_switches).field("tuned_batches", tuned_batches);
-    j.field("sketch_ms", tune_sketch_ms).array("cells");
-    for (const TuneCell& c : tune_cells) {
-        j.begin_object().field("regime", c.regime).field("candidate", c.candidate);
-        j.field("predicted", c.predicted).field("observed", c.observed);
-        j.field("observations", c.observations).field("incumbent", c.incumbent);
-        j.end_object();
     }
     const HealthStats& h = health;
     j.end_array().end_object().object("health");

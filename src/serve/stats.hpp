@@ -151,10 +151,6 @@ struct ServerStats {
     std::uint64_t reroutes = 0;             ///< requests re-homed after device loss
     std::uint64_t devices_quarantined = 0;  ///< devices lost so far
     std::vector<DeviceBreakdown> devices;   ///< per-shard slice, device order
-    /// Current KeyRange routing bands (per-device upper key bounds), empty
-    /// unless the policy is KeyRange and the controller has recomputed them
-    /// from the fleet-level aggregate sketch.
-    std::vector<double> key_bands;
 
     // Always 0: every serve batch is one fused-kernel launch, and serve
     // holds no graph cache.  Kept because ledger/src/serve_load.cpp still
@@ -179,24 +175,14 @@ struct ServerStats {
     double compute_utilization = 0.0;
     double d2h_utilization = 0.0;
 
-    // Adaptive tuning (gas::tune::Controller wiring; all zero with
-    // auto_tune off).  One cell per (regime, candidate) pair the controller
-    // has met: the planner's predicted cost, the EWMA of observed modeled
-    // cost, and whether the cell currently holds its regime's incumbency.
-    struct TuneCell {
-        std::string regime;
-        std::string candidate;
-        double predicted = 0.0;      ///< modeled cycles/element (planner seed)
-        double observed = 0.0;       ///< EWMA of observed cycles/element
-        std::uint64_t observations = 0;
-        bool incumbent = false;
-    };
-    bool tune_enabled = false;            ///< ServerConfig::auto_tune
-    std::uint64_t tune_decisions = 0;     ///< controller choices with a sketch
-    std::uint64_t tune_plan_switches = 0; ///< incumbent changes past hysteresis
-    std::uint64_t tuned_batches = 0;      ///< batches run under a non-default plan
-    double tune_sketch_ms = 0.0;          ///< modeled sketch cost accrued at submit
-    std::vector<TuneCell> tune_cells;     ///< learned cost cells, sorted by key
+    // Always 0: serve takes no sketch and runs no tuning controller (keys-only
+    // batches use the fixed lean sample, pairs their submitted options).
+    // Kept because ledger/src/serve_load.cpp still reads all four for its
+    // tune.* layer metrics.
+    std::uint64_t tune_decisions = 0;
+    std::uint64_t tune_plan_switches = 0;
+    std::uint64_t tuned_batches = 0;
+    double tune_sketch_ms = 0.0;
 
     double wall_service_ms = 0.0;  ///< host wall time spent executing batches
 

@@ -4,9 +4,9 @@ namespace gas::tune {
 
 /// One exponentially weighted moving-average step:
 ///     next = (1 - alpha) * prev + alpha * sample
-/// Shared by the tune controller's observed-cost cells, the serve layer's
-/// queue-depth smoothing, and the health subsystem's load/occupancy signals,
-/// so every smoothed metric in the repo blends the same way.
+/// Shared by the serve layer's queue-depth smoothing and the health
+/// subsystem's load/occupancy signals, so every smoothed metric in the repo
+/// blends the same way.
 [[nodiscard]] constexpr double ewma_step(double prev, double sample, double alpha) {
     return (1.0 - alpha) * prev + alpha * sample;
 }

@@ -23,9 +23,6 @@ constexpr double kHotFractionCut = 0.35;    ///< heaviest-bin mass above this
 /// few compares per element.
 constexpr double kQuadFloor = 0.02;
 
-/// A sampling rate that always clamps to the make_plan floor (sample = p).
-constexpr double kLeanRate = 1e-3;
-
 bool same_shape(const Options& a, const Options& b) {
     return a.bucket_target == b.bucket_target && a.sampling_rate == b.sampling_rate &&
            a.strategy == b.strategy &&
@@ -78,16 +75,6 @@ double bucket_cycles(double k, const Options& opts, double quad,
 }
 
 }  // namespace
-
-std::string to_string(Regime r) {
-    switch (r) {
-        case Regime::Uniform: return "uniform";
-        case Regime::Skewed: return "skewed";
-        case Regime::FewDistinct: return "few-distinct";
-        case Regime::NearlySorted: return "nearly-sorted";
-    }
-    return "uniform";
-}
 
 Regime classify(const Sketch& sketch) {
     if (sketch.empty()) return Regime::Uniform;
@@ -185,7 +172,7 @@ std::vector<Candidate> make_candidates(const Sketch& sketch, std::size_t array_s
 
     {
         Options o = base;
-        o.sampling_rate = kLeanRate;
+        o.sampling_rate = kLeanSampleRate;
         add("lean-sample", o, true);
     }
     {
@@ -207,11 +194,11 @@ std::vector<Candidate> make_candidates(const Sketch& sketch, std::size_t array_s
         // wider buckets shrink the sample floor (s = p) further when the
         // sketch says big buckets stay cheap.
         Options best = base;
-        best.sampling_rate = kLeanRate;
+        best.sampling_rate = kLeanSampleRate;
         double best_cost = score(best);
         for (const std::size_t mult : {2, 4, 8}) {
             Options o = base;
-            o.sampling_rate = kLeanRate;
+            o.sampling_rate = kLeanSampleRate;
             o.bucket_target = std::min(base.bucket_target * mult, array_size);
             const double c = score(o);
             if (c < best_cost) {
@@ -223,7 +210,7 @@ std::vector<Candidate> make_candidates(const Sketch& sketch, std::size_t array_s
     }
     {
         Options o = base;
-        o.sampling_rate = kLeanRate;
+        o.sampling_rate = kLeanSampleRate;
         o.bucket_target = std::min(base.bucket_target * 8, array_size);
         if (o.hybrid_phase3) {
             const Phase3Tuning t = tune_sort_phase(props, 32, o.bucket_target);
@@ -252,22 +239,13 @@ Plan plan_sort(const Sketch& sketch, std::size_t array_size, const Options& base
     return plan;
 }
 
-Options auto_tuned_options(std::span<const float> values, std::size_t num_arrays,
-                           std::size_t array_size, const Options& base,
-                           const simt::DeviceProperties& props) {
-    if (!base.auto_tune || num_arrays == 0 || array_size == 0) return base;
-    const Sketch sketch = sketch_values(values, num_arrays, array_size);
-    if (sketch.empty()) return base;
-    return plan_sort(sketch, array_size, base, props).opts;
-}
-
 TunedSortResult tuned_sort(simt::Device& device, std::span<float> values,
                            std::size_t num_arrays, std::size_t array_size,
                            const Options& base) {
     TunedSortResult result;
     result.plan.opts = base;
     result.plan.candidate = "paper-default";
-    if (base.auto_tune && num_arrays > 0 && array_size > 0) {
+    if (num_arrays > 0 && array_size > 0) {
         result.sketch = sketch_values(values, num_arrays, array_size);
         if (!result.sketch.empty()) {
             result.plan = plan_sort(result.sketch, array_size, base, device.props());

@@ -12,13 +12,16 @@
 
 namespace gas::tune {
 
-/// Input regimes the planner and controller distinguish.  Deliberately
-/// coarse: each regime maps to one family of plan shapes, and the serve
-/// controller keeps one (regime x candidate) cost cell per pair.
-enum class Regime : std::uint8_t { Uniform, Skewed, FewDistinct, NearlySorted };
-inline constexpr std::size_t kRegimes = 4;
+/// A sampling rate low enough that make_plan and the fused kernel always
+/// clamp the regular sample to its floor, one key per bucket (s = p).  The
+/// lean-sample candidate uses it, and gas::serve sorts every keys-only batch
+/// with it: in the fused row kernel the sample sort is one serial lane, so on
+/// long rows a larger sample costs more than its smoother splitters save.
+inline constexpr double kLeanSampleRate = 1e-3;
 
-[[nodiscard]] std::string to_string(Regime r);
+/// Input regimes the planner distinguishes.  Deliberately coarse: each
+/// regime maps to one family of plan shapes.
+enum class Regime : std::uint8_t { Uniform, Skewed, FewDistinct, NearlySorted };
 
 /// Maps a sketch to its regime: duplicate density first (a constant or
 /// few-distinct input is "sorted-looking" too), then pre-sortedness, then
@@ -50,7 +53,8 @@ struct Plan {
 /// largest bucket):
 ///  * paper-default — base untouched (the paper's 20-element buckets, 10%
 ///    sampling; always first, so ties keep today's behaviour);
-///  * lean-sample   — the minimum regular sample (make_plan clamps it to p),
+///  * lean-sample   — the minimum regular sample (kLeanSampleRate, which
+///    make_plan clamps to p),
 ///    cutting the quadratic serial sample sort; the hybrid phase 3 absorbs
 ///    the slightly rougher splitters.  The uniform-regime workhorse;
 ///  * hot-split     — lean sampling with the sample size chosen so the
@@ -89,23 +93,14 @@ struct Plan {
 [[nodiscard]] Plan plan_sort(const Sketch& sketch, std::size_t array_size,
                              const Options& base, const simt::DeviceProperties& props);
 
-/// Sketch + plan in one step: the Options a tuned sort of this data should
-/// use.  Returns `base` verbatim (bit-for-bit) when base.auto_tune is off —
-/// the seed behaviour — or when the sketch is empty.
-[[nodiscard]] Options auto_tuned_options(std::span<const float> values,
-                                         std::size_t num_arrays, std::size_t array_size,
-                                         const Options& base,
-                                         const simt::DeviceProperties& props);
-
 /// A tuned gpu_array_sort: sketch -> plan -> sort, returning the sketch and
-/// plan next to the SortStats so callers (bench, tests, CLIs) can audit the
-/// decision.  With base.auto_tune off this is exactly gpu_array_sort(base):
-/// same bytes, same kernel log, same stats.
+/// plan next to the SortStats so callers (tests, CLIs) can audit the
+/// decision.
 struct TunedSortResult {
     Sketch sketch;
     Plan plan;
     SortStats stats;
-    double sketch_modeled_ms = 0.0;  ///< modeled_sketch_ms (0 when auto_tune off)
+    double sketch_modeled_ms = 0.0;  ///< modeled_sketch_ms (0 with nothing to sketch)
 };
 
 TunedSortResult tuned_sort(simt::Device& device, std::span<float> values,

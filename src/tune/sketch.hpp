@@ -21,15 +21,14 @@ namespace gas::tune {
 ///
 /// The histogram bins cover a fixed key domain (the paper's [0, 2^31) by
 /// default) rather than the observed [min, max], so sketches from different
-/// requests merge bin-for-bin — the property the serve controller and the
-/// fleet-level KeyRange band aggregation rely on.
+/// requests merge bin-for-bin.
 struct Sketch {
     static constexpr std::size_t kBins = 32;
     /// The paper's key domain ([0, 2^31) uniform floats); matches
     /// fleet::Router::kDefaultKeySpace without depending on gas_fleet.
     static constexpr double kDefaultKeySpace = 2147483648.0;
-    /// Strided-sample cap: enough resolution for 32 bins, cheap enough that
-    /// the sketch stays under the 5% overhead gate of bench/adaptive_tuning.
+    /// Strided-sample cap: enough resolution for 32 bins at a bounded host
+    /// cost per request.
     static constexpr std::size_t kMaxSamples = 1024;
     /// Consecutive-prefix window for the sortedness estimate.
     static constexpr std::size_t kRunRows = 8;
@@ -84,8 +83,7 @@ struct Sketch {
                                    double key_space = Sketch::kDefaultKeySpace);
 
 /// Modeled cost of taking the sketch, on the same scale as KernelStats
-/// modeled_ms (cycles / clock x the calibration derate): what
-/// bench/adaptive_tuning holds under 5% of the modeled sort cost.
+/// modeled_ms (cycles / clock x the calibration derate).
 [[nodiscard]] double modeled_sketch_ms(const Sketch& sketch,
                                        const simt::DeviceProperties& props);
 

@@ -178,6 +178,8 @@ TEST(FleetServer, KeyRangeShardsByKeyBand) {
     for (std::size_t b = 0; b < 4; ++b) {
         EXPECT_EQ(stats.devices[b].routed, 1u)
             << "band " << bands[b] << " missed shard " << b;
+        // Every shard queued its request, so its queue-depth EWMA moved.
+        EXPECT_GT(stats.devices[b].queue_depth_ewma, 0.0) << "shard " << b;
     }
 }
 

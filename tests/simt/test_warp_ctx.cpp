@@ -56,7 +56,7 @@ TEST(ExecMode, FromEnvParsesBothModesAndDefaults) {
 TEST(ExecMode, FromEnvRejectsUnknownValue) {
     ScopedExecEnv guard;
     ::setenv("SIMT_EXEC", "vector", 1);
-    EXPECT_THROW(simt::exec_mode_from_env(), simt::DeviceError);
+    EXPECT_THROW((void)simt::exec_mode_from_env(), simt::DeviceError);
 }
 
 TEST(ExecMode, DeviceDefaultsToEnvAndIsSwitchable) {

@@ -17,8 +17,6 @@
 //                      | key-range (default least-loaded)
 //     --exec M         interpreter execution mode: scalar|warp (default:
 //                      the SIMT_EXEC environment variable, else warp)
-//     --tune on|off    adaptive autotuning (gas::tune controller inside the
-//                      server; default on.  off pins submitted options)
 //     --health on|off  closed-loop health subsystem (gas::health: watchdog,
 //                      probe re-admission, overload shedding, brownout
 //                      ladder, straggler hedging; default off)
@@ -49,8 +47,7 @@ int usage() {
                  "                     [--streams S] [--batch B] [--deadline-ms D]\n"
                  "                     [--devices N] [--policy least-loaded|consistent-hash|"
                  "key-range]\n"
-                 "                     [--exec scalar|warp] [--tune on|off] "
-                 "[--health on|off]\n"
+                 "                     [--exec scalar|warp] [--health on|off]\n"
                  "                     [--json PATH]\n");
     return 2;
 }
@@ -67,7 +64,6 @@ struct CliOptions {
     std::size_t devices = 1;
     gas::fleet::RoutePolicy policy = gas::fleet::RoutePolicy::LeastLoaded;
     simt::ExecMode exec = simt::exec_mode_from_env();
-    bool tune = true;
     bool health = false;
     std::string json;
 };
@@ -134,7 +130,6 @@ int cmd_run(const CliOptions& cli) {
     cfg.max_batch_requests = cli.batch;
     cfg.num_streams = cli.streams;
     cfg.route_policy = cli.policy;
-    cfg.auto_tune = cli.tune;
     cfg.health.enabled = cli.health;
     gas::serve::Server server(fleet, cfg);
 
@@ -191,11 +186,6 @@ int cmd_run(const CliOptions& cli) {
                 stats.modeled_throughput_rps());
     std::printf("latency (wall ms): p50 %.3f  p95 %.3f  p99 %.3f  max %.3f\n",
                 stats.wall_ms.p50, stats.wall_ms.p95, stats.wall_ms.p99, stats.wall_ms.max);
-    std::printf("tune: %s, %llu decisions, %llu plan switches, %llu tuned batches\n",
-                stats.tune_enabled ? "on" : "off",
-                static_cast<unsigned long long>(stats.tune_decisions),
-                static_cast<unsigned long long>(stats.tune_plan_switches),
-                static_cast<unsigned long long>(stats.tuned_batches));
     std::printf("health: %s, %llu shed (%llu overflow / %llu brownout / %llu sojourn), "
                 "brownout L%d, %llu hangs, %llu hedges (%llu mismatches)\n",
                 stats.health.enabled ? "on" : "off",
@@ -313,20 +303,6 @@ int main(int argc, char** argv) {
                 cli.exec = simt::ExecMode::Warp;
             } else {
                 return usage();
-            }
-        } else if (arg == "--tune") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            if (std::strcmp(v, "on") == 0) {
-                cli.tune = true;
-            } else if (std::strcmp(v, "off") == 0) {
-                cli.tune = false;
-            } else {
-                // A typo must not silently serve with the default setting:
-                // name the rejected string and the full valid set.
-                std::fprintf(stderr, "gas_serve: unknown --tune '%s' (valid: on, off)\n",
-                             v);
-                return 2;
             }
         } else if (arg == "--health") {
             const char* v = next();
