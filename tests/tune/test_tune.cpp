@@ -8,7 +8,8 @@
 // 3. Serve: keys-only batches sort with the planner's lean sample rate and
 //    pair batches with their submitted options, so every served batch
 //    reproduces one direct fused-kernel call bit-for-bit (bytes and kernel
-//    log), and every regime is served correctly.
+//    log), every regime is served correctly, and a KeyRange fleet serves
+//    uniform and ragged batches under the same sample.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include "core/pair_sort.hpp"
 #include "core/ragged_sort.hpp"
 #include "core/resilient.hpp"
+#include "fleet/fleet.hpp"
 #include "serve/server.hpp"
 #include "simt/device.hpp"
 #include "tune/planner.hpp"
@@ -410,6 +412,53 @@ TEST(ServeTune, TunedServerServesEveryRegimeCorrectly) {
     EXPECT_EQ(st.tune_sketch_ms, 0.0);
     EXPECT_EQ(st.to_json().find("\"tune\""), std::string::npos);
     server.stop();
+}
+
+TEST(ServeTune, FleetKeyBandsAndQueueDepthEwma) {
+    // A KeyRange fleet routes uniform and ragged batches by key band under
+    // the lean sample; every row comes back sorted and the shards' queue
+    // depth EWMA moves.
+    for (const auto kind : {gas::serve::JobKind::Uniform, gas::serve::JobKind::Ragged}) {
+        SCOPED_TRACE(gas::serve::to_string(kind));
+        gas::fleet::DeviceFleet fleet(3);
+        gas::serve::ServerConfig cfg;
+        cfg.manual_pump = true;
+        cfg.route_policy = gas::fleet::RoutePolicy::KeyRange;
+        gas::serve::Server server(fleet, cfg);
+        std::vector<std::pair<gas::serve::Server::Ticket, std::vector<std::uint64_t>>> live;
+        for (std::uint64_t r = 0; r < 12; ++r) {
+            auto job = uniform_job(4, 800, Distribution::Uniform, r + 1);
+            std::vector<std::uint64_t> rows{0, 800, 1600, 2400, 3200};
+            if (kind == gas::serve::JobKind::Ragged) {
+                auto ds = workload::make_ragged_dataset(4, 400, 1200, Distribution::Uniform,
+                                                        r + 1);
+                job.kind = kind;
+                job.num_arrays = 0;
+                job.array_size = 0;
+                job.values = std::move(ds.values);
+                job.offsets.assign(ds.offsets.begin(), ds.offsets.end());
+                rows = job.offsets;
+            }
+            live.emplace_back(server.submit(std::move(job)), std::move(rows));
+        }
+        server.pump();
+        for (auto& [ticket, rows] : live) {
+            const auto resp = ticket.result.get();
+            ASSERT_TRUE(resp.ok());
+            for (std::size_t i = 1; i < rows.size(); ++i) {
+                EXPECT_TRUE(std::is_sorted(
+                    resp.values.begin() + static_cast<std::ptrdiff_t>(rows[i - 1]),
+                    resp.values.begin() + static_cast<std::ptrdiff_t>(rows[i])));
+            }
+        }
+        const auto st = server.stats();
+        ASSERT_EQ(st.devices.size(), 3u);
+        EXPECT_EQ(st.tune_decisions, 0u);
+        double max_ewma = 0.0;
+        for (const auto& d : st.devices) max_ewma = std::max(max_ewma, d.queue_depth_ewma);
+        EXPECT_GT(max_ewma, 0.0);
+        server.stop();
+    }
 }
 
 TEST(ServeTune, PairBatchesAreNeverTuned) {
