@@ -13,7 +13,7 @@
 //
 //   micro_launch_overhead [--quick] [--iters N] [--json PATH]
 //
-// The full run owns the committed BENCH_graph.json artifact; --quick is the
+// The full run owns the committed BENCH_launch.json artifact; --quick is the
 // bench-smoke ctest body — it skips the slow spawn comparison.  Every gate
 // is a ratio or a count taken in the same run, so it holds on any host.
 // Exit code 0 iff every gate passed.
@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
     }
     // The full run owns the committed artifact; --quick (the smoke test)
     // writes nothing unless asked, so it can never clobber the baseline.
-    if (json_path.empty() && !quick) json_path = "BENCH_graph.json";
+    if (json_path.empty() && !quick) json_path = "BENCH_launch.json";
 
     const unsigned workers = std::max(std::thread::hardware_concurrency(), 1u);
     simt::Device dev(simt::tesla_k40c(), simt::DeviceMemory::Mode::Backed, workers);

@@ -13,17 +13,16 @@ double d(std::size_t v) { return static_cast<double>(v); }
 
 }  // namespace
 
-double modeled_insertion_cycles(double k, const simt::DeviceProperties& props, double quad) {
+double modeled_insertion_cycles(double k, const simt::DeviceProperties& props) {
     // Shuffled input: ~k^2/4 compares + ~k^2/4 moves, plus the O(k) floor.
-    return props.cpi * (quad * k * k / 2.0 + 2.0 * k);
+    return props.cpi * (k * k / 2.0 + 2.0 * k);
 }
 
-double modeled_binary_insertion_cycles(double k, const simt::DeviceProperties& props,
-                                       double quad) {
+double modeled_binary_insertion_cycles(double k, const simt::DeviceProperties& props) {
     const double log2k = k > 1.0 ? std::log2(k) : 0.0;
     // Probe compares k*log2(k), shuffled-input moves ~k^2/4, plus the
     // search-bookkeeping constant per element.
-    return props.cpi * (k * log2k + quad * k * k / 4.0 + 2.0 * k);
+    return props.cpi * (k * log2k + k * k / 4.0 + 2.0 * k);
 }
 
 double modeled_bitonic_cycles(std::size_t k, unsigned block_threads,

@@ -15,18 +15,13 @@ struct Phase3Tuning {
 
 /// Modeled lane-cycles of one plain insertion sort of a k-element bucket
 /// (expected compares + moves on shuffled input, weighted by the device's
-/// cpi).  `quad` scales the data-dependent quadratic term (1 = shuffled;
-/// the tune planner discounts sorted or duplicate-heavy input).  This is the
-/// one cost-model mirror: it sets the static cutoffs, the kernel's
-/// per-block cooperative-vs-serial decision and the planner's predictions.
-/// k is a double because the planner predicts fractional bucket sizes.
-[[nodiscard]] double modeled_insertion_cycles(double k, const simt::DeviceProperties& props,
-                                              double quad = 1.0);
+/// cpi).  This is the one cost-model mirror: it sets the static cutoffs and
+/// the kernel's per-block cooperative-vs-serial decision.
+[[nodiscard]] double modeled_insertion_cycles(double k, const simt::DeviceProperties& props);
 
-/// Same for binary insertion: O(k log k) compares + quad * O(k^2/4) moves.
+/// Same for binary insertion: O(k log k) compares + O(k^2/4) moves.
 [[nodiscard]] double modeled_binary_insertion_cycles(double k,
-                                                     const simt::DeviceProperties& props,
-                                                     double quad = 1.0);
+                                                     const simt::DeviceProperties& props);
 
 /// Modeled per-lane cycles of the cooperative bitonic path for one bucket:
 /// staging + L(L+1)/2 compare-exchange regions + write-back, with the

@@ -1,12 +1,12 @@
 #pragma once
 
-namespace gas::tune {
+namespace gas::serve {
 
 /// One exponentially weighted moving-average step:
 ///     next = (1 - alpha) * prev + alpha * sample
-/// Shared by the serve layer's queue-depth smoothing and the health
-/// subsystem's load/occupancy signals, so every smoothed metric in the repo
-/// blends the same way.
+/// Shared by the shard's queue-depth smoothing (DeviceBreakdown) and its
+/// queued-elements load signal (Ewma below), so every smoothed metric in
+/// the server blends the same way.
 [[nodiscard]] constexpr double ewma_step(double prev, double sample, double alpha) {
     return (1.0 - alpha) * prev + alpha * sample;
 }
@@ -25,4 +25,4 @@ struct Ewma {
     }
 };
 
-}  // namespace gas::tune
+}  // namespace gas::serve

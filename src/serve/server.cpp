@@ -11,8 +11,6 @@
 #include "core/pair_sort.hpp"
 #include "core/ragged_sort.hpp"
 #include "health/probe.hpp"
-#include "tune/ewma.hpp"
-#include "tune/planner.hpp"
 
 namespace gas::serve {
 
@@ -42,7 +40,7 @@ bool compatible(const Job& a, const Job& b) {
 void sample_queue_depth(DeviceBreakdown& d, std::size_t depth) {
     constexpr double kAlpha = 0.2;
     d.queue_depth_ewma =
-        tune::ewma_step(d.queue_depth_ewma, static_cast<double>(depth), kAlpha);
+        ewma_step(d.queue_depth_ewma, static_cast<double>(depth), kAlpha);
 }
 
 /// FNV-1a over a response's byte content (values + payload bit patterns):
@@ -220,6 +218,7 @@ Server::Server(ServerConfig cfg, gas::fleet::DeviceFleet* f,
              cfg_.health.brownout_hysteresis});
         for (auto& s : shards_) {
             s->health = gas::health::Machine(mc);
+            s->load_ewma.alpha = cfg_.health.load_alpha;
             Shard* sp = s.get();
             // Hung launches (simt fault injection, or a real stall in a live
             // backend) poll this handler.  Async mode waits for the watchdog
@@ -357,7 +356,7 @@ std::size_t Server::route_locked(const Pending& p) const {
         if (cfg_.health.enabled) {
             // Anti-flap ranking + probation/degraded traffic shaping; with
             // health off the ShardLoad defaults reproduce raw ranking.
-            l.smoothed_load = s->load_ewma;
+            l.smoothed_load = s->load_ewma.value;
             l.weight = s->health.route_weight();
         }
         loads.push_back(l);
@@ -945,7 +944,7 @@ void Server::execute_batch(Shard& shard, std::vector<PendingPtr>& batch) {
         // Keys-only rows take the lean sample (one key per bucket); pairs keep
         // their submitted rate, as key-equal payload order follows the
         // splitters.
-        if (planes == 1) opts.sampling_rate = tune::kLeanSampleRate;
+        if (planes == 1) opts.sampling_rate = kLeanSampleRate;
 
         const SortStats s = planes == 2
                                 ? sort_ragged_pairs_on_device(device, keys, vals, offsets, opts)
@@ -1279,11 +1278,7 @@ void Server::resolve(Pending& p, Response&& r) {
 void Server::sample_load_locked(Shard& shard) {
     sample_queue_depth(shard.breakdown, shard.queued);
     if (cfg_.health.enabled) {
-        gas::tune::Ewma e{cfg_.health.load_alpha, shard.load_ewma,
-                          shard.load_ewma_primed};
-        e.update(static_cast<double>(shard.queued_elements));
-        shard.load_ewma = e.value;
-        shard.load_ewma_primed = true;
+        shard.load_ewma.update(static_cast<double>(shard.queued_elements));
     }
 }
 

@@ -17,6 +17,7 @@
 #include "health/brownout.hpp"
 #include "health/config.hpp"
 #include "health/state.hpp"
+#include "serve/ewma.hpp"
 #include "serve/pool.hpp"
 #include "serve/request.hpp"
 #include "serve/stats.hpp"
@@ -24,6 +25,13 @@
 #include "simt/stream.hpp"
 
 namespace gas::serve {
+
+/// A sampling rate low enough that make_plan and the fused kernel always
+/// clamp the regular sample to its floor, one key per bucket (s = p).
+/// Server sorts every keys-only batch with it: in the fused row kernel the
+/// sample sort is one serial lane, so on long rows a larger sample costs
+/// more than its smoother splitters save.
+inline constexpr double kLeanSampleRate = 1e-3;
 
 /// What submit() does when the queue is at capacity.
 enum class AdmitPolicy : std::uint8_t {
@@ -114,9 +122,9 @@ struct ServerConfig {
 /// or sort_ragged_pairs_on_device for two planes), with data staged in
 /// pooled device buffers (serve::BufferPool, one per shard) and modeled H2D/compute/D2H
 /// overlap tracked on a per-shard multi-stream simt::Timeline.  Keys-only
-/// batches (uniform and ragged) sort with tune::kLeanSampleRate in place of
-/// the submitted sampling rate: the fused kernel sorts its regular sample in
-/// one serial lane, which a 10% sample makes the long pole on long rows.  Pair
+/// batches (uniform and ragged) sort with kLeanSampleRate in place of the
+/// submitted sampling rate: the fused kernel sorts its regular sample in one
+/// serial lane, which a 10% sample makes the long pole on long rows.  Pair
 /// batches keep their submitted options, since key-equal payload order
 /// depends on the splitters.  An idle
 /// shard steals bounded runs of queued requests from its most loaded peer,
@@ -289,8 +297,7 @@ class Server {
         gas::health::Machine health;  ///< per-device state machine (mutex_)
         /// EWMA of queued_elements (health.load_alpha), the smoothed_load the
         /// fleet router's anti-flap ranking reads (mutex_).
-        double load_ewma = 0.0;
-        bool load_ewma_primed = false;
+        Ewma load_ewma;
         /// Set by the watchdog when the device heartbeat stalls past the
         /// deadline; read lock-free by the hang handler (abort the hung
         /// launch) and cleared when progress resumes or a batch finishes.

@@ -7,10 +7,11 @@
 
 namespace gas::serve {
 
-double LatencyDigest::percentile(double q) const {
-    if (samples_.empty()) return 0.0;
-    std::vector<double> sorted(samples_);
-    std::sort(sorted.begin(), sorted.end());
+namespace {
+
+/// Nearest-rank q-th percentile of an ascending sample vector.
+double nearest_rank(const std::vector<double>& sorted, double q) {
+    if (sorted.empty()) return 0.0;
     const double rank = std::ceil(q / 100.0 * static_cast<double>(sorted.size()));
     const std::size_t idx =
         std::min(sorted.size() - 1,
@@ -18,12 +19,10 @@ double LatencyDigest::percentile(double q) const {
     return sorted[idx];
 }
 
-LatencySummary summarize(const LatencyDigest& d) {
-    return {d.count(),         d.mean(),          d.percentile(50.0),
-            d.percentile(95.0), d.percentile(99.0), d.max()};
+std::vector<double> sorted_copy(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v;
 }
-
-namespace {
 
 void write_latency(obs::Json& j, const char* name, const LatencySummary& s) {
     j.object(name).field("count", s.count).field("mean", s.mean).field("p50", s.p50);
@@ -31,6 +30,20 @@ void write_latency(obs::Json& j, const char* name, const LatencySummary& s) {
 }
 
 }  // namespace
+
+double LatencyDigest::percentile(double q) const {
+    return nearest_rank(sorted_copy(samples_), q);
+}
+
+LatencySummary summarize(const LatencyDigest& d) {
+    const std::vector<double> sorted = sorted_copy(d.samples_);
+    return {d.count(),
+            d.mean(),
+            nearest_rank(sorted, 50.0),
+            nearest_rank(sorted, 95.0),
+            nearest_rank(sorted, 99.0),
+            d.max()};
+}
 
 std::string ServerStats::to_json() const {
     obs::Json j;

@@ -9,6 +9,16 @@
 
 namespace gas::serve {
 
+/// Flattened percentile view of one digest (for reports and JSON).
+struct LatencySummary {
+    std::size_t count = 0;
+    double mean = 0.0;
+    double p50 = 0.0;
+    double p95 = 0.0;
+    double p99 = 0.0;
+    double max = 0.0;
+};
+
 /// Latency sample digest.  Samples are kept verbatim (a serving run is
 /// thousands of requests, not billions) and percentiles use nearest-rank on
 /// a sorted copy, so p50/p95/p99 are exact.
@@ -29,21 +39,15 @@ class LatencyDigest {
     [[nodiscard]] double percentile(double q) const;
 
   private:
+    friend LatencySummary summarize(const LatencyDigest& d);
+
     std::vector<double> samples_;
     double sum_ = 0.0;
     double max_ = 0.0;
 };
 
-/// Flattened percentile view of one digest (for reports and JSON).
-struct LatencySummary {
-    std::size_t count = 0;
-    double mean = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-    double max = 0.0;
-};
-
+/// All three percentiles from one sorted copy of the samples; each equals
+/// d.percentile(q).
 [[nodiscard]] LatencySummary summarize(const LatencyDigest& d);
 
 /// Per-device slice of a fleet server's stats (one entry per shard, in
@@ -65,8 +69,8 @@ struct DeviceBreakdown {
     std::size_t queue_depth = 0;        ///< at the moment stats() was taken
     /// EWMA of the shard's queue depth, sampled at every enqueue and batch
     /// take (alpha 0.2): the smoothed backlog signal dashboards trend and
-    /// the fleet router's rebalancing reads, immune to the instant-depth
-    /// sampling noise of queue_depth.
+    /// the health brownout ladder reads (Server::update_brownout_locked),
+    /// immune to the instant-depth sampling noise of queue_depth.
     double queue_depth_ewma = 0.0;
     /// gas::health state machine position ("healthy" / "degraded" /
     /// "quarantined" / "probation").  With health off this mirrors the

@@ -1,7 +1,6 @@
 #include "tune/sketch.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 namespace gas::tune {
@@ -65,47 +64,6 @@ void finalize(Sketch& s, std::vector<float>& samples, std::size_t pairs,
 
 }  // namespace
 
-double Sketch::hot_fraction() const {
-    if (sampled == 0) return 0.0;
-    std::uint64_t mx = 0;
-    for (const std::uint64_t c : histogram) mx = std::max(mx, c);
-    return static_cast<double>(mx) / static_cast<double>(sampled);
-}
-
-double Sketch::distinct_estimate() const { return std::max(1.0, distinct_keys); }
-
-void Sketch::merge(const Sketch& other) {
-    if (other.sampled == 0) {
-        rows += other.rows;
-        elements += other.elements;
-        return;
-    }
-    if (sampled == 0) {
-        const std::size_t r = rows;
-        const std::size_t e = elements;
-        *this = other;
-        rows += r;
-        elements += e;
-        return;
-    }
-    for (std::size_t b = 0; b < kBins; ++b) histogram[b] += other.histogram[b];
-    min_key = std::min(min_key, other.min_key);
-    max_key = std::max(max_key, other.max_key);
-    const auto ws = static_cast<double>(sampled);
-    const auto wo = static_cast<double>(other.sampled);
-    distinct_ratio = (distinct_ratio * ws + other.distinct_ratio * wo) / (ws + wo);
-    distinct_keys = std::max(distinct_keys, other.distinct_keys);
-    const auto as = static_cast<double>(adjacent);
-    const auto ao = static_cast<double>(other.adjacent);
-    if (as + ao > 0.0) {
-        sortedness = (sortedness * as + other.sortedness * ao) / (as + ao);
-    }
-    sampled += other.sampled;
-    adjacent += other.adjacent;
-    rows += other.rows;
-    elements += other.elements;
-}
-
 Sketch sketch_values(std::span<const float> values, std::size_t num_arrays,
                      std::size_t array_size, double key_space) {
     Sketch s;
@@ -144,19 +102,6 @@ Sketch sketch_ragged(std::span<const float> values, std::span<const std::uint64_
     }
     finalize(s, samples, pairs, ascending);
     return s;
-}
-
-double modeled_sketch_ms(const Sketch& sketch, const simt::DeviceProperties& props) {
-    // Per strided sample: one uncoalesced load + bin math + min/max (~6 ops);
-    // the distinct estimate sorts the sample buffer (s log s compares); the
-    // prefix runs pay one compare per adjacent pair.  Charged on the kernel
-    // scale (cycles / clock x derate) so it compares against modeled_ms.
-    const auto s = static_cast<double>(sketch.sampled);
-    const auto a = static_cast<double>(sketch.adjacent);
-    const double log2s = s > 1.0 ? std::log2(s) : 0.0;
-    const double cycles = props.cpi * (6.0 * s + s * log2s + 2.0 * a);
-    const double cycles_per_ms = props.core_clock_ghz * 1e6;
-    return cycles / cycles_per_ms * props.efficiency_derate;
 }
 
 }  // namespace gas::tune

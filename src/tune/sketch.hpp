@@ -5,11 +5,11 @@
 #include <cstdint>
 #include <span>
 
-#include "simt/device_properties.hpp"
-
 namespace gas::tune {
 
-/// Cheap per-request distribution sketch (DESIGN.md section 14).
+/// Cheap per-request distribution sketch (DESIGN.md section 14).  Nothing
+/// in the library acts on it: the benchmark ledger times sketch_values and
+/// sketch_ragged on its request bodies (tune.sketch_host_us).
 ///
 /// Phase-1-style regular sampling on the host copy of a request: a strided
 /// pass (capped at kMaxSamples values) feeds a coarse fixed-domain key
@@ -20,8 +20,8 @@ namespace gas::tune {
 /// thread orders by construction (pinned by tests/tune/test_tune.cpp).
 ///
 /// The histogram bins cover a fixed key domain (the paper's [0, 2^31) by
-/// default) rather than the observed [min, max], so sketches from different
-/// requests merge bin-for-bin.
+/// default) rather than the observed [min, max], so sketches of different
+/// requests compare bin-for-bin.
 struct Sketch {
     static constexpr std::size_t kBins = 32;
     /// The paper's key domain ([0, 2^31) uniform floats); matches
@@ -42,34 +42,14 @@ struct Sketch {
     std::size_t adjacent = 0;  ///< consecutive pairs behind sortedness
     /// Distinct samples / samples (1.0 = all distinct, ~1/sampled = constant).
     double distinct_ratio = 1.0;
-    /// Distinct values observed in the sample, as an absolute count.  Merged
-    /// with max rather than sum: requests in one batch typically draw from
-    /// the same key population, so re-observing the same few keys must not
-    /// inflate the estimate (the match-distinct plan sizes buckets from it).
+    /// Distinct values observed in the sample, as an absolute count (a lower
+    /// bound on the population's distinct keys when it outnumbers the sample).
     double distinct_keys = 1.0;
     /// Fraction of consecutive in-row pairs already in ascending order
     /// (~0.5 for shuffled data, ~1.0 for sorted).
     double sortedness = 0.5;
     std::size_t rows = 0;      ///< arrays the sketch covers
     std::size_t elements = 0;  ///< total elements it summarizes
-
-    [[nodiscard]] bool empty() const { return sampled == 0; }
-
-    /// Mass fraction of the heaviest histogram bin (0 when empty).  A value
-    /// far above 1/kBins flags a hot key band the splitter phase may fail to
-    /// resolve at the default sampling rate.
-    [[nodiscard]] double hot_fraction() const;
-
-    /// Estimated number of distinct keys in the underlying population
-    /// (>= 1): the observed sample distinct count, max-merged across
-    /// requests.  A lower bound when the population outnumbers the sample,
-    /// which only errs toward fewer, wider buckets — safe for planning.
-    [[nodiscard]] double distinct_estimate() const;
-
-    /// Folds `other` into this sketch (bin-wise histogram add; weighted
-    /// means for distinct_ratio and sortedness).  Merging an empty sketch is
-    /// a no-op; merging into an empty sketch copies.
-    void merge(const Sketch& other);
 };
 
 /// Sketches `num_arrays` rows of `array_size` contiguous values.
@@ -81,10 +61,5 @@ struct Sketch {
 [[nodiscard]] Sketch sketch_ragged(std::span<const float> values,
                                    std::span<const std::uint64_t> offsets,
                                    double key_space = Sketch::kDefaultKeySpace);
-
-/// Modeled cost of taking the sketch, on the same scale as KernelStats
-/// modeled_ms (cycles / clock x the calibration derate).
-[[nodiscard]] double modeled_sketch_ms(const Sketch& sketch,
-                                       const simt::DeviceProperties& props);
 
 }  // namespace gas::tune

@@ -4,7 +4,7 @@
 //    scalar reference interpreter and the warp-vectorized fast path
 //    (SIMT_EXEC=warp) — identical output bytes AND identical KernelStats
 //    (every deterministic field; only wall_ms may differ).
-// 2. GraphEquivalence: each workload's output bytes and kernel log must hash
+// 2. GoldenDigest: each workload's output bytes and kernel log must hash
 //    to its golden FNV-1a digest, in both exec modes.  A digest changes only
 //    when a kernel's bytes or deterministic KernelStats change.
 //
@@ -451,50 +451,50 @@ TEST(ExecEquivalence, RadixSortU32) {
 }
 TEST(ExecEquivalence, RadixSortByKey) { exec_sweep(wl_radix_by_key); }
 
-// --- graph output vs the loop-of-launches golden digests -------------------
+// --- golden digests: output bytes plus kernel log --------------------------
 
-TEST(GraphEquivalence, ArraySortFloatWithVerify) {
+TEST(GoldenDigest, ArraySortFloatWithVerify) {
     golden_sweep(wl_array_sort_verify, 0x16a13761790f05f5ull);
 }
-TEST(GraphEquivalence, ArraySortUint32) {
+TEST(GoldenDigest, ArraySortUint32) {
     golden_sweep(wl_array_sort_u32, 0xa8f3c8534a00fea5ull);
 }
-TEST(GraphEquivalence, ArraySortDescending) {
+TEST(GoldenDigest, ArraySortDescending) {
     golden_sweep(wl_array_sort_descending, 0x4f874b967370bfc9ull);
 }
-TEST(GraphEquivalence, ArraySortBinarySearchStrategy) {
+TEST(GoldenDigest, ArraySortBinarySearchStrategy) {
     golden_sweep(wl_array_sort_binary_search, 0x36ccda7491adf0fbull);
 }
-TEST(GraphEquivalence, ArraySortThreadsPerBucket) {
+TEST(GoldenDigest, ArraySortThreadsPerBucket) {
     golden_sweep(wl_array_sort_tpb, 0xe988b199249392d9ull);
 }
-TEST(GraphEquivalence, SmallArrayFastPath) {
+TEST(GoldenDigest, SmallArrayFastPath) {
     golden_sweep(wl_small_array, 0x19421cb5685e255dull);
 }
-TEST(GraphEquivalence, GlobalScratchFallback) {
+TEST(GoldenDigest, GlobalScratchFallback) {
     golden_sweep(wl_global_scratch, 0xced69872a9ca7711ull);
 }
-TEST(GraphEquivalence, PairSort) { golden_sweep(wl_pair_sort, 0x985a517d4d30636dull); }
-TEST(GraphEquivalence, RaggedSort) { golden_sweep(wl_ragged_sort, 0x479eef9ebce1e649ull); }
-TEST(GraphEquivalence, RaggedPairSort) {
+TEST(GoldenDigest, PairSort) { golden_sweep(wl_pair_sort, 0x985a517d4d30636dull); }
+TEST(GoldenDigest, RaggedSort) { golden_sweep(wl_ragged_sort, 0x479eef9ebce1e649ull); }
+TEST(GoldenDigest, RaggedPairSort) {
     golden_sweep(wl_ragged_pair_sort, 0xa9e6f1c843daab59ull);
 }
-TEST(GraphEquivalence, RaggedSortWithVerify) {
+TEST(GoldenDigest, RaggedSortWithVerify) {
     golden_sweep(wl_ragged_sort_verify, 0xd4532550e2b649c5ull);
 }
-TEST(GraphEquivalence, RaggedPairSortDoubleDescending) {
+TEST(GoldenDigest, RaggedPairSortDoubleDescending) {
     golden_sweep(wl_ragged_pair_sort_double_descending, 0x0110ffab5afebed9ull);
 }
-TEST(GraphEquivalence, HybridSkewArraySort) {
+TEST(GoldenDigest, HybridSkewArraySort) {
     golden_sweep(wl_hybrid_skew_array, 0x2def1f21057fc591ull);
 }
-TEST(GraphEquivalence, HybridSkewRaggedSort) {
+TEST(GoldenDigest, HybridSkewRaggedSort) {
     golden_sweep(wl_hybrid_skew_ragged, 0x1ea75e3771fe018dull);
 }
-TEST(GraphEquivalence, HybridSkewPairSort) {
+TEST(GoldenDigest, HybridSkewPairSort) {
     golden_sweep(wl_hybrid_skew_pair, 0xaba691d41ba908d5ull);
 }
-TEST(GraphEquivalence, RadixSortU32) {
+TEST(GoldenDigest, RadixSortU32) {
     // Both pruning modes on one device, one digest.
     golden_sweep(
         [](simt::Device& dev) {
@@ -505,7 +505,7 @@ TEST(GraphEquivalence, RadixSortU32) {
         },
         0xa29b76c2d2aa4465ull);
 }
-TEST(GraphEquivalence, RadixSortByKey) {
+TEST(GoldenDigest, RadixSortByKey) {
     golden_sweep(wl_radix_by_key, 0x33131205c34987a5ull);
 }
 

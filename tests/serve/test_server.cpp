@@ -357,8 +357,8 @@ TEST(Server, DeadlineExpiredAtSubmitIsTimedOut) {
 TEST(Server, DeadlineExpiringInQueueIsTimedOut) {
     auto dev = make_device();
     Server server(dev, manual_config());
-    // The deadline clock starts before submit, which sketches the job before
-    // it reads the clock, so the margin must cover a slow submit under load.
+    // The deadline clock starts in with_deadline_ms, before submit runs, so
+    // the margin must cover a slow submit under load.
     auto doomed = server.submit(uniform_job(2, 32, 1).with_deadline_ms(20.0));
     auto healthy = server.submit(uniform_job(2, 32, 2));
     std::this_thread::sleep_for(std::chrono::milliseconds(40));
@@ -555,6 +555,23 @@ TEST(Server, StatsJsonHasTheStableSections) {
                             "\"pool\"", "\"latency\"", "\"p99\"", "\"compute_utilization\""}) {
         EXPECT_NE(j.find(key), std::string::npos) << key << " missing from:\n" << j;
     }
+}
+
+TEST(LatencyDigest, SummaryMatchesPercentileWithTies) {
+    gas::serve::LatencyDigest d;
+    EXPECT_EQ(gas::serve::summarize(d).p99, 0.0);
+    for (const double ms : {5.0, 1.0, 3.0, 3.0, 9.0, 1.0, 3.0, 7.0, 9.0, 2.0, 3.0}) {
+        d.record(ms);
+    }
+    const gas::serve::LatencySummary s = gas::serve::summarize(d);
+    EXPECT_EQ(s.count, d.count());
+    EXPECT_EQ(s.mean, d.mean());
+    EXPECT_EQ(s.p50, d.percentile(50.0));
+    EXPECT_EQ(s.p95, d.percentile(95.0));
+    EXPECT_EQ(s.p99, d.percentile(99.0));
+    EXPECT_EQ(s.max, d.max());
+    EXPECT_EQ(s.p50, 3.0);
+    EXPECT_EQ(s.p99, 9.0);
 }
 
 TEST(Server, AsyncProducersDrainToCompletion) {

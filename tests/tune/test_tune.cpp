@@ -1,12 +1,10 @@
-// gas::tune test suite: the offline tuner and serve's lean sample.
+// gas::tune test suite: the ledger's sketch and serve's lean sample.
 //
 // 1. Sketch determinism: the sketch is a pure function of the input bytes,
 //    so it must be bit-identical across ExecMode (scalar/warp), host worker
 //    counts and ThreadOrders — the axes the execution substrate varies.
-// 2. Planner properties: regime classification, cost-model monotonicity,
-//    and every candidate plan sorting correctly.
-// 3. Serve: keys-only batches sort with the planner's lean sample rate and
-//    pair batches with their submitted options, so every served batch
+// 2. Serve: keys-only batches sort with serve::kLeanSampleRate and pair
+//    batches with their submitted options, so every served batch
 //    reproduces one direct fused-kernel call bit-for-bit (bytes and kernel
 //    log), every regime is served correctly, and a KeyRange fleet serves
 //    uniform and ragged batches under the same sample.
@@ -27,7 +25,6 @@
 #include "fleet/fleet.hpp"
 #include "serve/server.hpp"
 #include "simt/device.hpp"
-#include "tune/planner.hpp"
 #include "tune/sketch.hpp"
 #include "workload/generators.hpp"
 
@@ -93,7 +90,6 @@ TEST(Sketch, DeterministicAcrossExecModeWorkersAndThreadOrder) {
     const auto ds = workload::make_dataset(8, 1500, Distribution::ZipfHot, 9);
     struct Observed {
         gas::tune::Sketch sketch;
-        std::string candidate;
         std::vector<float> bytes;
     };
     std::vector<Observed> runs;
@@ -106,8 +102,9 @@ TEST(Sketch, DeterministicAcrossExecModeWorkersAndThreadOrder) {
                 dev.set_host_workers(workers);
                 dev.set_thread_order(order);
                 auto values = ds.values;
-                const auto r = gas::tune::tuned_sort(dev, values, 8, 1500, {});
-                runs.push_back({r.sketch, r.plan.candidate, std::move(values)});
+                const auto sketch = gas::tune::sketch_values(values, 8, 1500);
+                gas::gpu_array_sort(dev, values, 8, 1500);
+                runs.push_back({sketch, std::move(values)});
             }
         }
     }
@@ -121,138 +118,18 @@ TEST(Sketch, DeterministicAcrossExecModeWorkersAndThreadOrder) {
         EXPECT_EQ(ref.sketch.distinct_ratio, runs[i].sketch.distinct_ratio);
         EXPECT_EQ(ref.sketch.distinct_keys, runs[i].sketch.distinct_keys);
         EXPECT_EQ(ref.sketch.sortedness, runs[i].sketch.sortedness);
-        EXPECT_EQ(ref.candidate, runs[i].candidate);
         EXPECT_EQ(ref.bytes, runs[i].bytes);
     }
 }
 
-TEST(Sketch, MergeIsBinWiseAndEmptySafe) {
-    const auto a = sketch_of(Distribution::Uniform, 4, 1000, 1);
-    const auto b = sketch_of(Distribution::Uniform, 4, 1000, 2);
-    gas::tune::Sketch m = a;
-    m.merge(b);
-    EXPECT_EQ(m.sampled, a.sampled + b.sampled);
-    EXPECT_EQ(m.elements, a.elements + b.elements);
-    for (std::size_t i = 0; i < gas::tune::Sketch::kBins; ++i) {
-        EXPECT_EQ(m.histogram[i], a.histogram[i] + b.histogram[i]);
-    }
-    gas::tune::Sketch empty;
-    gas::tune::Sketch copy = a;
-    copy.merge(empty);  // no-op
-    EXPECT_EQ(copy.sampled, a.sampled);
-    empty.merge(a);  // copies
-    EXPECT_EQ(empty.sampled, a.sampled);
-    EXPECT_EQ(empty.histogram, a.histogram);
-}
-
 TEST(Sketch, SignalsTrackTheirDistributions) {
-    EXPECT_GT(sketch_of(Distribution::ZipfHot).hot_fraction(),
-              sketch_of(Distribution::Uniform).hot_fraction());
     EXPECT_LT(sketch_of(Distribution::FewDistinct).distinct_ratio, 0.05);
     EXPECT_GT(sketch_of(Distribution::Uniform).distinct_ratio, 0.9);
     EXPECT_GT(sketch_of(Distribution::Sorted).sortedness, 0.99);
     EXPECT_LT(sketch_of(Distribution::Uniform).sortedness, 0.7);
 }
 
-// --- 2. planner -------------------------------------------------------------
-
-TEST(Planner, ClassifiesTheFourRegimes) {
-    using gas::tune::Regime;
-    EXPECT_EQ(gas::tune::classify(sketch_of(Distribution::Uniform)), Regime::Uniform);
-    EXPECT_EQ(gas::tune::classify(sketch_of(Distribution::ZipfHot, 16)), Regime::Skewed);
-    EXPECT_EQ(gas::tune::classify(sketch_of(Distribution::FewDistinct)),
-              Regime::FewDistinct);
-    EXPECT_EQ(gas::tune::classify(sketch_of(Distribution::NearlySorted)),
-              Regime::NearlySorted);
-    // Duplicate density outranks sortedness: constant data is "sorted" too,
-    // but its plan must come from the few-distinct family.
-    EXPECT_EQ(gas::tune::classify(sketch_of(Distribution::Constant)),
-              Regime::FewDistinct);
-}
-
-TEST(Planner, CostPerElementGrowsWithArraySizeAtPaperDefaults) {
-    // Phase 1's per-array serial sample sort is quadratic in the sample, so
-    // at the paper's 10% sampling rate the modeled cost per element must be
-    // non-decreasing in n.
-    const simt::Device dev(simt::tiny_device(64 << 20));
-    const auto sketch = sketch_of(Distribution::Uniform);
-    double prev = 0.0;
-    for (const std::size_t n : {500u, 1000u, 2000u, 4000u}) {
-        const double c =
-            gas::tune::predicted_cost_per_element(sketch, n, {}, dev.props());
-        EXPECT_GT(c, 0.0);
-        EXPECT_GE(c, prev) << "n=" << n;
-        prev = c;
-    }
-}
-
-TEST(Planner, CostPerElementGrowsWithSamplingRate) {
-    const simt::Device dev(simt::tiny_device(64 << 20));
-    const auto sketch = sketch_of(Distribution::Uniform);
-    double prev = 0.0;
-    for (const double rate : {0.05, 0.1, 0.2}) {
-        gas::Options opts;
-        opts.sampling_rate = rate;
-        const double c =
-            gas::tune::predicted_cost_per_element(sketch, 2000, opts, dev.props());
-        EXPECT_GE(c, prev) << "rate=" << rate;
-        prev = c;
-    }
-}
-
-TEST(Planner, PicksHotSplitForThePeriodicAdversary) {
-    // ZipfHot hides a hot band from every composite sampling stride; only
-    // the prime-stride hot-split candidate resolves it.  With the hybrid
-    // phase 3 off (the paper-classic configuration) the unresolved bucket
-    // goes quadratic, so the planner must pick hot-split.
-    const simt::Device dev(simt::tiny_device(64 << 20));
-    gas::Options base;
-    base.hybrid_phase3 = false;
-    const auto plan =
-        gas::tune::plan_sort(sketch_of(Distribution::ZipfHot, 16, 4000), 4000, base,
-                             dev.props());
-    EXPECT_EQ(plan.candidate, "hot-split");
-    EXPECT_EQ(plan.regime, gas::tune::Regime::Skewed);
-}
-
-TEST(Planner, BeatsPaperDefaultOnEveryRegime) {
-    const simt::Device dev(simt::tiny_device(64 << 20));
-    gas::Options base;
-    base.hybrid_phase3 = false;
-    for (const auto dist : {Distribution::Uniform, Distribution::ZipfHot,
-                            Distribution::FewDistinct, Distribution::NearlySorted}) {
-        const auto plan = gas::tune::plan_sort(sketch_of(dist, 16, 4000), 4000, base,
-                                               dev.props());
-        SCOPED_TRACE(workload::to_string(dist));
-        EXPECT_NE(plan.candidate, "paper-default");
-        double default_cost = 0.0;
-        for (const auto& c : plan.considered) {
-            if (c.name == "paper-default") default_cost = c.predicted_cost;
-        }
-        EXPECT_LT(plan.predicted_cost, default_cost);
-    }
-}
-
-TEST(Planner, EveryCandidatePlanSortsCorrectly) {
-    for (const auto dist : {Distribution::Uniform, Distribution::ZipfHot,
-                            Distribution::FewDistinct, Distribution::NearlySorted}) {
-        SCOPED_TRACE(workload::to_string(dist));
-        const auto ds = workload::make_dataset(4, 1200, dist, 5);
-        const simt::Device probe(simt::tiny_device(64 << 20));
-        const auto candidates = gas::tune::make_candidates(
-            gas::tune::sketch_values(ds.values, 4, 1200), 1200, {}, probe.props());
-        EXPECT_GE(candidates.size(), 2u);
-        for (const auto& c : candidates) {
-            SCOPED_TRACE(c.name);
-            simt::Device dev(simt::tiny_device(256 << 20));
-            auto values = ds.values;
-            gas::gpu_array_sort(dev, values, 4, 1200, c.opts);
-            expect_row_permutation(ds.values, values, 4, 1200);
-        }
-    }
-}
-
-// --- 3. serve --------------------------------------------------------------
+// --- 2. serve --------------------------------------------------------------
 
 gas::serve::Job uniform_job(std::size_t arrays, std::size_t n, Distribution dist,
                             std::uint64_t seed) {
@@ -295,7 +172,7 @@ TEST(ServeTune, DefaultServerReproducesTheDirectKernelLog) {
     // emit exactly the kernel log of one direct call of the fused kernel
     // over the same concatenated rows — bytes, names, shapes, modeled stats
     // — for every job kind, alone and fused with batchmates, in both
-    // orders.  Keys-only batches run with the planner's lean sample rate,
+    // orders.  Keys-only batches run with serve's lean sample rate,
     // pair batches with their submitted options, and the same batch served
     // twice emits the same log twice.
     using gas::serve::JobKind;
@@ -311,7 +188,7 @@ TEST(ServeTune, DefaultServerReproducesTheDirectKernelLog) {
                 }
                 gas::Options opts;
                 opts.order = order;
-                if (kind != JobKind::Pairs) opts.sampling_rate = gas::tune::kLeanSampleRate;
+                if (kind != JobKind::Pairs) opts.sampling_rate = gas::serve::kLeanSampleRate;
 
                 // Direct: the concatenated rows, one core sort call.
                 std::vector<float> keys;

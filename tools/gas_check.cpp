@@ -23,7 +23,6 @@
 #include "core/pair_sort.hpp"
 #include "core/ragged_sort.hpp"
 #include "core/validate.hpp"
-#include "tune/planner.hpp"
 #include "simt/device.hpp"
 #include "simt/report.hpp"
 #include "simt/sanitize/selftest.hpp"
@@ -43,9 +42,6 @@ int usage() {
                  "  --checks C     comma list of race,mem,init,bank or 'all' (default)\n"
                  "  --exec M       interpreter execution mode: scalar|warp (default:\n"
                  "                 the SIMT_EXEC environment variable, else warp)\n"
-                 "  --tune on|off  adaptive autotuning for the sort workload: on runs\n"
-                 "                 it through gas::tune (sketch -> plan -> sort) so the\n"
-                 "                 tuned plan's kernels face the checker (default: on)\n"
                  "  --json PATH    also write the findings report as JSON\n"
                  "  --strict       abort the failing launch (SanitizeError) instead of\n"
                  "                 collecting findings\n"
@@ -59,7 +55,6 @@ struct Args {
     std::size_t size = 1000;
     simt::sanitize::SanitizeOptions checks = simt::sanitize::SanitizeOptions::all();
     simt::ExecMode exec = simt::exec_mode_from_env();
-    bool tune = true;
     std::string json_path;
     bool demo_bugs = false;
 };
@@ -86,19 +81,22 @@ bool parse_checks(const std::string& spec, simt::sanitize::SanitizeOptions& opts
     return opts.any();
 }
 
-/// One sanitized workload: runs the sort, validates the output, and leaves
-/// its launches in the device's sanitize report.  With tune on the sort goes
-/// through gas::tune (sketch -> plan -> sort), so the tuned plan's kernel
-/// shapes — not just the paper defaults — face the checker.
-void run_sort(simt::Device& device, std::size_t arrays, std::size_t size, bool tune) {
-    auto ds = workload::make_dataset(arrays, size);
-    if (tune) {
-        gas::tune::tuned_sort(device, ds.values, ds.num_arrays, ds.array_size, {});
-    } else {
-        gas::gpu_array_sort(device, ds.values, ds.num_arrays, ds.array_size);
-    }
-    if (!gas::all_arrays_sorted(ds.values, ds.num_arrays, ds.array_size)) {
-        throw std::runtime_error("sort workload produced unsorted output");
+/// One sanitized workload: sorts with the paper defaults, then with a lean
+/// preset (wide buckets, the minimum regular sample, binary-search
+/// bucketing), validates both outputs, and leaves their launches in the
+/// device's sanitize report.  The second sort puts the minimum sample (one
+/// key per bucket, the rate serve sorts keys-only batches with) and the
+/// binary-search scan in front of the checker.
+void run_sort(simt::Device& device, std::size_t arrays, std::size_t size) {
+    const gas::Options lean{.bucket_target = 80,
+                            .sampling_rate = 1e-3,
+                            .strategy = gas::BucketingStrategy::BinarySearch};
+    for (const gas::Options& opts : {gas::Options{}, lean}) {
+        auto ds = workload::make_dataset(arrays, size);
+        gas::gpu_array_sort(device, ds.values, ds.num_arrays, ds.array_size, opts);
+        if (!gas::all_arrays_sorted(ds.values, ds.num_arrays, ds.array_size)) {
+            throw std::runtime_error("sort workload produced unsorted output");
+        }
     }
 }
 
@@ -206,17 +204,6 @@ int main(int argc, char** argv) {
                 std::fprintf(stderr, "gas_check: bad --exec value %s\n", mode.c_str());
                 return usage();
             }
-        } else if (std::strcmp(argv[i], "--tune") == 0) {
-            const std::string v = need_value("--tune");
-            if (v == "on") args.tune = true;
-            else if (v == "off") args.tune = false;
-            else {
-                // A typo must not silently check the default path: name the
-                // rejected string and the full valid set.
-                std::fprintf(stderr, "gas_check: unknown --tune '%s' (valid: on, off)\n",
-                             v.c_str());
-                return 1;
-            }
         } else if (std::strcmp(argv[i], "--json") == 0) args.json_path = need_value("--json");
         else if (std::strcmp(argv[i], "--strict") == 0) args.checks.strict = true;
         else if (std::strcmp(argv[i], "--demo-bugs") == 0) args.demo_bugs = true;
@@ -240,7 +227,7 @@ int main(int argc, char** argv) {
             if (hit) std::printf("checking workload: %s\n", name);
             return hit;
         };
-        if (want("sort")) run_sort(device, args.arrays, args.size, args.tune);
+        if (want("sort")) run_sort(device, args.arrays, args.size);
         if (want("small")) run_small(device, args.arrays);
         if (want("pairs")) run_pairs(device, args.arrays, std::min<std::size_t>(args.size, 2048));
         if (want("ragged")) run_ragged(device, args.arrays);
