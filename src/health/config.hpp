@@ -1,48 +1,33 @@
 #pragma once
 
-#include <cstddef>
-
 namespace gas::health {
+
+/// Watchdog poll cadence (async mode only; manual_pump has no watchdog
+/// thread — hangs abort deterministically at the handler).
+inline constexpr double kWatchdogPollMs = 1.0;
+/// A shard with a batch in flight whose device heartbeat has not moved for
+/// this long is declared stalled: its hang handler aborts the launch and the
+/// shard is demoted to Degraded.
+inline constexpr double kStallDeadlineMs = 8.0;
+/// How often a quarantined shard's scheduler wakes to run a probe sort
+/// (async mode; under manual_pump one probe runs per pump() call).
+inline constexpr double kProbeIntervalMs = 5.0;
 
 /// Knobs for the closed-loop health subsystem (gas::health), carried by
 /// ServerConfig::health.  `enabled=false` (the default) turns every hook
-/// off: no watchdog thread, no probes, no shedding, no hedging — the server
-/// behaves bit-for-bit like a build without the subsystem.
+/// off: no watchdog thread, no probes, no shedding — the server behaves
+/// bit-for-bit like a build without the subsystem.
 struct HealthConfig {
     bool enabled = false;
 
-    // ---- watchdog ---------------------------------------------------------
-    /// Poll cadence of the monitor thread (async mode only; manual_pump has
-    /// no watchdog thread — hangs abort deterministically at the handler).
-    double watchdog_poll_ms = 1.0;
-    /// A shard with a batch in flight whose device heartbeat has not moved
-    /// for this long is declared stalled: its hang handler aborts the
-    /// launch and the shard is demoted to Degraded.
-    double stall_deadline_ms = 8.0;
-
     // ---- probes / state machine ------------------------------------------
-    /// How often a quarantined shard's scheduler wakes to run a probe sort
-    /// (async mode; under manual_pump one probe runs per pump() call).
-    double probe_interval_ms = 5.0;
     /// Consecutive probe passes required to leave Quarantined for Probation.
     unsigned probe_passes = 2;
     /// Clean batches served in Probation before full Healthy re-admission.
     unsigned probation_batches = 3;
-    /// Consecutive clean batches that clear a Degraded mark.
-    unsigned degraded_clear_batches = 2;
-    /// Probe workload shape: arrays x array_size of seeded floats, sorted on
-    /// the device and verified on the host (sortedness + multiset checksum).
-    std::size_t probe_arrays = 4;
-    std::size_t probe_array_size = 64;
-
-    // ---- routing ----------------------------------------------------------
-    /// LeastLoaded weight of a Degraded shard (1.0 = no penalty).
-    double degraded_weight = 0.5;
     /// Starting LeastLoaded weight of a shard in Probation; ramps linearly
     /// to 1.0 as probation_batches complete.
     double probation_base_weight = 0.25;
-    /// EWMA weight for the smoothed queued-elements signal fed to the router.
-    double load_alpha = 0.2;
 
     // ---- overload / brownout ---------------------------------------------
     /// Typed Shed rejections replace Block/Reject when the queue is full
@@ -58,20 +43,6 @@ struct HealthConfig {
     /// De-escalation happens only below (threshold - hysteresis), one level
     /// per update, so the ladder does not flap around a threshold.
     double brownout_hysteresis = 0.20;
-    /// CoDel-style sojourn bound: while the ladder sits at L2+, a queued
-    /// low-priority request older than this sheds instead of being served
-    /// (async mode only — the bound is wall-clock, so manual_pump skips it
-    /// to stay deterministic).
-    double shed_sojourn_ms = 25.0;
-
-    // ---- straggler hedging ------------------------------------------------
-    /// Re-submit a batch stuck on a Degraded/stalled shard onto a healthy
-    /// one, first result wins (async mode only; requires input snapshots).
-    bool hedge_enabled = true;
-    /// Hedge deadline = hedge_factor x wall-latency p99, floored at
-    /// hedge_min_ms (the floor also covers the empty-digest cold start).
-    double hedge_factor = 3.0;
-    double hedge_min_ms = 10.0;
 };
 
 }  // namespace gas::health

@@ -38,28 +38,7 @@ bool compatible(const Job& a, const Job& b) {
 /// Queue-depth EWMA update (DeviceBreakdown::queue_depth_ewma), sampled at
 /// every enqueue and batch take.
 void sample_queue_depth(DeviceBreakdown& d, std::size_t depth) {
-    constexpr double kAlpha = 0.2;
-    d.queue_depth_ewma =
-        ewma_step(d.queue_depth_ewma, static_cast<double>(depth), kAlpha);
-}
-
-/// FNV-1a over a response's byte content (values + payload bit patterns):
-/// the hedging winner/loser comparison.  Any divergence between a primary
-/// and its hedge is a correctness bug (hedge_mismatches must stay 0).
-std::uint64_t hash_bytes(const std::vector<float>& values,
-                         const std::vector<float>& payload) {
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](const std::vector<float>& v) {
-        for (const float f : v) {
-            std::uint32_t bits = 0;
-            std::memcpy(&bits, &f, sizeof(bits));
-            h ^= bits;
-            h *= 1099511628211ull;
-        }
-    };
-    mix(values);
-    mix(payload);
-    return h;
+    d.queue_depth_ewma = ewma_step(d.queue_depth_ewma, static_cast<double>(depth));
 }
 
 bool expired(const Job& job, Clock::time_point now) {
@@ -193,7 +172,7 @@ Server::Server(ServerConfig cfg, gas::fleet::DeviceFleet* f,
     : owned_fleet_(std::move(owned)),
       fleet_(f != nullptr ? f : owned_fleet_.get()),
       cfg_(cfg),
-      router_(cfg.route_policy, fleet_->size(), cfg.key_space_max) {
+      router_(cfg.route_policy, fleet_->size()) {
     if (cfg_.num_streams == 0) {
         throw std::invalid_argument("serve::Server: 0 streams");
     }
@@ -210,15 +189,14 @@ Server::Server(ServerConfig cfg, gas::fleet::DeviceFleet* f,
     }
     if (cfg_.health.enabled) {
         const gas::health::Machine::Config mc{
-            cfg_.health.probe_passes, cfg_.health.probation_batches,
-            cfg_.health.degraded_clear_batches, cfg_.health.degraded_weight,
-            cfg_.health.probation_base_weight};
+            .probe_passes = cfg_.health.probe_passes,
+            .probation_batches = cfg_.health.probation_batches,
+            .probation_base_weight = cfg_.health.probation_base_weight};
         brownout_ = gas::health::Brownout(
             {cfg_.health.brownout_l1, cfg_.health.brownout_l2, cfg_.health.brownout_l3,
              cfg_.health.brownout_hysteresis});
         for (auto& s : shards_) {
             s->health = gas::health::Machine(mc);
-            s->load_ewma.alpha = cfg_.health.load_alpha;
             Shard* sp = s.get();
             // Hung launches (simt fault injection, or a real stall in a live
             // backend) poll this handler.  Async mode waits for the watchdog
@@ -483,9 +461,7 @@ void Server::stop(bool cancel_pending) {
         for (auto& sp : shards_) {
             for (auto& p : drain_queues_locked(*sp)) leftovers.push_back(std::move(p));
         }
-        for (const auto& p : leftovers) {
-            if (!p->is_hedge) ++stats_.cancelled;
-        }
+        stats_.cancelled += leftovers.size();
     }
     for (auto& p : leftovers) {
         finish_unserved(*p, Status::Cancelled, "server stopped with request still queued");
@@ -548,7 +524,7 @@ void Server::scheduler_main(Shard& shard) {
             // the work predicate, wake on the probe timer and run seeded
             // probe sorts until the state machine re-admits the device.
             queue_cv_.wait_for(lk, std::chrono::duration<double, std::milli>(
-                                       cfg_.health.probe_interval_ms));
+                                       gas::health::kProbeIntervalMs));
             if (finished()) break;
             if (shard.quarantined) {
                 lk.unlock();
@@ -582,22 +558,16 @@ void Server::scheduler_main(Shard& shard) {
 
 std::size_t Server::step(Shard& shard, std::unique_lock<std::mutex>& lk) {
     std::vector<PendingPtr> timed_out;
-    std::vector<PendingPtr> sojourn_shed;
-    auto batch = take_batch(shard, timed_out, sojourn_shed);
-    for (const auto& p : timed_out) {
-        if (!p->is_hedge) ++stats_.timed_out;
-    }
+    auto batch = take_batch(shard, timed_out);
+    stats_.timed_out += timed_out.size();
     shard.in_flight = batch.size();
     in_flight_ += batch.size();
     lk.unlock();
     space_cv_.notify_all();
 
-    const std::size_t retired = batch.size() + timed_out.size() + sojourn_shed.size();
+    const std::size_t retired = batch.size() + timed_out.size();
     for (auto& p : timed_out) {
         finish_unserved(*p, Status::TimedOut, "deadline expired in queue");
-    }
-    for (auto& p : sojourn_shed) {
-        finish_unserved(*p, Status::Shed, "shed: queue sojourn over bound");
     }
     if (!batch.empty()) serve_batch(shard, std::move(batch));
 
@@ -634,25 +604,16 @@ std::vector<Server::PendingPtr> Server::drain_queues_locked(Shard& shard) {
 }
 
 std::vector<Server::PendingPtr> Server::take_batch(Shard& shard,
-                                                   std::vector<PendingPtr>& timed_out,
-                                                   std::vector<PendingPtr>& shed) {
+                                                   std::vector<PendingPtr>& timed_out) {
     const auto now = Clock::now();
     std::vector<PendingPtr> batch;
 
     // Brownout L2+: quartered batch ceiling — smaller batches retire sooner,
-    // trading fusion efficiency for latency under pressure.  CoDel-style
-    // sojourn shedding of low-priority work also arms here (async mode only:
-    // the bound is wall-clock, so manual_pump skips it for determinism).
+    // trading fusion efficiency for latency under pressure.
     const bool browned = cfg_.health.enabled && brownout_.level() >= 2;
     const std::size_t max_requests =
         browned ? std::max<std::size_t>(1, cfg_.max_batch_requests / 4)
                 : cfg_.max_batch_requests;
-    const bool sojourn_shedding =
-        browned && cfg_.health.shed_enabled && !cfg_.manual_pump;
-    auto over_sojourn = [&](const Pending& p) {
-        return sojourn_shedding && p.job.priority == Priority::Low &&
-               ms_between(p.submitted_at, now) > cfg_.health.shed_sojourn_ms;
-    };
 
     // Head: first live request in priority order.
     for (auto& q : shard.queue) {
@@ -661,10 +622,6 @@ std::vector<Server::PendingPtr> Server::take_batch(Shard& shard,
             PendingPtr head = unqueue_locked(shard, q, front);
             if (expired(head->job, now)) {
                 timed_out.push_back(std::move(head));
-            } else if (over_sojourn(*head)) {
-                if (!head->is_hedge) ++stats_.shed;
-                ++hstats_.shed_sojourn;
-                shed.push_back(std::move(head));
             } else {
                 batch.push_back(std::move(head));
             }
@@ -694,12 +651,6 @@ std::vector<Server::PendingPtr> Server::take_batch(Shard& shard,
             Pending& cand = **it;
             if (expired(cand.job, now)) {
                 timed_out.push_back(unqueue_locked(shard, q, it));
-                continue;
-            }
-            if (over_sojourn(cand)) {
-                if (!cand.is_hedge) ++stats_.shed;
-                ++hstats_.shed_sojourn;
-                shed.push_back(unqueue_locked(shard, q, it));
                 continue;
             }
             if (!compatible(head, cand.job) || needs_cpu_fallback(shard, cand.job) ||
@@ -766,19 +717,6 @@ void Server::serve_batch(Shard& shard, std::vector<PendingPtr> batch) {
         run_cpu_fallback(*batch.front());
         return;
     }
-    // Register with the watchdog: the batch becomes hedgeable (input
-    // snapshots taken, promises moved into first-wins rendezvous states)
-    // and its age drives stall detection.  The guard unregisters on every
-    // exit path, including throws.
-    const std::uint64_t token = register_inflight(shard, batch);
-    struct InflightGuard {
-        Server* server;
-        std::uint64_t token;
-        ~InflightGuard() {
-            if (token != 0) server->unregister_inflight(token);
-        }
-    } inflight_guard{this, token};
-
     // Transient device errors (gas::resilient::transient — allocation
     // failures, refused launches, detected corruption, failed verification)
     // retry the whole batch: execute_batch completes no promise and touches no
@@ -1058,28 +996,21 @@ void Server::run_cpu_fallback(Pending& p, bool quarantined) {
 
     {
         std::lock_guard lk(mutex_);
-        // Hedge clones carry no caller of their own: their work is real but
-        // the per-request counters and latency digests track caller requests
-        // only (completed must match accepted).
-        if (!p.is_hedge) {
-            ++stats_.completed;
-            ++stats_.cpu_fallbacks;
-            if (quarantined) ++stats_.quarantined;
-            queue_wait_digest_.record(r.queue_ms);
-            wall_digest_.record(r.queue_ms + r.service_ms);
-            modeled_digest_.record(0.0);
-        }
+        ++stats_.completed;
+        ++stats_.cpu_fallbacks;
+        if (quarantined) ++stats_.quarantined;
+        queue_wait_digest_.record(r.queue_ms);
+        wall_digest_.record(r.queue_ms + r.service_ms);
+        modeled_digest_.record(0.0);
         stats_.wall_service_ms += r.service_ms;
     }
-    resolve(p, std::move(r));
+    p.promise.set_value(std::move(r));
 }
 
 void Server::fail_batch(std::vector<PendingPtr>& batch, const std::string& why) {
     {
         std::lock_guard lk(mutex_);
-        for (const auto& p : batch) {
-            if (!p->is_hedge) ++stats_.failed;
-        }
+        stats_.failed += batch.size();
     }
     for (auto& p : batch) finish_unserved(*p, Status::Failed, why);
 }
@@ -1091,7 +1022,7 @@ void Server::finish_unserved(Pending& p, Status status, const std::string& why) 
     r.backpressure = p.backpressure;
     r.values = std::move(p.job.values);
     r.payload = std::move(p.job.payload);
-    resolve(p, std::move(r));
+    p.promise.set_value(std::move(r));
 }
 
 void Server::finish_batch(Shard& shard, std::vector<PendingPtr>& batch, double h2d_ms,
@@ -1118,11 +1049,7 @@ void Server::finish_batch(Shard& shard, std::vector<PendingPtr>& batch, double h
         shard.timeline.compute(stream, kernel_ms);
         shard.timeline.d2h(stream, d2h_ms);
 
-        std::size_t callers = 0;  // batch members minus hedge clones
-        for (const auto& p : batch) {
-            if (!p->is_hedge) ++callers;
-        }
-        stats_.completed += callers;
+        stats_.completed += batch.size();
         ++stats_.batches;
         stats_.batched_requests += batch.size();
         stats_.fused_arrays += total_arrays;
@@ -1131,7 +1058,7 @@ void Server::finish_batch(Shard& shard, std::vector<PendingPtr>& batch, double h
         stats_.modeled_d2h_ms += d2h_ms;
         stats_.wall_service_ms += service_ms;
         ++shard.breakdown.batches;
-        shard.breakdown.completed += callers;
+        shard.breakdown.completed += batch.size();
         shard.breakdown.fused_arrays += total_arrays;
         shard.breakdown.modeled_kernel_ms += kernel_ms;
 
@@ -1166,15 +1093,13 @@ void Server::finish_batch(Shard& shard, std::vector<PendingPtr>& batch, double h
             r.backpressure = p.backpressure;
             r.values = std::move(p.job.values);
             r.payload = std::move(p.job.payload);
-            if (!p.is_hedge) {
-                queue_wait_digest_.record(r.queue_ms);
-                wall_digest_.record(r.queue_ms + r.service_ms);
-                modeled_digest_.record(r.modeled_ms);
-            }
+            queue_wait_digest_.record(r.queue_ms);
+            wall_digest_.record(r.queue_ms + r.service_ms);
+            modeled_digest_.record(r.modeled_ms);
         }
     }
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        resolve(*batch[i], std::move(responses[i]));
+        batch[i]->promise.set_value(std::move(responses[i]));
     }
 }
 
@@ -1237,44 +1162,6 @@ ServerStats Server::stats() const {
     return s;
 }
 
-void Server::resolve(Pending& p, Response&& r) {
-    if (!p.hedge) {
-        p.promise.set_value(std::move(r));
-        return;
-    }
-    // First-result-wins: the winner takes the promise; the loser's bytes are
-    // hashed against the winner's (they re-sorted the same snapshot, so any
-    // divergence is a real correctness failure, not a race).
-    auto hs = p.hedge;
-    const std::uint64_t hash =
-        r.status == Status::Ok ? hash_bytes(r.values, r.payload) : 0;
-    bool won = false;
-    bool won_as_hedge = false;
-    bool mismatch = false;
-    bool launched = false;
-    {
-        std::lock_guard hlk(hs->m);
-        launched = hs->launched;
-        if (!hs->resolved) {
-            hs->resolved = true;
-            hs->winner_ok = r.status == Status::Ok;
-            hs->winner_hash = hash;
-            hs->winner_from_hedge = p.is_hedge;
-            won = true;
-            won_as_hedge = p.is_hedge;
-            hs->promise.set_value(std::move(r));
-        } else if (r.status == Status::Ok && hs->winner_ok && hash != hs->winner_hash) {
-            mismatch = true;
-        }
-    }
-    if (launched) {
-        std::lock_guard lk(mutex_);
-        if (won && won_as_hedge) ++hstats_.hedge_wins;
-        if (won && !won_as_hedge) ++hstats_.hedge_primary_wins;
-        if (mismatch) ++hstats_.hedge_mismatches;
-    }
-}
-
 void Server::sample_load_locked(Shard& shard) {
     sample_queue_depth(shard.breakdown, shard.queued);
     if (cfg_.health.enabled) {
@@ -1333,8 +1220,7 @@ void Server::run_probe_cycle(Shard& shard) {
     const std::uint64_t seed = 0x9e3779b97f4a7c15ull ^
                                (static_cast<std::uint64_t>(shard.index) << 32) ^
                                ++shard.probe_count;
-    const gas::health::ProbeResult pr = gas::health::run_probe(
-        *shard.device, seed, cfg_.health.probe_arrays, cfg_.health.probe_array_size);
+    const gas::health::ProbeResult pr = gas::health::run_probe(*shard.device, seed);
 
     std::lock_guard lk(mutex_);
     ++hstats_.probes_run;
@@ -1355,45 +1241,13 @@ void Server::run_probe_cycle(Shard& shard) {
     }
 }
 
-std::uint64_t Server::register_inflight(Shard& shard, std::vector<PendingPtr>& batch) {
-    if (!cfg_.health.enabled || cfg_.manual_pump || !cfg_.health.hedge_enabled) {
-        return 0;
-    }
-    // Pair batches never hedge: key-equal payload order is plan-dependent,
-    // so a hedge re-execution could legitimately differ byte-wise.
-    if (batch.front()->job.kind == JobKind::Pairs) return 0;
-    std::lock_guard lk(mutex_);
-    const std::uint64_t token = next_inflight_++;
-    InFlight& inf = inflight_[token];
-    inf.shard = &shard;
-    inf.start = Clock::now();
-    inf.snapshot.reserve(batch.size());
-    inf.states.reserve(batch.size());
-    for (auto& p : batch) {
-        if (!p->hedge) {
-            // Move the caller's promise into the rendezvous; from here on
-            // every completion path goes through resolve().
-            p->hedge = std::make_shared<HedgeState>();
-            p->hedge->promise = std::move(p->promise);
-        }
-        inf.snapshot.push_back(p->job);  // full input copy (hedge re-sorts it)
-        inf.states.push_back(p->hedge);
-    }
-    return token;
-}
-
-void Server::unregister_inflight(std::uint64_t token) {
-    std::lock_guard lk(mutex_);
-    inflight_.erase(token);
-}
-
 void Server::watchdog_main() {
     std::unique_lock lk(mutex_);
     const auto start = Clock::now();
     for (auto& sp : shards_) sp->hb_last_change = start;
     while (!stopping_) {
         watchdog_cv_.wait_for(lk, std::chrono::duration<double, std::milli>(
-                                      cfg_.health.watchdog_poll_ms));
+                                      gas::health::kWatchdogPollMs));
         if (stopping_) break;
         const auto now = Clock::now();
         for (auto& sp : shards_) {
@@ -1412,7 +1266,7 @@ void Server::watchdog_main() {
                 continue;
             }
             if (!shard.stall_flag.load(std::memory_order_relaxed) &&
-                ms_between(shard.hb_last_change, now) >= cfg_.health.stall_deadline_ms) {
+                ms_between(shard.hb_last_change, now) >= gas::health::kStallDeadlineMs) {
                 // Heartbeat stalled past the deadline: demote now (don't
                 // wait for a typed fault) and tell the hang handler to abort
                 // the launch, which surfaces as a transient StallFault.
@@ -1421,53 +1275,6 @@ void Server::watchdog_main() {
                 if (shard.health.on_transient_fault()) ++hstats_.demotions;
             }
         }
-        if (cfg_.health.hedge_enabled) launch_hedges_locked(now);
-    }
-}
-
-void Server::launch_hedges_locked(Clock::time_point now) {
-    // Deadline from the live latency distribution: a batch is a straggler
-    // once it is hedge_factor x p99 old (floored for the cold start).
-    const double deadline_ms = std::max(
-        cfg_.health.hedge_min_ms, cfg_.health.hedge_factor * wall_digest_.percentile(99.0));
-    for (auto& [token, inf] : inflight_) {
-        if (inf.hedged) continue;
-        Shard& src = *inf.shard;
-        const auto st = src.health.state();
-        const bool suspect = src.stall_flag.load(std::memory_order_relaxed) ||
-                             st == gas::health::State::Degraded ||
-                             st == gas::health::State::Quarantined;
-        if (!suspect || ms_between(inf.start, now) < deadline_ms) continue;
-        // Healthiest target: live, not the source, least loaded.
-        Shard* target = nullptr;
-        for (auto& sp : shards_) {
-            if (sp.get() == &src || sp->quarantined) continue;
-            if (sp->health.state() != gas::health::State::Healthy) continue;
-            if (target == nullptr || sp->queued_elements < target->queued_elements) {
-                target = sp.get();
-            }
-        }
-        if (target == nullptr) continue;
-        inf.hedged = true;
-        ++hstats_.hedges_launched;
-        for (std::size_t i = 0; i < inf.snapshot.size(); ++i) {
-            {
-                std::lock_guard hlk(inf.states[i]->m);
-                if (inf.states[i]->resolved) continue;
-                inf.states[i]->launched = true;
-            }
-            auto clone = std::make_unique<Pending>();
-            clone->id = next_id_++;
-            clone->job = inf.snapshot[i];
-            clone->submitted_at = now;
-            clone->arrays = job_arrays(clone->job);
-            clone->elements = job_elements(clone->job);
-            clone->rinfo = make_route_info(clone->job, clone->elements);
-            clone->is_hedge = true;
-            clone->hedge = inf.states[i];
-            enqueue_locked(*target, std::move(clone));  // may exceed capacity, like a reroute
-        }
-        queue_cv_.notify_all();
     }
 }
 

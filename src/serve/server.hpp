@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/resilient.hpp"
@@ -94,17 +93,13 @@ struct ServerConfig {
     /// from the most loaded peer.  0 disables work stealing.
     std::size_t max_steal_requests = 8;
 
-    /// Upper bound of the key domain for KeyRange routing (hints are
-    /// normalized by it).  The default is the paper's [0, 2^31) domain.
-    double key_space_max = gas::fleet::Router::kDefaultKeySpace;
-
     /// Closed-loop health subsystem (gas::health): per-shard watchdog + hang
     /// handler, the Healthy/Degraded/Quarantined/Probation state machine
-    /// with probe-sort re-admission, overload shedding with the brownout
-    /// ladder, and straggler hedging.  Disabled by default: with
-    /// health.enabled false the server behaves bit-for-bit like the
-    /// pre-health server (one-way quarantine, Block/Reject admission, no
-    /// watchdog thread, no hang handlers installed).
+    /// with probe-sort re-admission, and overload shedding with the brownout
+    /// ladder.  Disabled by default: with health.enabled false the server
+    /// behaves bit-for-bit like the pre-health server (one-way quarantine,
+    /// Block/Reject admission, no watchdog thread, no hang handlers
+    /// installed).
     gas::health::HealthConfig health{};
 };
 
@@ -221,22 +216,6 @@ class Server {
   private:
     struct Shard;
 
-    /// First-result-wins rendezvous between a request and its hedge clone.
-    /// The caller's promise moves in here when the request's batch registers
-    /// for hedging; from then on only resolve() — under `m` — may touch it.
-    /// The loser's bytes are hashed against the winner's: any divergence is
-    /// a hedge_mismatch (the correctness gate — hedged re-execution from the
-    /// intact host copy must be byte-identical).
-    struct HedgeState {
-        std::mutex m;
-        std::promise<Response> promise;
-        bool resolved = false;
-        bool launched = false;         ///< a hedge clone was actually enqueued
-        bool winner_ok = false;        ///< winner resolved Status::Ok
-        bool winner_from_hedge = false;
-        std::uint64_t winner_hash = 0; ///< FNV-1a over the winner's bytes
-    };
-
     struct Pending {
         std::uint64_t id = 0;
         Job job;
@@ -248,25 +227,8 @@ class Server {
         /// Queue occupancy observed at admission (backpressure signal,
         /// copied into the Response on every completion path).
         double backpressure = 0.0;
-        /// Hedging rendezvous; null until the request's batch registers
-        /// in-flight with hedging eligible.  Non-null means `promise` above
-        /// has been moved out and completions must go through resolve().
-        std::shared_ptr<HedgeState> hedge;
-        bool is_hedge = false;  ///< a watchdog clone, not a caller request
     };
     using PendingPtr = std::unique_ptr<Pending>;
-
-    /// One in-flight fused batch the watchdog may hedge: the source shard,
-    /// when service started, and per-request input snapshots (Job copies)
-    /// plus their HedgeStates.  Registered at serve_batch entry, erased on
-    /// exit (RAII), guarded by mutex_.
-    struct InFlight {
-        Shard* shard = nullptr;
-        Clock::time_point start{};
-        bool hedged = false;
-        std::vector<Job> snapshot;
-        std::vector<std::shared_ptr<HedgeState>> states;
-    };
 
     static constexpr std::size_t kPriorities = 3;
 
@@ -295,7 +257,7 @@ class Server {
 
         // gas::health wiring (all inert with health.enabled off).
         gas::health::Machine health;  ///< per-device state machine (mutex_)
-        /// EWMA of queued_elements (health.load_alpha), the smoothed_load the
+        /// EWMA of queued_elements (kEwmaAlpha), the smoothed_load the
         /// fleet router's anti-flap ranking reads (mutex_).
         Ewma load_ewma;
         /// Set by the watchdog when the device heartbeat stalls past the
@@ -315,11 +277,10 @@ class Server {
 
     void scheduler_main(Shard& shard);
     /// One scheduling step on `shard`: take a batch, finish the requests
-    /// that timed out or were sojourn-shed on the way, and serve the batch
-    /// (marked in flight while it runs).  Called with `lk` (on mutex_) held;
-    /// releases it for the work and returns with it held again.  Returns
-    /// the requests retired.  pump() and scheduler_main() decide only when
-    /// to step.
+    /// that timed out on the way, and serve the batch (marked in flight
+    /// while it runs).  Called with `lk` (on mutex_) held; releases it for
+    /// the work and returns with it held again.  Returns the requests
+    /// retired.  pump() and scheduler_main() decide only when to step.
     std::size_t step(Shard& shard, std::unique_lock<std::mutex>& lk);
     /// The queue ledger (lock held): the only writers of Shard::queued,
     /// Shard::queued_elements and queued_.  enqueue_locked appends to the
@@ -341,9 +302,8 @@ class Server {
     std::size_t steal_into_locked(Shard& thief);
     /// Pops one batch worth of compatible requests from the shard's queue
     /// (lock held).  Expired requests encountered on the way complete as
-    /// TimedOut into `expired`; health sojourn-shed victims into `shed`.
-    std::vector<PendingPtr> take_batch(Shard& shard, std::vector<PendingPtr>& expired,
-                                       std::vector<PendingPtr>& shed);
+    /// TimedOut into `expired`.
+    std::vector<PendingPtr> take_batch(Shard& shard, std::vector<PendingPtr>& expired);
     void serve_batch(Shard& shard, std::vector<PendingPtr> batch);
     /// Runs one fused batch of any kind over its row table: stage, sort,
     /// verify, copy back or quarantine each request, release.
@@ -367,10 +327,6 @@ class Server {
     [[nodiscard]] BufferPool::Lease acquire_or_trim(Shard& shard, std::size_t bytes);
 
     // gas::health internals (all no-ops / pass-throughs with health off).
-    /// Completes a request.  Without a HedgeState this is promise.set_value;
-    /// with one it is the first-result-wins path (loser hashed against the
-    /// winner).  Never call with mutex_ held.
-    void resolve(Pending& p, Response&& r);
     /// Samples the shard's queue-depth EWMA (stats) and, with health on, its
     /// queued-elements EWMA (router smoothed_load).  Lock held.
     void sample_load_locked(Shard& shard);
@@ -386,17 +342,8 @@ class Server {
     /// on the device-owning thread (scheduler, or the pump caller); takes
     /// mutex_ internally for the state-machine transition.
     void run_probe_cycle(Shard& shard);
-    /// Registers a batch as in-flight for the watchdog/hedging (moves the
-    /// members' promises into fresh HedgeStates); returns the registry token
-    /// (0 = not registered).  Lock NOT held.
-    [[nodiscard]] std::uint64_t register_inflight(Shard& shard,
-                                                  std::vector<PendingPtr>& batch);
-    void unregister_inflight(std::uint64_t token);
-    /// Watchdog thread body: heartbeat stall detection + hedge launches.
+    /// Watchdog thread body: heartbeat stall detection.
     void watchdog_main();
-    /// Enqueues hedge clones for in-flight batches stuck past the deadline
-    /// on suspect shards.  Lock held.
-    void launch_hedges_locked(Clock::time_point now);
 
     std::unique_ptr<gas::fleet::DeviceFleet> owned_fleet_;  ///< Device& ctor only
     gas::fleet::DeviceFleet* fleet_;
@@ -421,8 +368,6 @@ class Server {
     /// decides whether L1 skips response verification.
     std::atomic<int> brownout_level_cache_{0};
     HealthStats hstats_;
-    std::unordered_map<std::uint64_t, InFlight> inflight_;
-    std::uint64_t next_inflight_ = 1;
     std::condition_variable watchdog_cv_;
     std::thread watchdog_;  ///< started only with health on, async mode
 

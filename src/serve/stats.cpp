@@ -81,11 +81,8 @@ std::string ServerStats::to_json() const {
     j.field("degraded_recoveries", h.degraded_recoveries);
     j.field("probes_run", h.probes_run).field("probes_passed", h.probes_passed);
     j.field("probes_failed", h.probes_failed).field("hangs_detected", h.hangs_detected);
-    j.field("hedges_launched", h.hedges_launched).field("hedge_wins", h.hedge_wins);
-    j.field("hedge_primary_wins", h.hedge_primary_wins);
-    j.field("hedge_mismatches", h.hedge_mismatches);
     j.field("shed_overflow", h.shed_overflow).field("shed_brownout", h.shed_brownout);
-    j.field("shed_sojourn", h.shed_sojourn).field("shed_total", h.shed_total());
+    j.field("shed_total", h.shed_total());
     j.field("brownout_level", h.brownout_level);
     j.field("brownout_escalations", h.brownout_escalations);
     j.field("brownout_deescalations", h.brownout_deescalations);

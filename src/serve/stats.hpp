@@ -99,16 +99,9 @@ struct HealthStats {
     // hung launches aborted by the hang handler (manual pump).
     std::uint64_t hangs_detected = 0;
 
-    // Straggler hedging: re-submissions of stuck batches on healthy shards.
-    std::uint64_t hedges_launched = 0;      ///< hedge clones enqueued
-    std::uint64_t hedge_wins = 0;           ///< hedge resolved the request first
-    std::uint64_t hedge_primary_wins = 0;   ///< primary beat its hedge
-    std::uint64_t hedge_mismatches = 0;     ///< loser's bytes != winner's (must be 0)
-
     // Overload shedding (typed Status::Shed responses; never silent loss).
     std::uint64_t shed_overflow = 0;   ///< queue-full oldest-first drops
     std::uint64_t shed_brownout = 0;   ///< low-priority drops at brownout L3
-    std::uint64_t shed_sojourn = 0;    ///< CoDel-style queue-sojourn drops (async)
 
     // Brownout ladder (0 = off .. 3 = full shedding).
     int brownout_level = 0;
@@ -117,7 +110,7 @@ struct HealthStats {
     std::uint64_t verify_skipped_batches = 0;  ///< L1: response verification disabled
 
     [[nodiscard]] std::uint64_t shed_total() const {
-        return shed_overflow + shed_brownout + shed_sojourn;
+        return shed_overflow + shed_brownout;
     }
 };
 

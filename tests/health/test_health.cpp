@@ -370,7 +370,6 @@ TEST(HealthServe, KilledDeviceRecoversThroughProbeAndProbation) {
     const auto stats = server.stats();
     EXPECT_EQ(stats.devices[0].health_state, "healthy");
     EXPECT_EQ(stats.health.readmissions, 1u);
-    EXPECT_EQ(stats.health.hedge_mismatches, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -411,7 +410,12 @@ TEST(HealthServe, AsyncHangIsDetectedAndServiceSurvives) {
 
     const auto stats = server.stats();
     EXPECT_GE(stats.health.hangs_detected, 1u);
-    EXPECT_EQ(stats.health.hedge_mismatches, 0u);
+    // The one recovery path for a hung batch: stall abort -> retry ->
+    // quarantine -> reroute to the survivor.
+    EXPECT_GE(stats.retries, 1u);
+    EXPECT_EQ(stats.devices_quarantined, 1u);
+    EXPECT_GE(stats.reroutes, 1u);
+    EXPECT_EQ(stats.completed, stats.accepted);
     EXPECT_EQ(stats.completed, 8u);
 }
 

@@ -399,7 +399,6 @@ WorkloadResult run_kill_revive(const CliOptions& cli) {
             res.error = "expected two quarantines, saw " +
                         std::to_string(stats.health.quarantines);
         }
-        res.mismatches += stats.health.hedge_mismatches;
         res.detail = std::to_string(stats.health.quarantines) + " quarantine(s), " +
                      std::to_string(stats.health.probes_run) + " probe(s), " +
                      std::to_string(stats.health.readmissions) + " readmission(s), " +

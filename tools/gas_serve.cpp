@@ -186,17 +186,14 @@ int cmd_run(const CliOptions& cli) {
                 stats.modeled_throughput_rps());
     std::printf("latency (wall ms): p50 %.3f  p95 %.3f  p99 %.3f  max %.3f\n",
                 stats.wall_ms.p50, stats.wall_ms.p95, stats.wall_ms.p99, stats.wall_ms.max);
-    std::printf("health: %s, %llu shed (%llu overflow / %llu brownout / %llu sojourn), "
-                "brownout L%d, %llu hangs, %llu hedges (%llu mismatches)\n",
+    std::printf("health: %s, %llu shed (%llu overflow / %llu brownout), "
+                "brownout L%d, %llu hangs\n",
                 stats.health.enabled ? "on" : "off",
                 static_cast<unsigned long long>(stats.health.shed_total()),
                 static_cast<unsigned long long>(stats.health.shed_overflow),
                 static_cast<unsigned long long>(stats.health.shed_brownout),
-                static_cast<unsigned long long>(stats.health.shed_sojourn),
                 stats.health.brownout_level,
-                static_cast<unsigned long long>(stats.health.hangs_detected),
-                static_cast<unsigned long long>(stats.health.hedges_launched),
-                static_cast<unsigned long long>(stats.health.hedge_mismatches));
+                static_cast<unsigned long long>(stats.health.hangs_detected));
     if (cli.devices > 1) {
         for (const auto& d : stats.devices) {
             std::printf("  %s: %llu routed, %llu completed, %llu batch(es), "
