@@ -35,7 +35,6 @@ gas::serve::ServerConfig fleet_config(std::size_t queue_capacity, bool manual) {
     cfg.queue_capacity = queue_capacity;
     cfg.max_batch_requests = 64;
     cfg.num_streams = 2;
-    cfg.route_policy = gas::fleet::RoutePolicy::LeastLoaded;
     cfg.retry.seed = 2026;
     return cfg;
 }

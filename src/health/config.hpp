@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+
 namespace gas::health {
 
 /// Watchdog poll cadence (async mode only; manual_pump has no watchdog
@@ -12,6 +14,13 @@ inline constexpr double kStallDeadlineMs = 8.0;
 /// How often a quarantined shard's scheduler wakes to run a probe sort
 /// (async mode; under manual_pump one probe runs per pump() call).
 inline constexpr double kProbeIntervalMs = 5.0;
+/// Shape of one probe sort: arrays x elements per array.
+inline constexpr std::size_t kProbeArrays = 4;
+inline constexpr std::size_t kProbeArraySize = 64;
+/// Clean batches a Degraded shard serves before it is Healthy again.
+inline constexpr unsigned kDegradedClearBatches = 2;
+/// Least-loaded routing weight of a Degraded shard (a flat penalty).
+inline constexpr double kDegradedWeight = 0.5;
 
 /// Knobs for the closed-loop health subsystem (gas::health), carried by
 /// ServerConfig::health.  `enabled=false` (the default) turns every hook
@@ -25,12 +34,12 @@ struct HealthConfig {
     unsigned probe_passes = 2;
     /// Clean batches served in Probation before full Healthy re-admission.
     unsigned probation_batches = 3;
-    /// Starting LeastLoaded weight of a shard in Probation; ramps linearly
+    /// Starting least-loaded weight of a shard in Probation; ramps linearly
     /// to 1.0 as probation_batches complete.
     double probation_base_weight = 0.25;
 
     // ---- overload / brownout ---------------------------------------------
-    /// Typed Shed rejections replace Block/Reject when the queue is full
+    /// Typed Shed rejections replace block/reject when the queue is full
     /// (oldest request of the lowest-priority class is dropped first).
     bool shed_enabled = true;
     /// Brownout ladder escalation thresholds on smoothed queue occupancy

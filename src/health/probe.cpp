@@ -7,14 +7,14 @@
 #include "core/gpu_array_sort.hpp"
 #include "core/options.hpp"
 #include "core/resilient.hpp"
+#include "health/config.hpp"
 
 namespace gas::health {
 
-ProbeResult run_probe(simt::Device& device, std::uint64_t seed, std::size_t arrays,
-                      std::size_t array_size) {
+ProbeResult run_probe(simt::Device& device, std::uint64_t seed) {
     ProbeResult r;
-    r.arrays = std::max<std::size_t>(arrays, 1);
-    r.array_size = std::max<std::size_t>(array_size, 2);
+    r.arrays = kProbeArrays;
+    r.array_size = kProbeArraySize;
 
     // Seeded data in (0, 1]: deterministic per (seed, index), no NaNs.
     std::vector<float> data(r.arrays * r.array_size);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "health/config.hpp"
+
 namespace gas::health {
 
 /// Per-device health states.  PR 7's quarantine was one-way (Healthy →
@@ -34,8 +36,6 @@ class Machine {
     struct Config {
         unsigned probe_passes = 2;        ///< K: Quarantined -> Probation
         unsigned probation_batches = 3;   ///< M: Probation -> Healthy
-        unsigned degraded_clear_batches = 2;
-        double degraded_weight = 0.5;
         double probation_base_weight = 0.25;
     };
 
@@ -83,7 +83,7 @@ class Machine {
 
     /// A real batch completed verified-clean on this shard.  Returns true
     /// when this restored the shard to Healthy (from Probation after M
-    /// batches, or from Degraded after the clear streak).
+    /// batches, or from Degraded after kDegradedClearBatches).
     bool on_clean_batch() {
         if (state_ == State::Probation) {
             if (++probation_done_ < cfg_.probation_batches) return false;
@@ -92,7 +92,7 @@ class Machine {
             return true;
         }
         if (state_ == State::Degraded) {
-            if (++clean_streak_ < cfg_.degraded_clear_batches) return false;
+            if (++clean_streak_ < kDegradedClearBatches) return false;
             state_ = State::Healthy;
             clean_streak_ = 0;
             return true;
@@ -100,13 +100,13 @@ class Machine {
         return false;
     }
 
-    /// LeastLoaded routing weight: 1.0 when Healthy, a flat penalty when
+    /// Least-loaded routing weight: 1.0 when Healthy, kDegradedWeight when
     /// Degraded, a linear ramp from probation_base_weight to 1.0 across the
     /// probation window, 0.0 when Quarantined (never routed anyway).
     [[nodiscard]] double route_weight() const {
         switch (state_) {
             case State::Healthy: return 1.0;
-            case State::Degraded: return cfg_.degraded_weight;
+            case State::Degraded: return kDegradedWeight;
             case State::Quarantined: return 0.0;
             case State::Probation: {
                 const double span = 1.0 - cfg_.probation_base_weight;

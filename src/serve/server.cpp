@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <iterator>
 #include <stdexcept>
@@ -10,6 +9,7 @@
 
 #include "core/pair_sort.hpp"
 #include "core/ragged_sort.hpp"
+#include "fleet/router.hpp"
 #include "health/probe.hpp"
 
 namespace gas::serve {
@@ -104,41 +104,6 @@ void validate_job(const Job& job) {
     }
 }
 
-/// FNV-1a content fingerprint + sampled key hint, computed once per request.
-/// The fingerprint mixes shape and up to 32 sampled value bit patterns, so
-/// ConsistentHash gives the same content the same device; the key hint is
-/// the sampled mean, KeyRange's position in the key domain.
-fleet::RouteInfo make_route_info(const Job& job, std::size_t elements) {
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ull;
-    };
-    mix(static_cast<std::uint64_t>(job.kind));
-    mix(job.num_arrays);
-    mix(job.array_size);
-    mix(job.values.size());
-    mix(job.offsets.size());
-    double key_sum = 0.0;
-    std::size_t sampled = 0;
-    if (!job.values.empty()) {
-        const std::size_t stride = std::max<std::size_t>(1, job.values.size() / 32);
-        for (std::size_t i = 0; i < job.values.size(); i += stride) {
-            std::uint32_t bits = 0;
-            std::memcpy(&bits, &job.values[i], sizeof(bits));
-            mix(bits);
-            key_sum += static_cast<double>(job.values[i]);
-            ++sampled;
-        }
-    }
-    fleet::RouteInfo info;
-    info.fingerprint = h;
-    info.key_hint = sampled > 0 ? key_sum / static_cast<double>(sampled) : 0.0;
-    if (!std::isfinite(info.key_hint)) info.key_hint = 0.0;
-    info.elements = elements;
-    return info;
-}
-
 /// Host comparison mirroring the device's key order.
 struct KeyLess {
     bool descending = false;
@@ -147,12 +112,11 @@ struct KeyLess {
 
 }  // namespace
 
-Server::Shard::Shard(std::size_t idx, simt::Device& dev, unsigned streams,
-                     double safety_factor)
+Server::Shard::Shard(std::size_t idx, simt::Device& dev, unsigned streams)
     : index(idx),
       device(&dev),
       memory_budget(static_cast<std::size_t>(
-          static_cast<double>(dev.memory().capacity()) * safety_factor)),
+          static_cast<double>(dev.memory().capacity()) * kMemorySafetyFactor)),
       pool(dev.memory()),
       timeline(std::max(1u, streams)) {
     breakdown.name = "dev" + std::to_string(idx);
@@ -171,21 +135,16 @@ Server::Server(ServerConfig cfg, gas::fleet::DeviceFleet* f,
                std::unique_ptr<gas::fleet::DeviceFleet> owned)
     : owned_fleet_(std::move(owned)),
       fleet_(f != nullptr ? f : owned_fleet_.get()),
-      cfg_(cfg),
-      router_(cfg.route_policy, fleet_->size()) {
+      cfg_(cfg) {
     if (cfg_.num_streams == 0) {
         throw std::invalid_argument("serve::Server: 0 streams");
     }
     if (cfg_.max_batch_requests == 0 || cfg_.max_batch_arrays == 0) {
         throw std::invalid_argument("serve::Server: batch ceilings must be >= 1");
     }
-    if (!(cfg_.memory_safety_factor > 0.0) || cfg_.memory_safety_factor > 1.0) {
-        throw std::invalid_argument("serve::Server: memory_safety_factor must be in (0, 1]");
-    }
     shards_.reserve(fleet_->size());
     for (std::size_t i = 0; i < fleet_->size(); ++i) {
-        shards_.push_back(std::make_unique<Shard>(i, fleet_->device(i), cfg_.num_streams,
-                                                  cfg_.memory_safety_factor));
+        shards_.push_back(std::make_unique<Shard>(i, fleet_->device(i), cfg_.num_streams));
     }
     if (cfg_.health.enabled) {
         const gas::health::Machine::Config mc{
@@ -235,7 +194,6 @@ Server::Ticket Server::submit(Job job) {
     pending->submitted_at = now;
     pending->arrays = job_arrays(pending->job);
     pending->elements = job_elements(pending->job);
-    pending->rinfo = make_route_info(pending->job, pending->elements);
 
     Ticket ticket;
     ticket.result = pending->promise.get_future();
@@ -284,7 +242,7 @@ Server::Ticket Server::submit(Job job) {
     }
     if (queued_ >= cfg_.queue_capacity) {
         if (cfg_.health.enabled && cfg_.health.shed_enabled) {
-            // Overload protection replaces Block/Reject: drop the oldest
+            // Overload protection replaces block/reject: drop the oldest
             // queued request of the least important class at or below the
             // newcomer's priority.  When everything queued outranks the
             // newcomer, the newcomer itself is the drop.
@@ -293,7 +251,7 @@ Server::Ticket Server::submit(Job job) {
             if (!shed_for_admission_locked(pending->job.priority, shed_victim)) {
                 return respond(Status::Shed, "shed: queue full");
             }
-        } else if (cfg_.policy == AdmitPolicy::Reject || cfg_.manual_pump) {
+        } else if (cfg_.manual_pump) {
             ++stats_.rejected;
             return respond(Status::Rejected, "queue full");
         } else {
@@ -339,13 +297,12 @@ std::size_t Server::route_locked(const Pending& p) const {
         }
         loads.push_back(l);
     }
-    const std::size_t target = router_.route(p.rinfo, loads);
+    const std::size_t target = fleet::least_loaded(loads);
     // The all-devices-lost sentinel is unreachable (the last live device is
-    // never quarantined); hash-spread defensively if it ever shows up — a
-    // quarantined shard's scheduler host-serves its queue.
-    return target < shards_.size()
-               ? target
-               : static_cast<std::size_t>(p.rinfo.fingerprint % shards_.size());
+    // never quarantined); spread by request id defensively if it ever shows
+    // up — a quarantined shard's scheduler host-serves its queue.
+    return target < shards_.size() ? target
+                                   : static_cast<std::size_t>(p.id % shards_.size());
 }
 
 bool Server::steal_candidate_locked(const Shard& thief) const {

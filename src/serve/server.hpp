@@ -12,7 +12,6 @@
 
 #include "core/resilient.hpp"
 #include "fleet/fleet.hpp"
-#include "fleet/router.hpp"
 #include "health/brownout.hpp"
 #include "health/config.hpp"
 #include "health/state.hpp"
@@ -32,28 +31,22 @@ namespace gas::serve {
 /// more than its smoother splitters save.
 inline constexpr double kLeanSampleRate = 1e-3;
 
-/// What submit() does when the queue is at capacity.
-enum class AdmitPolicy : std::uint8_t {
-    Block,   ///< wait for space (or for the server to stop)
-    Reject,  ///< fail fast with Status::Rejected
-};
+/// Fraction of a device's memory a batch (data + sort temporaries) may use;
+/// single requests above every shard's budget degrade to the CPU path.
+inline constexpr double kMemorySafetyFactor = 0.9;
 
 struct ServerConfig {
-    /// Bounded submission queue (fleet-wide, summed over shard queues).  0
-    /// means "admit nothing": every submit is rejected immediately,
-    /// regardless of policy (a Block policy cannot wait for space that can
-    /// never exist).
+    /// Bounded submission queue (fleet-wide, summed over shard queues).  At
+    /// capacity an async submit waits for space (or for the server to stop).
+    /// 0 means "admit nothing": every submit is rejected immediately (there
+    /// is no space to wait for).
     std::size_t queue_capacity = 1024;
-    AdmitPolicy policy = AdmitPolicy::Block;
 
     /// Micro-batch ceilings: at most this many requests / fused arrays per
-    /// device batch.  The memory budget below caps batches further.
+    /// device batch.  The memory budget (kMemorySafetyFactor) caps batches
+    /// further.
     std::size_t max_batch_requests = 64;
     std::size_t max_batch_arrays = 8192;
-
-    /// Fraction of device memory a batch (data + sort temporaries) may use;
-    /// single requests above every shard's budget degrade to the CPU path.
-    double memory_safety_factor = 0.9;
 
     /// Stream pipeline depth for each shard's simt::Timeline overlap model
     /// (2 = double buffering).  Must be >= 1, like ooc::OocOptions.
@@ -66,8 +59,7 @@ struct ServerConfig {
 
     /// Manual-pump mode: no scheduler threads; the caller drives batches by
     /// calling pump().  Deterministic (tests, benches).  A full queue
-    /// rejects even under AdmitPolicy::Block — there is no concurrent
-    /// consumer to wait for.
+    /// rejects: there is no concurrent consumer to wait for.
     bool manual_pump = false;
 
     /// Per-request response verification (gas::resilient): expected multiset
@@ -86,9 +78,6 @@ struct ServerConfig {
     /// retries (pool trim between attempts).
     gas::resilient::RetryPolicy retry{};
 
-    /// Request-to-device placement over the fleet (moot with one device).
-    gas::fleet::RoutePolicy route_policy = gas::fleet::RoutePolicy::LeastLoaded;
-
     /// An idle shard may steal up to this many queued requests at a time
     /// from the most loaded peer.  0 disables work stealing.
     std::size_t max_steal_requests = 8;
@@ -98,21 +87,20 @@ struct ServerConfig {
     /// with probe-sort re-admission, and overload shedding with the brownout
     /// ladder.  Disabled by default: with health.enabled false the server
     /// behaves bit-for-bit like the pre-health server (one-way quarantine,
-    /// Block/Reject admission, no watchdog thread, no hang handlers
-    /// installed).
+    /// blocking admission, no watchdog thread, no hang handlers installed).
     gas::health::HealthConfig health{};
 };
 
 /// Asynchronous batch-sort service over a fleet of simulated devices.
 ///
 /// Concurrent callers submit() jobs into a bounded priority queue.  Each
-/// request is routed to one device of the fleet (fleet::Router — least
-/// loaded, consistent hash on a content fingerprint, or key-range sharding)
-/// and lands in that shard's queue.  Each shard runs one scheduler thread —
-/// the only toucher of its simt::Device, whose launch path is single-caller
-/// by contract — which coalesces compatible neighbours (same job kind, the
-/// same row length n for uniform and pair jobs, and the same options the
-/// fused kernel reads) into fused micro-batches.  Every batch is one row
+/// request is placed on the least loaded device of the fleet
+/// (fleet::least_loaded; arrays are independent, so placement moves load,
+/// never bytes) and lands in that shard's queue.  Each shard runs one
+/// scheduler thread — the only toucher of its simt::Device, whose launch
+/// path is single-caller by contract — which coalesces compatible neighbours
+/// (same job kind, the same row length n for uniform and pair jobs, and the
+/// same options the fused kernel reads) into fused micro-batches.  Every batch is one row
 /// table sorted by one call of the fused CSR kernel (sort_ragged_on_device,
 /// or sort_ragged_pairs_on_device for two planes), with data staged in
 /// pooled device buffers (serve::BufferPool, one per shard) and modeled H2D/compute/D2H
@@ -127,12 +115,13 @@ struct ServerConfig {
 /// from a single simt::Device& is the N=1 degenerate fleet: identical
 /// behaviour and API to the pre-fleet server.
 ///
-/// Robustness: admission control (Block or Reject on a full queue),
-/// per-request deadlines (expired jobs complete as TimedOut, at submit or in
-/// queue), cancel() for queued jobs, and graceful degradation — a request
-/// no device can serve (footprint above the memory budget, or a row too
-/// large for the fused kernels' shared staging) runs on the host CPU path
-/// instead of failing, and never aborts the batch it was queued with.
+/// Robustness: admission control (a full queue blocks async submitters and
+/// rejects under manual pump), per-request deadlines (expired jobs complete
+/// as TimedOut, at submit or in queue), cancel() for queued jobs, and
+/// graceful degradation — a request no device can serve (footprint above
+/// the memory budget, or a row too large for the fused kernels' shared
+/// staging) runs on the host CPU path instead of failing, and never aborts
+/// the batch it was queued with.
 ///
 /// Resilience (gas::resilient): transient device errors — allocation
 /// failures, refused launches, detected corruption, failed verification —
@@ -223,7 +212,6 @@ class Server {
         Clock::time_point submitted_at{};
         std::size_t arrays = 0;    ///< fused-array count this job contributes
         std::size_t elements = 0;  ///< total values (cost-share weight)
-        gas::fleet::RouteInfo rinfo;  ///< computed once; re-routes are cheap
         /// Queue occupancy observed at admission (backpressure signal,
         /// copied into the Response on every completion path).
         double backpressure = 0.0;
@@ -240,8 +228,7 @@ class Server {
     /// timeline are touched by the owning scheduler (timeline mutations
     /// happen under mutex_ so stats() can fold all shards).
     struct Shard {
-        Shard(std::size_t idx, simt::Device& dev, unsigned streams,
-              double safety_factor);
+        Shard(std::size_t idx, simt::Device& dev, unsigned streams);
 
         std::size_t index;
         simt::Device* device;
@@ -257,8 +244,8 @@ class Server {
 
         // gas::health wiring (all inert with health.enabled off).
         gas::health::Machine health;  ///< per-device state machine (mutex_)
-        /// EWMA of queued_elements (kEwmaAlpha), the smoothed_load the
-        /// fleet router's anti-flap ranking reads (mutex_).
+        /// EWMA of queued_elements (kEwmaAlpha), the smoothed_load
+        /// fleet::least_loaded's anti-flap ranking reads (mutex_).
         Ewma load_ewma;
         /// Set by the watchdog when the device heartbeat stalls past the
         /// deadline; read lock-free by the hang handler (abort the hung
@@ -292,8 +279,8 @@ class Server {
     PendingPtr unqueue_locked(Shard& shard, std::deque<PendingPtr>& q,
                               std::deque<PendingPtr>::iterator& it);
     std::vector<PendingPtr> drain_queues_locked(Shard& shard);
-    /// Routes a job to a shard index (lock held).  Falls back to
-    /// fingerprint % N when nothing is live (all-devices-lost host path).
+    /// Places a job on a shard index (lock held).  Falls back to id % N
+    /// when nothing is live (all-devices-lost host path).
     [[nodiscard]] std::size_t route_locked(const Pending& p) const;
     /// True when `thief` could steal at least one request right now.
     [[nodiscard]] bool steal_candidate_locked(const Shard& thief) const;
@@ -328,7 +315,7 @@ class Server {
 
     // gas::health internals (all no-ops / pass-throughs with health off).
     /// Samples the shard's queue-depth EWMA (stats) and, with health on, its
-    /// queued-elements EWMA (router smoothed_load).  Lock held.
+    /// queued-elements EWMA (placement's smoothed_load).  Lock held.
     void sample_load_locked(Shard& shard);
     /// Re-reads EWMA occupancy and walks the brownout ladder.  Lock held.
     void update_brownout_locked();
@@ -348,12 +335,11 @@ class Server {
     std::unique_ptr<gas::fleet::DeviceFleet> owned_fleet_;  ///< Device& ctor only
     gas::fleet::DeviceFleet* fleet_;
     ServerConfig cfg_;
-    gas::fleet::Router router_;
     std::vector<std::unique_ptr<Shard>> shards_;
 
     mutable std::mutex mutex_;
     std::condition_variable queue_cv_;  ///< schedulers wait for work
-    std::condition_variable space_cv_;  ///< Block-policy submitters wait here
+    std::condition_variable space_cv_;  ///< async submitters wait here for space
     std::condition_variable idle_cv_;   ///< drain() waits here
     std::size_t queued_ = 0;     ///< fleet-wide, sum of shard queues
     std::size_t in_flight_ = 0;  ///< fleet-wide, sum of shard batches

@@ -24,8 +24,7 @@ namespace gas::tune {
 /// requests compare bin-for-bin.
 struct Sketch {
     static constexpr std::size_t kBins = 32;
-    /// The paper's key domain ([0, 2^31) uniform floats); matches
-    /// fleet::Router::kDefaultKeySpace without depending on gas_fleet.
+    /// The paper's key domain ([0, 2^31) uniform floats).
     static constexpr double kDefaultKeySpace = 2147483648.0;
     /// Strided-sample cap: enough resolution for 32 bins at a bounded host
     /// cost per request.

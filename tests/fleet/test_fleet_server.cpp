@@ -1,5 +1,5 @@
-// gas::serve::Server over a DeviceFleet: routing policies end to end, idle
-// work stealing, device-loss quarantine + byte-identical re-routing, the
+// gas::serve::Server over a DeviceFleet: least-loaded placement end to end,
+// idle work stealing, device-loss quarantine + byte-identical re-routing, the
 // queue-depth ledger, the last-device-standing host fallback, heterogeneous
 // eligibility, and the concurrent (scheduler-thread) fleet path.
 
@@ -21,7 +21,6 @@
 namespace {
 
 using gas::fleet::DeviceFleet;
-using gas::fleet::RoutePolicy;
 using gas::serve::Job;
 using gas::serve::JobKind;
 using gas::serve::Response;
@@ -29,10 +28,9 @@ using gas::serve::Server;
 using gas::serve::ServerConfig;
 using gas::serve::Status;
 
-ServerConfig manual_config(RoutePolicy policy = RoutePolicy::LeastLoaded) {
+ServerConfig manual_config() {
     ServerConfig cfg;
     cfg.manual_pump = true;
-    cfg.route_policy = policy;
     cfg.retry.seed = 31;
     return cfg;
 }
@@ -45,19 +43,6 @@ Job uniform_job(std::size_t num_arrays, std::size_t array_size, unsigned seed) {
     job.values = workload::make_dataset(num_arrays, array_size,
                                         workload::Distribution::Uniform, seed)
                      .values;
-    return job;
-}
-
-/// A uniform job whose keys all sit at `frac` of the paper's key domain —
-/// the shape KeyRange sharding is built for.
-Job banded_job(std::size_t num_arrays, std::size_t array_size, double frac,
-               unsigned seed) {
-    Job job = uniform_job(num_arrays, array_size, seed);
-    const float base = static_cast<float>(
-        frac * gas::fleet::Router::kDefaultKeySpace);
-    for (std::size_t i = 0; i < job.values.size(); ++i) {
-        job.values[i] = base + static_cast<float>(i % 1024);
-    }
     return job;
 }
 
@@ -136,68 +121,29 @@ TEST(FleetServer, FleetBytesMatchSingleDeviceBytes) {
     }
 }
 
-TEST(FleetServer, ConsistentHashGivesSameContentTheSameDevice) {
-    DeviceFleet fleet(4, simt::tiny_device(256 << 20));
-    auto cfg = manual_config(RoutePolicy::ConsistentHash);
-    cfg.max_steal_requests = 0;  // keep placement observable
-    Server server(fleet, cfg);
-
-    for (unsigned rep = 0; rep < 6; ++rep) {
-        (void)server.submit(uniform_job(4, 64, /*seed=*/7));  // same content
-    }
-    server.pump();
-    const auto stats = server.stats();
-    std::size_t owners = 0;
-    for (const auto& d : stats.devices) {
-        if (d.routed > 0) {
-            ++owners;
-            EXPECT_EQ(d.routed, 6u) << d.name;
-        }
-    }
-    EXPECT_EQ(owners, 1u);  // one device owns that fingerprint
-}
-
-TEST(FleetServer, KeyRangeShardsByKeyBand) {
-    DeviceFleet fleet(4, simt::tiny_device(256 << 20));
-    auto cfg = manual_config(RoutePolicy::KeyRange);
-    cfg.max_steal_requests = 0;
-    Server server(fleet, cfg);
-
-    const double bands[] = {0.05, 0.30, 0.60, 0.90};
-    std::vector<Server::Ticket> tickets;
-    for (std::size_t b = 0; b < 4; ++b) {
-        tickets.push_back(server.submit(
-            banded_job(4, 64, bands[b], static_cast<unsigned>(50 + b))));
-    }
-    server.pump();
-    for (auto& t : tickets) {
-        Response r = t.result.get();
-        ASSERT_EQ(r.status, Status::Ok) << r.error;
-    }
-    const auto stats = server.stats();
-    for (std::size_t b = 0; b < 4; ++b) {
-        EXPECT_EQ(stats.devices[b].routed, 1u)
-            << "band " << bands[b] << " missed shard " << b;
-        // Every shard queued its request, so its queue-depth EWMA moved.
-        EXPECT_GT(stats.devices[b].queue_depth_ewma, 0.0) << "shard " << b;
-    }
-}
-
 TEST(FleetServer, IdleShardStealsFromTheLoadedPeer) {
     DeviceFleet fleet(2, simt::tiny_device(256 << 20));
-    auto cfg = manual_config(RoutePolicy::ConsistentHash);
+    auto cfg = manual_config();
     cfg.max_batch_requests = 2;  // small batches leave a backlog to steal
     cfg.max_steal_requests = 2;
     Server server(fleet, cfg);
 
+    // Equal requests alternate between the two shards; cancelling shard 1's
+    // half leaves the whole backlog on shard 0, so shard 1 has to steal.
     std::vector<Server::Ticket> tickets;
+    std::vector<Server::Ticket> cancelled;
     const auto expected =
         sorted_rows(uniform_job(4, 64, /*seed=*/9).values, 4, 64);
-    for (unsigned rep = 0; rep < 12; ++rep) {
-        tickets.push_back(server.submit(uniform_job(4, 64, /*seed=*/9)));
+    for (unsigned rep = 0; rep < 24; ++rep) {
+        auto& dst = rep % 2 == 0 ? tickets : cancelled;
+        dst.push_back(server.submit(uniform_job(4, 64, /*seed=*/9)));
     }
+    for (auto& t : cancelled) ASSERT_TRUE(server.cancel(t.id));
+    ASSERT_EQ(server.stats().devices[0].queue_depth, 12u);
+    ASSERT_EQ(server.stats().devices[1].queue_depth, 0u);
     server.pump();
 
+    for (auto& t : cancelled) EXPECT_EQ(t.result.get().status, Status::Cancelled);
     for (auto& t : tickets) {
         Response r = t.result.get();
         ASSERT_EQ(r.status, Status::Ok) << r.error;
@@ -259,11 +205,12 @@ TEST(FleetServer, DeviceLossReroutesBitIdentically) {
 
 TEST(FleetServer, QueueLedgerBalancesThroughEveryQueueChange) {
     DeviceFleet fleet(2, simt::tiny_device(256 << 20));
-    // Identical content hashes to one home shard, so the other shard has to
-    // steal; device 1 refuses every launch, so whichever batch it takes
-    // exhausts its retries and re-routes to device 0.
+    // Equal requests alternate between the shards; cancelling shard 1's
+    // leaves every survivor on shard 0, so shard 1 has to steal.  Device 1
+    // refuses every launch, so the batch it steals exhausts its retries and
+    // re-routes to device 0.
     fleet.device(1).set_fault_plan(kill_plan());
-    auto cfg = manual_config(RoutePolicy::ConsistentHash);
+    auto cfg = manual_config();
     cfg.queue_capacity = 8;
     cfg.max_batch_requests = 2;
     cfg.max_steal_requests = 2;
@@ -279,25 +226,23 @@ TEST(FleetServer, QueueLedgerBalancesThroughEveryQueueChange) {
         return s.queue_depth;
     };
 
+    // Request 6 (on shard 0) carries a deadline that lapses while queued.
     std::vector<Server::Ticket> tickets;
-    for (unsigned i = 0; i < 6; ++i) {
-        tickets.push_back(server.submit(uniform_job(4, 64, /*seed=*/9)));
+    gas::serve::Clock::time_point deadline{};
+    for (unsigned i = 0; i < 8; ++i) {
+        auto job = uniform_job(4, 64, /*seed=*/9);
+        if (i == 6) deadline = *job.with_deadline_ms(50.0).deadline;
+        tickets.push_back(server.submit(std::move(job)));
         EXPECT_EQ(depth(), i + 1);
     }
-    ASSERT_TRUE(server.cancel(tickets[1].id));
-    EXPECT_EQ(depth(), 5u);
-
-    auto doomed = uniform_job(4, 64, /*seed=*/9).with_deadline_ms(50.0);
-    const auto deadline = *doomed.deadline;
-    tickets.push_back(server.submit(std::move(doomed)));
-    EXPECT_EQ(depth(), 6u);
-    for (unsigned i = 0; i < 2; ++i) {
-        tickets.push_back(server.submit(uniform_job(4, 64, /*seed=*/9)));
-    }
-    EXPECT_EQ(depth(), 8u);
     // Queue full: the oldest queued request (tickets[0]) makes room.
     tickets.push_back(server.submit(uniform_job(4, 64, /*seed=*/9)));
     EXPECT_EQ(depth(), 8u);
+    for (std::size_t i = 1; i < 8; i += 2) {
+        ASSERT_TRUE(server.cancel(tickets[i].id));
+    }
+    EXPECT_EQ(depth(), 4u);
+    ASSERT_EQ(server.stats().devices[1].queue_depth, 0u);
 
     std::this_thread::sleep_until(deadline);
     server.pump();
@@ -305,25 +250,28 @@ TEST(FleetServer, QueueLedgerBalancesThroughEveryQueueChange) {
     for (const auto& d : server.stats().devices) EXPECT_EQ(d.queue_depth, 0u) << d.name;
 
     const auto expected = sorted_rows(uniform_job(4, 64, /*seed=*/9).values, 4, 64);
+    std::size_t ok = 0;
     for (std::size_t i = 0; i < tickets.size(); ++i) {
         auto& fut = tickets[i].result;
         ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)), std::future_status::ready)
             << "request " << i << " never resolved";
         const Response r = fut.get();
-        const Status want = i == 0   ? Status::Shed
-                            : i == 1 ? Status::Cancelled
-                            : i == 6 ? Status::TimedOut
-                                     : Status::Ok;
+        const Status want = i == 0       ? Status::Shed
+                            : i % 2 == 1 ? Status::Cancelled
+                            : i == 6     ? Status::TimedOut
+                                         : Status::Ok;
         EXPECT_EQ(r.status, want) << "request " << i << ": " << r.error;
         if (want == Status::Ok) {
             EXPECT_EQ(r.values, expected) << "request " << i;
+            ++ok;
         }
     }
     const auto stats = server.stats();
     EXPECT_GT(stats.steals, 0u);
     EXPECT_GT(stats.reroutes, 0u);
     EXPECT_TRUE(stats.devices[1].quarantined);
-    EXPECT_EQ(stats.completed, 7u);
+    EXPECT_EQ(ok, 3u);  // requests 2, 4 and 8
+    EXPECT_EQ(stats.completed, ok);
 }
 
 TEST(FleetServer, LastDeviceStandingQuarantinesToHostNotFleet) {
@@ -429,9 +377,7 @@ TEST(FleetServer, StatsJsonCarriesTheFleetBlock) {
 
 TEST(FleetServer, SchedulerThreadsServeConcurrentProducers) {
     DeviceFleet fleet(3, simt::tiny_device(256 << 20));
-    ServerConfig cfg;
-    cfg.route_policy = RoutePolicy::LeastLoaded;
-    Server server(fleet, cfg);
+    Server server(fleet, ServerConfig{});
 
     constexpr unsigned kProducers = 4;
     constexpr unsigned kPerProducer = 15;

@@ -1,13 +1,10 @@
-// fleet::Router placement policies: least-loaded balance, consistent-hash
-// stability under device loss, key-range partitioning, and the
-// eligibility/liveness fallback ladder.
+// fleet::least_loaded placement: pressure ranking, smoothing and weights,
+// the eligibility/liveness fallback ladder; and DeviceFleet ownership.
 
 #include "fleet/router.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <map>
 #include <vector>
 
 #include "fleet/fleet.hpp"
@@ -15,10 +12,7 @@
 namespace {
 
 using gas::fleet::DeviceFleet;
-using gas::fleet::parse_route_policy;
-using gas::fleet::RouteInfo;
-using gas::fleet::RoutePolicy;
-using gas::fleet::Router;
+using gas::fleet::least_loaded;
 using gas::fleet::ShardLoad;
 
 std::vector<ShardLoad> loads_of(std::vector<std::size_t> queued) {
@@ -31,188 +25,72 @@ std::vector<ShardLoad> loads_of(std::vector<std::size_t> queued) {
     return loads;
 }
 
-RouteInfo info_with_fingerprint(std::uint64_t fp) {
-    RouteInfo info;
-    info.fingerprint = fp;
-    return info;
-}
-
 TEST(Router, LeastLoadedPicksFewestQueuedElements) {
-    Router router(RoutePolicy::LeastLoaded, 3);
-    EXPECT_EQ(router.route({}, loads_of({5, 2, 9})), 1u);
-    EXPECT_EQ(router.route({}, loads_of({7, 7, 7})), 0u);  // tie -> lowest index
-    EXPECT_EQ(router.route({}, loads_of({1, 0, 0})), 1u);
+    EXPECT_EQ(least_loaded(loads_of({5, 2, 9})), 1u);
+    EXPECT_EQ(least_loaded(loads_of({7, 7, 7})), 0u);  // tie -> lowest index
+    EXPECT_EQ(least_loaded(loads_of({1, 0, 0})), 1u);
 }
 
 TEST(Router, LeastLoadedSkipsDeadAndPrefersEligible) {
-    Router router(RoutePolicy::LeastLoaded, 3);
     auto loads = loads_of({5, 2, 9});
     loads[1].live = false;  // the cheapest device is gone
-    EXPECT_EQ(router.route({}, loads), 0u);
+    EXPECT_EQ(least_loaded(loads), 0u);
 
     loads = loads_of({5, 2, 9});
     loads[1].eligible = false;  // request does not fit the cheapest device
-    EXPECT_EQ(router.route({}, loads), 0u);
+    EXPECT_EQ(least_loaded(loads), 0u);
 
     // Nothing eligible: stay on a live device anyway (it will degrade the
     // request to its host path) rather than returning the sentinel.
     loads = loads_of({5, 2, 9});
     for (auto& l : loads) l.eligible = false;
-    EXPECT_EQ(router.route({}, loads), 1u);
+    EXPECT_EQ(least_loaded(loads), 1u);
 }
 
 TEST(Router, LeastLoadedFoldsSmoothedLoadAgainstFlapping) {
-    Router router(RoutePolicy::LeastLoaded, 2);
     // Device 0's queue momentarily drained, but its EWMA remembers a deep
     // backlog; device 1 has a couple queued but a calm history.  Raw
     // queued_elements would yank every new request to device 0 (route
     // flapping on the transient dip) — the smoothed signal keeps it away.
     auto loads = loads_of({0, 2});
-    EXPECT_EQ(router.route({}, loads), 0u);  // without history: raw ranking
+    EXPECT_EQ(least_loaded(loads), 0u);  // without history: raw ranking
     loads[0].smoothed_load = 500.0;
     loads[1].smoothed_load = 3.0;
-    EXPECT_EQ(router.route({}, loads), 1u);
+    EXPECT_EQ(least_loaded(loads), 1u);
 }
 
 TEST(Router, LeastLoadedDividesPressureByWeight) {
-    Router router(RoutePolicy::LeastLoaded, 2);
     // A probation shard at weight 0.25 looks 4x as loaded: 8 queued on the
     // healthy peer still beats 4 queued on the ramping one (4/0.25 = 16).
     auto loads = loads_of({4, 8});
     loads[0].weight = 0.25;
-    EXPECT_EQ(router.route({}, loads), 1u);
+    EXPECT_EQ(least_loaded(loads), 1u);
     // ...until its ramp completes and raw ranking resumes.
     loads[0].weight = 1.0;
-    EXPECT_EQ(router.route({}, loads), 0u);
+    EXPECT_EQ(least_loaded(loads), 0u);
     // A non-positive weight is clamped, not a division blow-up.
     loads[0].weight = 0.0;
-    EXPECT_EQ(router.route({}, loads), 1u);
+    EXPECT_EQ(least_loaded(loads), 1u);
 }
 
 TEST(Router, LeastLoadedDefaultsReproduceRawRanking) {
     // ShardLoad's defaults (smoothed_load 0, weight 1) must keep the
     // pre-health ranking bit-for-bit, ties still breaking to lowest index.
-    Router router(RoutePolicy::LeastLoaded, 3);
-    EXPECT_EQ(router.route({}, loads_of({5, 2, 9})), 1u);
-    EXPECT_EQ(router.route({}, loads_of({7, 7, 7})), 0u);
-    EXPECT_EQ(router.route({}, loads_of({0, 0, 1})), 0u);
+    EXPECT_EQ(least_loaded(loads_of({5, 2, 9})), 1u);
+    EXPECT_EQ(least_loaded(loads_of({7, 7, 7})), 0u);
+    EXPECT_EQ(least_loaded(loads_of({0, 0, 1})), 0u);
 }
 
 TEST(Router, SentinelWhenNothingIsLive) {
-    for (auto policy : {RoutePolicy::LeastLoaded, RoutePolicy::ConsistentHash,
-                        RoutePolicy::KeyRange}) {
-        Router router(policy, 4);
-        auto loads = loads_of({1, 2, 3, 4});
-        for (auto& l : loads) l.live = false;
-        EXPECT_EQ(router.route(info_with_fingerprint(99), loads), 4u);
-    }
-}
-
-TEST(Router, ConsistentHashIsDeterministic) {
-    Router a(RoutePolicy::ConsistentHash, 4);
-    Router b(RoutePolicy::ConsistentHash, 4);
-    const auto loads = loads_of({0, 0, 0, 0});
-    for (std::uint64_t fp = 1; fp <= 500; ++fp) {
-        EXPECT_EQ(a.route(info_with_fingerprint(fp), loads),
-                  b.route(info_with_fingerprint(fp), loads));
-    }
-}
-
-TEST(Router, ConsistentHashSpreadsFingerprints) {
-    Router router(RoutePolicy::ConsistentHash, 4);
-    const auto loads = loads_of({0, 0, 0, 0});
-    std::map<std::size_t, std::size_t> hits;
-    for (std::uint64_t fp = 1; fp <= 2000; ++fp) {
-        ++hits[router.route(info_with_fingerprint(fp), loads)];
-    }
-    ASSERT_EQ(hits.size(), 4u);
-    for (const auto& [device, count] : hits) {
-        EXPECT_GT(count, 100u) << "device " << device << " starved";
-    }
-}
-
-TEST(Router, ConsistentHashOnlyRemapsTheLostDevicesKeys) {
-    Router router(RoutePolicy::ConsistentHash, 4);
-    const auto all = loads_of({0, 0, 0, 0});
-    auto degraded = all;
-    degraded[2].live = false;
-
-    for (std::uint64_t fp = 1; fp <= 2000; ++fp) {
-        const std::size_t before = router.route(info_with_fingerprint(fp), all);
-        const std::size_t after = router.route(info_with_fingerprint(fp), degraded);
-        if (before != 2) {
-            EXPECT_EQ(after, before) << "fingerprint " << fp
-                                     << " moved though its device survived";
-        } else {
-            EXPECT_NE(after, 2u);
-        }
-    }
-}
-
-TEST(Router, KeyRangePartitionsTheDomainMonotonically) {
-    Router router(RoutePolicy::KeyRange, 4);
-    const auto loads = loads_of({0, 0, 0, 0});
-    RouteInfo info;
-    std::size_t prev = 0;
-    for (double frac = 0.0; frac <= 1.0; frac += 0.01) {
-        info.key_hint = frac * Router::kDefaultKeySpace;
-        const std::size_t owner = router.route(info, loads);
-        EXPECT_GE(owner, prev);  // owners ascend with the key
-        prev = owner;
-    }
-    EXPECT_EQ(prev, 3u);  // the top of the domain reaches the last device
-
-    info.key_hint = -100.0;  // clamped into the domain
-    EXPECT_EQ(router.route(info, loads), 0u);
-    info.key_hint = 10.0 * Router::kDefaultKeySpace;
-    EXPECT_EQ(router.route(info, loads), 3u);
-}
-
-TEST(Router, KeyRangeReassignsRangesAfterLoss) {
-    Router router(RoutePolicy::KeyRange, 4);
-    auto loads = loads_of({0, 0, 0, 0});
-    loads[1].live = false;  // survivors 0, 2, 3 split the domain three ways
-    RouteInfo info;
-    info.key_hint = 0.05 * Router::kDefaultKeySpace;
-    EXPECT_EQ(router.route(info, loads), 0u);
-    info.key_hint = 0.5 * Router::kDefaultKeySpace;
-    EXPECT_EQ(router.route(info, loads), 2u);
-    info.key_hint = 0.95 * Router::kDefaultKeySpace;
-    EXPECT_EQ(router.route(info, loads), 3u);
-}
-
-TEST(Router, ParseRoutePolicyRoundTrips) {
-    for (auto policy : {RoutePolicy::LeastLoaded, RoutePolicy::ConsistentHash,
-                        RoutePolicy::KeyRange}) {
-        RoutePolicy parsed{};
-        ASSERT_TRUE(parse_route_policy(to_string(policy), parsed));
-        EXPECT_EQ(parsed, policy);
-    }
-    RoutePolicy parsed = RoutePolicy::KeyRange;
-    EXPECT_FALSE(parse_route_policy("round-robin", parsed));
-    EXPECT_EQ(parsed, RoutePolicy::KeyRange);  // untouched on failure
-}
-
-// The CLI spellings are a wire format: gas_serve --policy hard-errors on
-// anything parse_route_policy rejects, so near-misses must stay rejected
-// rather than being "helpfully" normalized.
-TEST(Router, ParseRoutePolicyRejectsNearMisses) {
-    RoutePolicy parsed = RoutePolicy::ConsistentHash;
-    for (const char* name : {"", "least_loaded", "Least-Loaded", "leastloaded",
-                             "consistent-hash ", "key-range-", "keyrange"}) {
-        EXPECT_FALSE(parse_route_policy(name, parsed)) << "accepted: '" << name << "'";
-        EXPECT_EQ(parsed, RoutePolicy::ConsistentHash);
-    }
-    EXPECT_EQ(to_string(RoutePolicy::LeastLoaded), "least-loaded");
-    EXPECT_EQ(to_string(RoutePolicy::ConsistentHash), "consistent-hash");
-    EXPECT_EQ(to_string(RoutePolicy::KeyRange), "key-range");
+    auto loads = loads_of({1, 2, 3, 4});
+    for (auto& l : loads) l.live = false;
+    EXPECT_EQ(least_loaded(loads), 4u);
 }
 
 TEST(Router, RejectsDegenerateConfigurations) {
-    EXPECT_THROW(Router(RoutePolicy::LeastLoaded, 0), std::invalid_argument);
-    EXPECT_THROW(Router(RoutePolicy::KeyRange, 2, 0.0), std::invalid_argument);
-    Router router(RoutePolicy::LeastLoaded, 2);
-    EXPECT_THROW((void)router.route({}, loads_of({1, 2, 3})), std::invalid_argument);
+    // An empty load view places nothing: nothing is live, so the sentinel
+    // is 0.  (DeviceFleet itself refuses 0 devices.)
+    EXPECT_EQ(least_loaded({}), 0u);
 }
 
 TEST(DeviceFleet, OwnsHomogeneousDevices) {

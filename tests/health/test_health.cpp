@@ -13,6 +13,7 @@
 
 #include "fleet/fleet.hpp"
 #include "health/brownout.hpp"
+#include "health/config.hpp"
 #include "health/probe.hpp"
 #include "health/state.hpp"
 #include "serve/server.hpp"
@@ -74,15 +75,18 @@ simt::faults::FaultPlan kill_plan() {
 // ---------------------------------------------------------------------------
 // Machine: the per-shard state machine as a pure unit.
 
+// The clean-streak tests below count kDegradedClearBatches clean batches.
+static_assert(gas::health::kDegradedClearBatches == 2);
+
 TEST(HealthMachine, TransientFaultDemotesAndCleanStreakRecovers) {
-    Machine m(Machine::Config{.degraded_clear_batches = 2});
+    Machine m;
     EXPECT_EQ(m.state(), State::Healthy);
     EXPECT_DOUBLE_EQ(m.route_weight(), 1.0);
 
     EXPECT_TRUE(m.on_transient_fault());  // Healthy -> Degraded counts
     EXPECT_EQ(m.state(), State::Degraded);
     EXPECT_FALSE(m.on_transient_fault());  // already Degraded: no transition
-    EXPECT_DOUBLE_EQ(m.route_weight(), 0.5);
+    EXPECT_DOUBLE_EQ(m.route_weight(), gas::health::kDegradedWeight);
 
     EXPECT_FALSE(m.on_clean_batch());  // streak 1 of 2
     EXPECT_TRUE(m.on_clean_batch());   // streak complete: Degraded -> Healthy
@@ -90,7 +94,7 @@ TEST(HealthMachine, TransientFaultDemotesAndCleanStreakRecovers) {
 }
 
 TEST(HealthMachine, FaultMidStreakResetsTheCleanStreak) {
-    Machine m(Machine::Config{.degraded_clear_batches = 2});
+    Machine m;
     m.on_transient_fault();
     EXPECT_FALSE(m.on_clean_batch());
     m.on_transient_fault();  // streak broken
@@ -166,10 +170,10 @@ TEST(HealthBrownout, DeescalatesStepwiseWithHysteresis) {
 
 TEST(HealthProbe, PassesOnAHealthyDevice) {
     auto dev = make_device();
-    const auto r = gas::health::run_probe(dev, /*seed=*/42, 4, 64);
+    const auto r = gas::health::run_probe(dev, /*seed=*/42);
     EXPECT_TRUE(r.pass) << r.error;
-    EXPECT_EQ(r.arrays, 4u);
-    EXPECT_EQ(r.array_size, 64u);
+    EXPECT_EQ(r.arrays, gas::health::kProbeArrays);
+    EXPECT_EQ(r.array_size, gas::health::kProbeArraySize);
 }
 
 TEST(HealthProbe, FailsTypedOnAKilledDevice) {

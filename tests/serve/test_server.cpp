@@ -13,7 +13,6 @@
 
 namespace {
 
-using gas::serve::AdmitPolicy;
 using gas::serve::Job;
 using gas::serve::JobKind;
 using gas::serve::Priority;
@@ -537,9 +536,6 @@ TEST(Server, RejectsInvalidConfig) {
     ServerConfig zero_streams;
     zero_streams.num_streams = 0;
     EXPECT_THROW(Server(dev, zero_streams), std::invalid_argument);
-    ServerConfig bad_safety;
-    bad_safety.memory_safety_factor = 0.0;
-    EXPECT_THROW(Server(dev, bad_safety), std::invalid_argument);
     ServerConfig no_batch;
     no_batch.max_batch_requests = 0;
     EXPECT_THROW(Server(dev, no_batch), std::invalid_argument);
@@ -578,7 +574,6 @@ TEST(Server, AsyncProducersDrainToCompletion) {
     auto dev = make_device();
     ServerConfig cfg;
     cfg.queue_capacity = 8;  // force backpressure on the producers
-    cfg.policy = AdmitPolicy::Block;
     cfg.num_streams = 2;
     Server server(dev, cfg);
 

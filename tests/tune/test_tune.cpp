@@ -6,7 +6,7 @@
 // 2. Serve: keys-only batches sort with serve::kLeanSampleRate and pair
 //    batches with their submitted options, so every served batch
 //    reproduces one direct fused-kernel call bit-for-bit (bytes and kernel
-//    log), every regime is served correctly, and a KeyRange fleet serves
+//    log), every regime is served correctly, and a default fleet serves
 //    uniform and ragged batches under the same sample.
 
 #include <gtest/gtest.h>
@@ -291,16 +291,15 @@ TEST(ServeTune, TunedServerServesEveryRegimeCorrectly) {
     server.stop();
 }
 
-TEST(ServeTune, FleetKeyBandsAndQueueDepthEwma) {
-    // A KeyRange fleet routes uniform and ragged batches by key band under
-    // the lean sample; every row comes back sorted and the shards' queue
-    // depth EWMA moves.
+TEST(ServeTune, FleetSortsUniformAndRaggedWithQueueDepthEwma) {
+    // A default 3-device fleet serves uniform and ragged batches under the
+    // lean sample; every row comes back sorted and the shards' queue depth
+    // EWMA moves.
     for (const auto kind : {gas::serve::JobKind::Uniform, gas::serve::JobKind::Ragged}) {
         SCOPED_TRACE(gas::serve::to_string(kind));
         gas::fleet::DeviceFleet fleet(3);
         gas::serve::ServerConfig cfg;
         cfg.manual_pump = true;
-        cfg.route_policy = gas::fleet::RoutePolicy::KeyRange;
         gas::serve::Server server(fleet, cfg);
         std::vector<std::pair<gas::serve::Server::Ticket, std::vector<std::uint64_t>>> live;
         for (std::uint64_t r = 0; r < 12; ++r) {

@@ -12,14 +12,13 @@
 //     --streams S      pipeline depth for the overlap model (default 2)
 //     --batch B        max requests per fused batch (default 64)
 //     --deadline-ms D  attach a D ms deadline to every request
-//     --devices N      serve on an N-device fleet (default 1)
-//     --policy P       fleet routing policy: least-loaded | consistent-hash
-//                      | key-range (default least-loaded)
+//     --devices N      serve on an N-device fleet, least-loaded placement
+//                      (default 1)
 //     --exec M         interpreter execution mode: scalar|warp (default:
 //                      the SIMT_EXEC environment variable, else warp)
 //     --health on|off  closed-loop health subsystem (gas::health: watchdog,
 //                      probe re-admission, overload shedding, brownout
-//                      ladder, straggler hedging; default off)
+//                      ladder; default off)
 //     --json PATH      also write the ServerStats JSON to PATH
 //
 // Exit code 0 iff every request reached a terminal state and every Ok
@@ -33,7 +32,6 @@
 #include <vector>
 
 #include "fleet/fleet.hpp"
-#include "fleet/router.hpp"
 #include "serve/server.hpp"
 #include "simt/device.hpp"
 #include "workload/generators.hpp"
@@ -45,9 +43,7 @@ int usage() {
                  "usage: gas_serve run [--requests R] [--arrays N] [--size n]\n"
                  "                     [--kind uniform|ragged|pairs] [--async]\n"
                  "                     [--streams S] [--batch B] [--deadline-ms D]\n"
-                 "                     [--devices N] [--policy least-loaded|consistent-hash|"
-                 "key-range]\n"
-                 "                     [--exec scalar|warp] [--health on|off]\n"
+                 "                     [--devices N] [--exec scalar|warp] [--health on|off]\n"
                  "                     [--json PATH]\n");
     return 2;
 }
@@ -62,7 +58,6 @@ struct CliOptions {
     std::size_t batch = 64;
     double deadline_ms = 0.0;
     std::size_t devices = 1;
-    gas::fleet::RoutePolicy policy = gas::fleet::RoutePolicy::LeastLoaded;
     simt::ExecMode exec = simt::exec_mode_from_env();
     bool health = false;
     std::string json;
@@ -126,18 +121,16 @@ int cmd_run(const CliOptions& cli) {
     cfg.manual_pump = !cli.async;
     cfg.queue_capacity = cli.async ? std::max<std::size_t>(cli.requests / 8, 16)
                                    : cli.requests;
-    cfg.policy = gas::serve::AdmitPolicy::Block;
     cfg.max_batch_requests = cli.batch;
     cfg.num_streams = cli.streams;
-    cfg.route_policy = cli.policy;
     cfg.health.enabled = cli.health;
     gas::serve::Server server(fleet, cfg);
 
     std::printf("gas_serve: %zu %s requests, %s mode, %u streams, batch <= %zu, "
-                "%zu device(s), %s routing\n",
+                "%zu device(s)\n",
                 cli.requests, gas::serve::to_string(cli.kind).c_str(),
                 cli.async ? "async scheduler" : "manual pump", cli.streams, cli.batch,
-                cli.devices, gas::fleet::to_string(cli.policy).c_str());
+                cli.devices);
 
     struct Outstanding {
         gas::serve::Job shape;  // geometry only (values moved into the server)
@@ -279,18 +272,6 @@ int main(int argc, char** argv) {
             if (v == nullptr) return usage();
             cli.devices = std::strtoull(v, nullptr, 10);
             if (cli.devices == 0) return usage();
-        } else if (arg == "--policy") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            if (!gas::fleet::parse_route_policy(v, cli.policy)) {
-                // A typo here must not silently serve with the default policy:
-                // name the rejected string and the full valid set.
-                std::fprintf(stderr,
-                             "gas_serve: unknown --policy '%s' "
-                             "(valid: least-loaded, consistent-hash, key-range)\n",
-                             v);
-                return 2;
-            }
         } else if (arg == "--exec") {
             const char* v = next();
             if (v == nullptr) return usage();

@@ -1,6 +1,6 @@
 # Smoke test of the gas_serve CLI: all three job kinds through the manual
 # pump, the async scheduler with backpressure and a stats JSON artifact, and
-# the multi-device fleet path under every routing policy.
+# the multi-device fleet path.
 
 function(run)
   execute_process(COMMAND ${ARGV} RESULT_VARIABLE rc OUTPUT_VARIABLE out
@@ -58,20 +58,17 @@ endif()
 file(READ ${STATS} stats_json)
 expect_json("${stats_json}" 96 requests completed)
 
-# Fleet path: every routing policy across 3 devices must serve the full
-# stream, and the stats JSON must carry the per-device fleet block.
-foreach(policy least-loaded consistent-hash key-range)
-  set(FLEET_STATS ${RUN_DIR}/serve_fleet_${policy}.json)
-  run(${GAS_SERVE} run --requests 48 --devices 3 --policy ${policy}
-      --json ${FLEET_STATS})
-  if(NOT last_out MATCHES "48 ok \\(0 cpu fallbacks\\), 0 not-ok, 0 unsorted")
-    message(FATAL_ERROR "fleet ${policy} run not fully served:\n${last_out}")
-  endif()
-  file(READ ${FLEET_STATS} fleet_json)
-  expect_json("${fleet_json}" 3 fleet devices)
-  expect_json("${fleet_json}" dev2 fleet per_device 2 name)
-endforeach()
-run(${GAS_SERVE} run --requests 48 --devices 4 --policy least-loaded --async)
+# Fleet path: 3 devices must serve the full stream, and the stats JSON must
+# carry the per-device fleet block.
+set(FLEET_STATS ${RUN_DIR}/serve_fleet.json)
+run(${GAS_SERVE} run --requests 48 --devices 3 --json ${FLEET_STATS})
+if(NOT last_out MATCHES "48 ok \\(0 cpu fallbacks\\), 0 not-ok, 0 unsorted")
+  message(FATAL_ERROR "fleet run not fully served:\n${last_out}")
+endif()
+file(READ ${FLEET_STATS} fleet_json)
+expect_json("${fleet_json}" 3 fleet devices)
+expect_json("${fleet_json}" dev2 fleet per_device 2 name)
+run(${GAS_SERVE} run --requests 48 --devices 4 --async)
 if(NOT last_out MATCHES "48 ok \\(0 cpu fallbacks\\), 0 not-ok, 0 unsorted")
   message(FATAL_ERROR "async fleet run not fully served:\n${last_out}")
 endif()
