@@ -1,7 +1,7 @@
 // Overload & recovery bench: the serving fleet under gas::health.
 //
 // A two-device fleet server faces, in turn: a 2x-capacity admission burst
-// (overload shedding + the brownout ladder), a mid-run device kill followed
+// (queue-full priority shedding), a mid-run device kill followed
 // by a revive (quarantine, probe-sort re-admission through probation), and
 // wall-clock hang injection (watchdog/hang-handler abort).  BENCH_health.json
 // asserts the acceptance gates:
@@ -12,8 +12,9 @@
 //     every phase,
 //   * recovery: the killed device is re-admitted via probation and serves
 //     verified traffic again; hangs are detected and absorbed,
-//   * brownout: accepted-request p99 wall latency under the burst stays
-//     <= 3x the unloaded p99 (shedding bounds the backlog), and
+//   * backlog: shedding bounds the backlog — the burst server's queue never
+//     holds more than its capacity, and accepted-request p99 wall latency
+//     under the burst stays <= 3x the unloaded p99, and
 //   * off-switch: health=off serves the same stream bit-identically to the
 //     health=on fault-free run (and to the host sort).
 
@@ -150,7 +151,7 @@ int main(int argc, char** argv) {
 
     // ---- Phase 1: unloaded baseline (health on, no pressure) --------------
     // One capacity's worth of requests, served in a single drain: the p99
-    // yardstick the brownout gate compares against.
+    // yardstick the backlog gate compares against.
     double p99_unloaded = 0.0;
     std::vector<std::vector<float>> bytes_on;
     std::size_t unloaded_bad = 0;
@@ -191,34 +192,26 @@ int main(int argc, char** argv) {
     // ---- Phase 2: 2x-capacity burst (overload protection) ----------------
     PhaseResult burst;
     double p99_burst = 0.0;
-    std::uint64_t brownout_escalations = 0;
     std::uint64_t shed_counted = 0;
-    int brownout_peak = 0;
+    std::size_t queue_peak = 0;
     {
         gas::fleet::DeviceFleet fleet(2);
         gas::serve::Server server(fleet, server_config(capacity, /*health=*/true));
         const auto reqs = make_requests(2 * capacity, 1000);
         std::vector<gas::serve::Server::Ticket> tickets;
-        for (const auto& r : reqs) {
-            tickets.push_back(submit_one(server, r));
-            brownout_peak =
-                std::max(brownout_peak, server.stats().health.brownout_level);
-        }
+        for (const auto& r : reqs) tickets.push_back(submit_one(server, r));
         server.pump();
         burst = collect(reqs, tickets);
         const auto stats = server.stats();
         p99_burst = stats.wall_ms.p99;
-        brownout_escalations = stats.health.brownout_escalations;
-        shed_counted = stats.health.shed_total();
+        shed_counted = stats.shed;
+        queue_peak = stats.queue_peak;
         std::printf("burst: %zu submitted over capacity %zu -> %zu ok, %zu shed "
                     "(typed), %zu other, %zu bad bytes\n",
                     2 * capacity, capacity, burst.ok, burst.shed, burst.other,
                     burst.mismatches);
-        std::printf("  brownout peak L%d (%llu escalation(s)), accepted p99 %.3f ms "
-                    "(unloaded %.3f ms)\n",
-                    brownout_peak,
-                    static_cast<unsigned long long>(brownout_escalations), p99_burst,
-                    p99_unloaded);
+        std::printf("  queue peak %zu, accepted p99 %.3f ms (unloaded %.3f ms)\n",
+                    queue_peak, p99_burst, p99_unloaded);
     }
 
     // ---- Phase 3: kill -> revive -> verified traffic ----------------------
@@ -299,7 +292,7 @@ int main(int argc, char** argv) {
                                revived.ok == revived_submitted;
     const bool hang_pass = hangs_detected >= 1 && hung.ok == capacity / 2;
     const double p99_ratio = p99_unloaded > 0.0 ? p99_burst / p99_unloaded : 0.0;
-    const bool brownout_pass = brownout_peak >= 1 && p99_ratio <= 3.0;
+    const bool backlog_pass = queue_peak <= capacity && p99_ratio <= 3.0;
     const bool identity_pass = off_divergence == 0;
 
     std::printf("gate: termination, %zu untyped terminal(s) (need 0) ...... %s\n",
@@ -315,8 +308,8 @@ int main(int argc, char** argv) {
     std::printf("gate: hang detection, %llu detected (need >= 1) ........... %s\n",
                 static_cast<unsigned long long>(hangs_detected),
                 hang_pass ? "PASS" : "FAIL");
-    std::printf("gate: brownout p99 ratio %.2fx (<= 3x, peak L%d) .......... %s\n",
-                p99_ratio, brownout_peak, brownout_pass ? "PASS" : "FAIL");
+    std::printf("gate: backlog, queue peak %zu (<= %zu), p99 %.2fx (<= 3x) ... %s\n",
+                queue_peak, capacity, p99_ratio, backlog_pass ? "PASS" : "FAIL");
     std::printf("gate: health=off identity, %zu divergence(s) (need 0) ..... %s\n",
                 off_divergence, identity_pass ? "PASS" : "FAIL");
 
@@ -324,8 +317,8 @@ int main(int argc, char** argv) {
     j.begin_object().field("bench", "overload_recovery").field("capacity", capacity);
     j.field("arrays_per_request", kArraysPerRequest).field("array_size", kArraySize);
     j.field("devices", 2).object("burst").field("submitted", 2 * capacity);
-    j.field("ok", burst.ok).field("shed", burst.shed).field("brownout_peak", brownout_peak);
-    j.field("escalations", brownout_escalations).end_object();
+    j.field("ok", burst.ok).field("shed", burst.shed).field("queue_peak", queue_peak);
+    j.end_object();
     j.object("recovery").field("after_kill", state_after_kill);
     j.field("after_revive", state_after_recovery).field("quarantines", quarantines);
     j.field("probes_passed", probes_passed).field("readmissions", readmissions);
@@ -339,14 +332,14 @@ int main(int argc, char** argv) {
     j.object("hang_detection").field("pass", hang_pass).end_object();
     // Wall-clock ratio: recorded for trending, gated loosely (3x) so a
     // noisy host cannot flip it; the bench runs RUN_SERIAL in ctest.
-    j.object("brownout_p99").field("ratio", p99_ratio).field("max", 3.0);
-    j.field("pass", brownout_pass).end_object();
+    j.object("backlog_p99").field("queue_peak", queue_peak).field("capacity", capacity);
+    j.field("ratio", p99_ratio).field("max", 3.0).field("pass", backlog_pass).end_object();
     j.object("off_identity").field("divergences", off_divergence);
     j.field("pass", identity_pass).end_object().end_object().end_object();
     bench::write_json_file(json_path, j);
 
     const bool all_pass = termination_pass && typed_shed_pass && integrity_pass &&
-                          recovery_pass && hang_pass && brownout_pass && identity_pass;
+                          recovery_pass && hang_pass && backlog_pass && identity_pass;
     std::printf("%s\n", all_pass ? "ALL GATES PASS" : "GATE FAILURE");
     return all_pass ? 0 : 1;
 }

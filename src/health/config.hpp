@@ -25,11 +25,11 @@ inline constexpr double kDegradedWeight = 0.5;
 /// Knobs for the closed-loop health subsystem (gas::health), carried by
 /// ServerConfig::health.  `enabled=false` (the default) turns every hook
 /// off: no watchdog thread, no probes, no shedding — the server behaves
-/// bit-for-bit like a build without the subsystem.
+/// bit-for-bit like a build without the subsystem.  With it on, a full
+/// queue sheds by priority (typed Status::Shed) instead of blocking or
+/// rejecting; that is the only overload behaviour.
 struct HealthConfig {
     bool enabled = false;
-
-    // ---- probes / state machine ------------------------------------------
     /// Consecutive probe passes required to leave Quarantined for Probation.
     unsigned probe_passes = 2;
     /// Clean batches served in Probation before full Healthy re-admission.
@@ -37,21 +37,6 @@ struct HealthConfig {
     /// Starting least-loaded weight of a shard in Probation; ramps linearly
     /// to 1.0 as probation_batches complete.
     double probation_base_weight = 0.25;
-
-    // ---- overload / brownout ---------------------------------------------
-    /// Typed Shed rejections replace block/reject when the queue is full
-    /// (oldest request of the lowest-priority class is dropped first).
-    bool shed_enabled = true;
-    /// Brownout ladder escalation thresholds on smoothed queue occupancy
-    /// (queued / capacity): L1 skips response verification, L2 shrinks the
-    /// coalescing window (no linger, quartered batch cap), L3 sheds
-    /// incoming low-priority work.
-    double brownout_l1 = 0.55;
-    double brownout_l2 = 0.75;
-    double brownout_l3 = 0.90;
-    /// De-escalation happens only below (threshold - hysteresis), one level
-    /// per update, so the ladder does not flap around a threshold.
-    double brownout_hysteresis = 0.20;
 };
 
 }  // namespace gas::health

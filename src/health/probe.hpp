@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -11,8 +10,6 @@ namespace gas::health {
 /// Outcome of one seeded probe sort on a quarantined device.
 struct ProbeResult {
     bool pass = false;
-    std::size_t arrays = 0;
-    std::size_t array_size = 0;
     std::string error;  ///< why the probe failed (empty on pass)
 };
 

@@ -33,14 +33,10 @@ enum class State : std::uint8_t { Healthy, Degraded, Quarantined, Probation };
 /// counting the transitions the event methods report.
 class Machine {
   public:
-    struct Config {
-        unsigned probe_passes = 2;        ///< K: Quarantined -> Probation
-        unsigned probation_batches = 3;   ///< M: Probation -> Healthy
-        double probation_base_weight = 0.25;
-    };
-
     Machine() = default;
-    explicit Machine(Config cfg) : cfg_(cfg) {}
+    /// Reads probe_passes (K), probation_batches (M) and
+    /// probation_base_weight; `enabled` is the server's concern.
+    explicit Machine(const HealthConfig& cfg) : cfg_(cfg) {}
 
     [[nodiscard]] State state() const { return state_; }
 
@@ -122,7 +118,7 @@ class Machine {
     }
 
   private:
-    Config cfg_;
+    HealthConfig cfg_;
     State state_ = State::Healthy;
     unsigned probe_streak_ = 0;     ///< consecutive probe passes while Quarantined
     unsigned probation_done_ = 0;   ///< clean batches served while in Probation

@@ -147,15 +147,8 @@ Server::Server(ServerConfig cfg, gas::fleet::DeviceFleet* f,
         shards_.push_back(std::make_unique<Shard>(i, fleet_->device(i), cfg_.num_streams));
     }
     if (cfg_.health.enabled) {
-        const gas::health::Machine::Config mc{
-            .probe_passes = cfg_.health.probe_passes,
-            .probation_batches = cfg_.health.probation_batches,
-            .probation_base_weight = cfg_.health.probation_base_weight};
-        brownout_ = gas::health::Brownout(
-            {cfg_.health.brownout_l1, cfg_.health.brownout_l2, cfg_.health.brownout_l3,
-             cfg_.health.brownout_hysteresis});
         for (auto& s : shards_) {
-            s->health = gas::health::Machine(mc);
+            s->health = gas::health::Machine(cfg_.health);
             Shard* sp = s.get();
             // Hung launches (simt fault injection, or a real stall in a live
             // backend) poll this handler.  Async mode waits for the watchdog
@@ -231,23 +224,13 @@ Server::Ticket Server::submit(Job job) {
         ++stats_.rejected;
         return respond(Status::Rejected, "queue capacity is 0");
     }
-    // Brownout L3: incoming low-priority work sheds immediately — a typed
-    // rejection the caller can back off on, instead of queueing work the
-    // ladder says cannot be served in time.
-    if (cfg_.health.enabled && cfg_.health.shed_enabled && brownout_.level() >= 3 &&
-        pending->job.priority == Priority::Low) {
-        ++stats_.shed;
-        ++hstats_.shed_brownout;
-        return respond(Status::Shed, "shed: brownout (low priority)");
-    }
     if (queued_ >= cfg_.queue_capacity) {
-        if (cfg_.health.enabled && cfg_.health.shed_enabled) {
+        if (cfg_.health.enabled) {
             // Overload protection replaces block/reject: drop the oldest
             // queued request of the least important class at or below the
             // newcomer's priority.  When everything queued outranks the
             // newcomer, the newcomer itself is the drop.
             ++stats_.shed;
-            ++hstats_.shed_overflow;
             if (!shed_for_admission_locked(pending->job.priority, shed_victim)) {
                 return respond(Status::Shed, "shed: queue full");
             }
@@ -269,7 +252,6 @@ Server::Ticket Server::submit(Job job) {
     ++shard.breakdown.routed;
     enqueue_locked(shard, std::move(pending));
     sample_load_locked(shard);
-    update_brownout_locked();
     stats_.queue_peak = std::max(stats_.queue_peak, queued_);
     lk.unlock();
     if (shed_victim) {
@@ -499,11 +481,9 @@ void Server::scheduler_main(Shard& shard) {
         if (cfg_.health.enabled && shard.quarantined) continue;
         if (shard.queued == 0 && steal_into_locked(shard) == 0) continue;
         if (cfg_.linger_us > 0.0 && !stopping_ &&
-            shard.queued < cfg_.max_batch_requests &&
-            !(cfg_.health.enabled && brownout_.level() >= 2)) {
+            shard.queued < cfg_.max_batch_requests) {
             // Best-effort coalescing window: let a concurrent burst land
-            // before the batch is closed.  Brownout L2+ skips it — shrink
-            // the coalescing window, serve what is here now.
+            // before the batch is closed.
             queue_cv_.wait_for(lk, std::chrono::duration<double, std::micro>(cfg_.linger_us));
         }
         step(shard, lk);
@@ -565,13 +545,6 @@ std::vector<Server::PendingPtr> Server::take_batch(Shard& shard,
     const auto now = Clock::now();
     std::vector<PendingPtr> batch;
 
-    // Brownout L2+: quartered batch ceiling — smaller batches retire sooner,
-    // trading fusion efficiency for latency under pressure.
-    const bool browned = cfg_.health.enabled && brownout_.level() >= 2;
-    const std::size_t max_requests =
-        browned ? std::max<std::size_t>(1, cfg_.max_batch_requests / 4)
-                : cfg_.max_batch_requests;
-
     // Head: first live request in priority order.
     for (auto& q : shard.queue) {
         while (!q.empty() && batch.empty()) {
@@ -604,7 +577,7 @@ std::vector<Server::PendingPtr> Server::take_batch(Shard& shard,
 
     for (auto& q : shard.queue) {
         auto it = q.begin();
-        while (it != q.end() && batch.size() < max_requests) {
+        while (it != q.end() && batch.size() < cfg_.max_batch_requests) {
             Pending& cand = **it;
             if (expired(cand.job, now)) {
                 timed_out.push_back(unqueue_locked(shard, q, it));
@@ -620,10 +593,9 @@ std::vector<Server::PendingPtr> Server::take_batch(Shard& shard,
             total_elements += cand.elements;
             batch.push_back(unqueue_locked(shard, q, it));
         }
-        if (batch.size() >= max_requests) break;
+        if (batch.size() >= cfg_.max_batch_requests) break;
     }
     sample_load_locked(shard);
-    update_brownout_locked();
     return batch;
 }
 
@@ -756,17 +728,6 @@ void Server::quarantine_and_reroute(Shard& shard, std::vector<PendingPtr>& batch
 
 void Server::execute_batch(Shard& shard, std::vector<PendingPtr>& batch) {
     const auto service_start = Clock::now();
-    // Brownout L1+: response verification is the first service quality shed
-    // under overload (the sort still runs; per-row checks are skipped and
-    // counted).  The cached level makes this read lock-free.
-    const bool verify =
-        cfg_.verify_responses &&
-        !(cfg_.health.enabled &&
-          brownout_level_cache_.load(std::memory_order_relaxed) >= 1);
-    if (cfg_.verify_responses && !verify) {
-        std::lock_guard vlk(mutex_);
-        ++hstats_.verify_skipped_batches;
-    }
     simt::Device& device = *shard.device;
     const Job& head = batch.front()->job;
     const std::size_t n = head.array_size;  // Uniform / Pairs row length
@@ -812,7 +773,7 @@ void Server::execute_batch(Shard& shard, std::vector<PendingPtr>& batch) {
         // Expected per-row checksums come from the host copies while staging
         // — ground truth no device fault can touch.
         std::vector<std::uint64_t> expected;
-        if (verify) expected.reserve(total_arrays);
+        if (cfg_.verify_responses) expected.reserve(total_arrays);
         for (std::size_t i = 0; i < batch.size(); ++i) {
             const Job& job = batch[i]->job;
             const std::size_t src = host_base(job);
@@ -820,7 +781,7 @@ void Server::execute_batch(Shard& shard, std::vector<PendingPtr>& batch) {
             const std::size_t len = batch[i]->elements * sizeof(float);
             std::memcpy(kdev + dst, job.values.data() + src, len);
             if (planes == 2) std::memcpy(vdev + dst, job.payload.data() + src, len);
-            if (!verify) continue;
+            if (!cfg_.verify_responses) continue;
             for (std::size_t r = first_row[i]; r < first_row[i + 1]; ++r) {
                 const std::size_t at = src + (offsets[r] - dst);
                 const std::size_t row_len = offsets[r + 1] - offsets[r];
@@ -847,7 +808,7 @@ void Server::execute_batch(Shard& shard, std::vector<PendingPtr>& batch) {
         double kernel_ms = s.modeled_kernel_ms();
 
         std::vector<std::uint8_t> row_fail;
-        if (verify) {
+        if (cfg_.verify_responses) {
             row_fail.assign(total_arrays, 0);
             kernel_ms += resilient::verify_rows_on_device<float>(
                              device, "gas.verify", std::span<const float>(kdev, count),
@@ -1115,7 +1076,6 @@ ServerStats Server::stats() const {
     s.pool = pool;
     s.health = hstats_;
     s.health.enabled = cfg_.health.enabled;
-    s.health.brownout_level = brownout_.level();
     return s;
 }
 
@@ -1124,23 +1084,6 @@ void Server::sample_load_locked(Shard& shard) {
     if (cfg_.health.enabled) {
         shard.load_ewma.update(static_cast<double>(shard.queued_elements));
     }
-}
-
-void Server::update_brownout_locked() {
-    if (!cfg_.health.enabled || cfg_.queue_capacity == 0) return;
-    // Smoothed fleet occupancy from the per-shard queue-depth EWMAs — the
-    // same signal dashboards trend — so one burst tick cannot whipsaw the
-    // ladder; hysteresis inside Brownout handles the way down.
-    double ewma_depth = 0.0;
-    for (const auto& sp : shards_) ewma_depth += sp->breakdown.queue_depth_ewma;
-    const double occupancy = ewma_depth / static_cast<double>(cfg_.queue_capacity);
-    const int delta = brownout_.update(occupancy);
-    if (delta > 0) {
-        hstats_.brownout_escalations += static_cast<std::uint64_t>(delta);
-    } else if (delta < 0) {
-        ++hstats_.brownout_deescalations;
-    }
-    brownout_level_cache_.store(brownout_.level(), std::memory_order_relaxed);
 }
 
 bool Server::shed_for_admission_locked(Priority incoming, PendingPtr& victim) {

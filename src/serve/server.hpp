@@ -12,7 +12,6 @@
 
 #include "core/resilient.hpp"
 #include "fleet/fleet.hpp"
-#include "health/brownout.hpp"
 #include "health/config.hpp"
 #include "health/state.hpp"
 #include "serve/ewma.hpp"
@@ -84,8 +83,8 @@ struct ServerConfig {
 
     /// Closed-loop health subsystem (gas::health): per-shard watchdog + hang
     /// handler, the Healthy/Degraded/Quarantined/Probation state machine
-    /// with probe-sort re-admission, and overload shedding with the brownout
-    /// ladder.  Disabled by default: with health.enabled false the server
+    /// with probe-sort re-admission, and priority shedding when the queue is
+    /// full.  Disabled by default: with health.enabled false the server
     /// behaves bit-for-bit like the pre-health server (one-way quarantine,
     /// blocking admission, no watchdog thread, no hang handlers installed).
     gas::health::HealthConfig health{};
@@ -317,8 +316,6 @@ class Server {
     /// Samples the shard's queue-depth EWMA (stats) and, with health on, its
     /// queued-elements EWMA (placement's smoothed_load).  Lock held.
     void sample_load_locked(Shard& shard);
-    /// Re-reads EWMA occupancy and walks the brownout ladder.  Lock held.
-    void update_brownout_locked();
     /// Queue-full admission under health shedding: drops the oldest queued
     /// request of the least important non-empty class at or below the
     /// newcomer's priority (into `victim`), making room.  Returns false when
@@ -349,10 +346,6 @@ class Server {
     std::uint64_t next_batch_id_ = 1;
 
     // gas::health (all guarded by mutex_ unless noted).
-    gas::health::Brownout brownout_;
-    /// brownout_.level() mirrored for the lock-free execute-path read that
-    /// decides whether L1 skips response verification.
-    std::atomic<int> brownout_level_cache_{0};
     HealthStats hstats_;
     std::condition_variable watchdog_cv_;
     std::thread watchdog_;  ///< started only with health on, async mode

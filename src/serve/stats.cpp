@@ -81,12 +81,6 @@ std::string ServerStats::to_json() const {
     j.field("degraded_recoveries", h.degraded_recoveries);
     j.field("probes_run", h.probes_run).field("probes_passed", h.probes_passed);
     j.field("probes_failed", h.probes_failed).field("hangs_detected", h.hangs_detected);
-    j.field("shed_overflow", h.shed_overflow).field("shed_brownout", h.shed_brownout);
-    j.field("shed_total", h.shed_total());
-    j.field("brownout_level", h.brownout_level);
-    j.field("brownout_escalations", h.brownout_escalations);
-    j.field("brownout_deescalations", h.brownout_deescalations);
-    j.field("verify_skipped_batches", h.verify_skipped_batches);
     j.end_object().object("modeled");
     j.field("kernel_ms", modeled_kernel_ms).field("h2d_ms", modeled_h2d_ms);
     j.field("d2h_ms", modeled_d2h_ms).field("overlap_ms", modeled_overlap_ms);

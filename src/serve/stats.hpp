@@ -68,9 +68,9 @@ struct DeviceBreakdown {
     double compute_utilization = 0.0;   ///< of its own makespan
     std::size_t queue_depth = 0;        ///< at the moment stats() was taken
     /// EWMA of the shard's queue depth, sampled at every enqueue and batch
-    /// take (alpha 0.2): the smoothed backlog signal dashboards trend and
-    /// the health brownout ladder reads (Server::update_brownout_locked),
-    /// immune to the instant-depth sampling noise of queue_depth.
+    /// take (alpha 0.2): the smoothed backlog signal dashboards trend,
+    /// immune to the instant-depth sampling noise of queue_depth.  Nothing
+    /// in the server acts on it; it is a reported stat only.
     double queue_depth_ewma = 0.0;
     /// gas::health state machine position ("healthy" / "degraded" /
     /// "quarantined" / "probation").  With health off this mirrors the
@@ -80,6 +80,7 @@ struct DeviceBreakdown {
 
 /// Counters of the gas::health closed loop (the "health" JSON block).  All
 /// zero — and `enabled` false — when ServerConfig::health.enabled is off.
+/// Queue-full sheds, the one overload action, are ServerStats::shed.
 struct HealthStats {
     bool enabled = false;
 
@@ -98,20 +99,6 @@ struct HealthStats {
     // Watchdog: shards whose heartbeat stalled past the deadline (async), or
     // hung launches aborted by the hang handler (manual pump).
     std::uint64_t hangs_detected = 0;
-
-    // Overload shedding (typed Status::Shed responses; never silent loss).
-    std::uint64_t shed_overflow = 0;   ///< queue-full oldest-first drops
-    std::uint64_t shed_brownout = 0;   ///< low-priority drops at brownout L3
-
-    // Brownout ladder (0 = off .. 3 = full shedding).
-    int brownout_level = 0;
-    std::uint64_t brownout_escalations = 0;
-    std::uint64_t brownout_deescalations = 0;
-    std::uint64_t verify_skipped_batches = 0;  ///< L1: response verification disabled
-
-    [[nodiscard]] std::uint64_t shed_total() const {
-        return shed_overflow + shed_brownout;
-    }
 };
 
 /// Full observability surface of one gas::serve::Server.
@@ -124,7 +111,7 @@ struct ServerStats {
     std::uint64_t cancelled = 0;
     std::uint64_t completed = 0;   ///< Status::Ok responses
     std::uint64_t failed = 0;
-    std::uint64_t shed = 0;        ///< dropped by overload protection (typed)
+    std::uint64_t shed = 0;        ///< queue-full priority drops, health on (typed)
     std::uint64_t cpu_fallbacks = 0;  ///< served by the host degradation path
 
     // Micro-batching.

@@ -17,8 +17,8 @@
 //     --exec M         interpreter execution mode: scalar|warp (default:
 //                      the SIMT_EXEC environment variable, else warp)
 //     --health on|off  closed-loop health subsystem (gas::health: watchdog,
-//                      probe re-admission, overload shedding, brownout
-//                      ladder; default off)
+//                      probe re-admission, priority shedding when the queue
+//                      is full; default off)
 //     --json PATH      also write the ServerStats JSON to PATH
 //
 // Exit code 0 iff every request reached a terminal state and every Ok
@@ -179,13 +179,8 @@ int cmd_run(const CliOptions& cli) {
                 stats.modeled_throughput_rps());
     std::printf("latency (wall ms): p50 %.3f  p95 %.3f  p99 %.3f  max %.3f\n",
                 stats.wall_ms.p50, stats.wall_ms.p95, stats.wall_ms.p99, stats.wall_ms.max);
-    std::printf("health: %s, %llu shed (%llu overflow / %llu brownout), "
-                "brownout L%d, %llu hangs\n",
-                stats.health.enabled ? "on" : "off",
-                static_cast<unsigned long long>(stats.health.shed_total()),
-                static_cast<unsigned long long>(stats.health.shed_overflow),
-                static_cast<unsigned long long>(stats.health.shed_brownout),
-                stats.health.brownout_level,
+    std::printf("health: %s, %llu shed, %llu hangs\n", stats.health.enabled ? "on" : "off",
+                static_cast<unsigned long long>(stats.shed),
                 static_cast<unsigned long long>(stats.health.hangs_detected));
     if (cli.devices > 1) {
         for (const auto& d : stats.devices) {

@@ -75,7 +75,7 @@ endif()
 
 # Health subsystem: a --health on run must serve everything (fault-free means
 # nothing is shed), report the health summary line, and emit the "health"
-# block in the stats JSON with its shed total at zero.
+# block in the stats JSON with the request shed count at zero.
 set(HEALTH_STATS ${RUN_DIR}/serve_health.json)
 run(${GAS_SERVE} run --requests 48 --devices 2 --health on --json ${HEALTH_STATS})
 if(NOT last_out MATCHES "48 ok \\(0 cpu fallbacks\\), 0 not-ok, 0 unsorted")
@@ -86,7 +86,7 @@ if(NOT last_out MATCHES "health: on")
 endif()
 file(READ ${HEALTH_STATS} health_json)
 expect_json("${health_json}" ON health enabled)
-expect_json("${health_json}" 0 health shed_total)
+expect_json("${health_json}" 0 requests shed)
 expect_json("${health_json}" healthy fleet per_device 0 health_state)
 expect_json("${health_json}" healthy fleet per_device 1 health_state)
 # And --health off keeps the block present but disabled (schema stability).
